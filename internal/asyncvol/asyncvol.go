@@ -23,6 +23,7 @@ package asyncvol
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -377,31 +378,64 @@ func (c *Connector) stagedOutstandingAt(now time.Duration) int64 {
 	return c.outstanding
 }
 
+// bgOp is one queued background operation and the only per-operation
+// object the connector allocates for it: the task runs its run method.
+// It is a deferred metadata charge when raw is set, otherwise a data
+// request executed from r — the stream's own copy, because the submitting
+// rank can be runnable at the same virtual instant and must never observe
+// the task's mutations. req, when set, is the submitted original, which
+// keys the staged-bytes accounting.
+type bgOp struct {
+	c    *Connector
+	r    ioreq.Request
+	req  *ioreq.Request
+	raw  *hdf5.File
+	meta int // metadata round trips to charge on raw
+}
+
+// run executes the operation on the background stream's process, which
+// is charged for it: the overlap with application compute the paper
+// measures.
+func (o *bgOp) run(p *vclock.Proc) error {
+	c := o.c
+	if fm := c.opts.Faults; fm != nil {
+		if d := fm.BackgroundStall(p.Now()); d > 0 {
+			stallStart := p.Now()
+			p.Sleep(d)
+			c.opts.Crit.Record(critpath.Edge{
+				Track: p.Name(), Cause: critpath.FaultStall, Subsystem: "asyncvol",
+				Detail: "bg-stall", Start: stallStart, End: p.Now(),
+			})
+		}
+	}
+	var err error
+	if o.raw != nil {
+		o.raw.ChargeMetaOps(&hdf5.TransferProps{Proc: p}, o.meta)
+	} else {
+		o.r.Proc = p
+		err = c.exec.Do(&o.r)
+		if o.req != nil {
+			c.releaseStaged(p.Now(), o.req)
+		}
+	}
+	c.mQueueDepth.Add(-1)
+	return err
+}
+
 // enqueue is the inline pipeline's terminal: one request becomes one
 // background task running the exec pipeline. The task is added to the
 // event set the request carries in Tag — and, for a merged request, to
 // every absorbed source's event set, so each contributor's ES.Wait
 // observes the coalesced dispatch.
 func (c *Connector) enqueue(req *ioreq.Request) error {
-	sets, err := eventSets(req)
+	var one [1]*EventSet // an un-merged request names at most one set
+	sets, err := eventSets(one[:0], req)
 	if err != nil {
 		// The op dies here; its staging bytes must not stay accounted.
 		c.releaseStaged(procNow(req.Proc), req)
 		return err
 	}
-	t := c.push(req.Proc, taskName(req.Op), func(p *vclock.Proc) error {
-		// Charge the transfer to the background stream's process: the
-		// overlap with application compute the paper measures. The
-		// stream runs a copy — the submitting rank can be runnable at
-		// the same virtual instant and must never observe this task's
-		// mutations — while the staging release keeps the original
-		// pointer, which keys the staged-bytes accounting.
-		r := *req
-		r.Proc = p
-		err := c.exec.Do(&r)
-		c.releaseStaged(p.Now(), req)
-		return err
-	})
+	t := c.push(req.Proc, taskName(req.Op), &bgOp{r: *req, req: req})
 	for _, es := range sets {
 		es.add(t)
 	}
@@ -422,33 +456,22 @@ func taskName(op ioreq.Op) string {
 	}
 }
 
-// eventSets collects the event sets of a request and its aggregation
-// sources, deduplicated. A tag of the wrong concrete type is a caller
-// error reported as such — a connector mix-up is recoverable (use the
-// right connector's set), so it is not a panic.
-func eventSets(req *ioreq.Request) ([]*EventSet, error) {
-	var out []*EventSet
-	seen := make(map[*EventSet]bool, 1)
-	add := func(tag any) error {
-		if tag == nil {
-			return nil
+// eventSets appends the event sets of a request and its aggregation
+// sources to out, deduplicated. A tag of the wrong concrete type is a
+// caller error reported as such — a connector mix-up is recoverable (use
+// the right connector's set), so it is not a panic.
+func eventSets(out []*EventSet, req *ioreq.Request) ([]*EventSet, error) {
+	for i := -1; i < len(req.Sources); i++ {
+		tag := req.Tag
+		if i >= 0 {
+			tag = req.Sources[i].Tag
 		}
 		es, err := eventSetOf(tag)
 		if err != nil {
-			return err
-		}
-		if es != nil && !seen[es] {
-			seen[es] = true
-			out = append(out, es)
-		}
-		return nil
-	}
-	if err := add(req.Tag); err != nil {
-		return nil, err
-	}
-	for _, src := range req.Sources {
-		if err := add(src.Tag); err != nil {
 			return nil, err
+		}
+		if es != nil && !slices.Contains(out, es) {
+			out = append(out, es)
 		}
 	}
 	return out, nil
@@ -492,10 +515,10 @@ func procName(p *vclock.Proc) string {
 	return p.Name()
 }
 
-// push enqueues a background task and records it as the newest. When
-// MaxPending is set and p is non-nil, the caller blocks until the queue
-// has room (backpressure).
-func (c *Connector) push(p *vclock.Proc, name string, fn func(p *vclock.Proc) error) *taskengine.Task {
+// push enqueues o as a background task and records it as the newest.
+// When MaxPending is set and p is non-nil, the caller blocks until the
+// queue has room (backpressure).
+func (c *Connector) push(p *vclock.Proc, name string, o *bgOp) *taskengine.Task {
 	if c.opts.MaxPending > 0 && p != nil {
 		c.waitForRoom(p)
 	}
@@ -504,25 +527,10 @@ func (c *Connector) push(p *vclock.Proc, name string, fn func(p *vclock.Proc) er
 	// decrement runs on the stream at completion time.
 	c.mEnqueued.Add(1)
 	c.mQueueDepth.Add(1)
-	inner := fn
-	run := func(p *vclock.Proc) error {
-		if fm := c.opts.Faults; fm != nil {
-			if d := fm.BackgroundStall(p.Now()); d > 0 {
-				stallStart := p.Now()
-				p.Sleep(d)
-				c.opts.Crit.Record(critpath.Edge{
-					Track: p.Name(), Cause: critpath.FaultStall, Subsystem: "asyncvol",
-					Detail: "bg-stall", Start: stallStart, End: p.Now(),
-				})
-			}
-		}
-		err := inner(p)
-		c.mQueueDepth.Add(-1)
-		return err
-	}
+	o.c = c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stream.Push(name, nil, run)
+	t := c.stream.Push(name, nil, o.run)
 	c.last = t
 	// Only buffer-holding submissions (those with a caller to block)
 	// count toward the bound; deferred metadata tasks hold nothing.
@@ -542,6 +550,7 @@ func (c *Connector) waitForRoom(p *vclock.Proc) {
 		c.mu.Lock()
 		// Prune finished tasks from the front.
 		for len(c.inflight) > 0 && c.inflight[0].Done() {
+			c.inflight[0] = nil // unpin the finished task and its buffers
 			c.inflight = c.inflight[1:]
 		}
 		if len(c.inflight) < c.opts.MaxPending {
@@ -672,13 +681,9 @@ func (ag *asyncGroup) deferMeta(pr vol.Props, n int) error {
 	if err != nil {
 		return err
 	}
-	raw := ag.raw
 	// Metadata tasks are tiny and exempt from backpressure (no staging
 	// buffer is held).
-	t := ag.c.push(nil, "H5meta:async", func(p *vclock.Proc) error {
-		raw.ChargeMetaOps(&hdf5.TransferProps{Proc: p}, n)
-		return nil
-	})
+	t := ag.c.push(nil, "H5meta:async", &bgOp{raw: ag.raw, meta: n})
 	if es != nil {
 		es.add(t)
 	}
@@ -923,17 +928,13 @@ func (ad *asyncDataset) Prefetch(pr vol.Props, fspace *hdf5.Dataspace) error {
 	// cached nor ever released).
 	c.fetching[key] = true
 	c.mu.Unlock()
-	task := c.push(pr.Proc, "H5Dread:prefetch", func(p *vclock.Proc) error {
-		req := &ioreq.Request{Dataset: ad.raw, Space: sel, Proc: p, Span: pr.Span}
-		if staging == nil {
-			// Timing-only mode: charge the read without materializing.
-			req.Op = ioreq.OpReadNull
-		} else {
-			req.Op = ioreq.OpRead
-			req.Buf = staging
-		}
-		return c.exec.Do(req)
-	})
+	// Timing-only mode (no staging buffer) charges the read without
+	// materializing.
+	op := &bgOp{r: ioreq.Request{Op: ioreq.OpReadNull, Dataset: ad.raw, Space: sel, Span: pr.Span}}
+	if staging != nil {
+		op.r.Op, op.r.Buf = ioreq.OpRead, staging
+	}
+	task := c.push(pr.Proc, "H5Dread:prefetch", op)
 	if es != nil {
 		es.add(task)
 	}

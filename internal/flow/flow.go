@@ -65,18 +65,29 @@ type Server struct {
 	// instead of once per arrival — the difference between O(n) and
 	// O(n²) work per phase.
 	pending bool
+
+	// free holds finished flowStates for reuse and uncapped is
+	// allocateLocked's work list, so a transfer in steady state allocates
+	// nothing here. rebalanceFn and timerFn are the bound callbacks, made
+	// once instead of once per AfterFunc.
+	free        []*flowState
+	uncapped    []*flowState
+	rebalanceFn func(time.Duration)
+	timerFn     func(time.Duration)
 }
 
 type flowState struct {
 	remaining float64 // bytes left to serve
 	maxRate   float64 // per-flow cap in bytes/sec; 0 means uncapped
 	rate      float64 // current allocated rate
-	done      *vclock.Event
+	done      vclock.Event
 }
 
 // NewServer returns a Server on clk with the given capacity function.
 func NewServer(clk *vclock.Clock, capFn Capacity) *Server {
-	return &Server{clk: clk, capFn: capFn}
+	s := &Server{clk: clk, capFn: capFn}
+	s.rebalanceFn, s.timerFn = s.onRebalance, s.onTimer
+	return s
 }
 
 // Active returns the number of in-flight flows.
@@ -100,20 +111,29 @@ func (s *Server) TransferLimited(p *vclock.Proc, bytes int64, maxRate float64) t
 		return 0
 	}
 	start := p.Now()
-	f := &flowState{
-		remaining: float64(bytes),
-		maxRate:   maxRate,
-		done:      vclock.NewEvent(p.Clock()),
-	}
 	s.mu.Lock()
+	var f *flowState
+	if n := len(s.free); n > 0 {
+		f, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		f = new(flowState)
+	}
+	f.remaining, f.maxRate, f.rate = float64(bytes), maxRate, 0
+	f.done.Init(p.Clock(), "")
 	s.advanceLocked(start)
 	s.flows = append(s.flows, f)
 	if !s.pending {
 		s.pending = true
-		s.clk.AfterFunc(0, s.onRebalance)
+		s.clk.AfterFunc(0, s.rebalanceFn)
 	}
 	s.mu.Unlock()
 	f.done.Wait(p)
+	// Only a waiter that returned normally recycles its flow: the server
+	// fired it, so it has left s.flows. A killed waiter unwinds past this
+	// while its flow may still be in service.
+	s.mu.Lock()
+	s.free = append(s.free, f)
+	s.mu.Unlock()
 	return p.Now() - start
 }
 
@@ -182,7 +202,7 @@ func (s *Server) rescheduleLocked(now time.Duration) {
 	if d < time.Nanosecond {
 		d = time.Nanosecond
 	}
-	s.timer = s.clk.AfterFunc(d, s.onTimer)
+	s.timer = s.clk.AfterFunc(d, s.timerFn)
 }
 
 func (s *Server) onTimer(now time.Duration) {
@@ -215,11 +235,12 @@ func (s *Server) onTimer(now time.Duration) {
 func (s *Server) allocateLocked() {
 	n := len(s.flows)
 	capacity := s.capFn(n)
-	uncapped := make([]*flowState, 0, n)
+	uncapped := s.uncapped[:0]
 	for _, f := range s.flows {
 		f.rate = 0
 		uncapped = append(uncapped, f)
 	}
+	s.uncapped = uncapped
 	remaining := capacity
 	for len(uncapped) > 0 {
 		share := remaining / float64(len(uncapped))

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -272,5 +273,58 @@ func TestWorkConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocBudgetTransfer: a steady-state transfer reuses its flowState,
+// its embedded completion event, the water-filling work list and the
+// bound callbacks; what is left is the two timer handles (rebalance and
+// completion) vclock.AfterFunc returns.
+func TestAllocBudgetTransfer(t *testing.T) {
+	clk := vclock.New()
+	srv := NewServer(clk, ConstCapacity(100*MiB))
+	var allocs float64
+	clk.Go("f", func(p *vclock.Proc) {
+		srv.Transfer(p, MiB) // warm the free-list and the work list
+		allocs = testing.AllocsPerRun(200, func() { srv.Transfer(p, MiB) })
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Fatalf("Transfer allocates %.1f objects, budget 2", allocs)
+	}
+}
+
+// TestKilledWaiterDoesNotRecycleFlow: a flow whose waiter was killed
+// mid-transfer stays in service; its state must not be handed to the
+// next transfer while the server still holds it.
+func TestKilledWaiterDoesNotRecycleFlow(t *testing.T) {
+	clk := vclock.New()
+	srv := NewServer(clk, ConstCapacity(100*MiB))
+	var victim *vclock.Proc
+	var took time.Duration
+	release := clk.Hold()
+	clk.Go("victim", func(p *vclock.Proc) {
+		victim = p
+		srv.Transfer(p, 100*MiB)
+		t.Error("killed transfer returned")
+	})
+	clk.Go("other", func(p *vclock.Proc) {
+		p.Sleep(100 * time.Millisecond)
+		victim.Kill(errors.New("boom"))
+		// The victim's flow still shares the server: 90 MiB of it remain,
+		// so this 10 MiB transfer runs at half capacity throughout.
+		took = srv.Transfer(p, 10*MiB)
+	})
+	release()
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 200 * time.Millisecond; took < want-time.Microsecond || took > want+time.Microsecond {
+		t.Fatalf("transfer beside an orphaned flow took %v, want %v", took, want)
+	}
+	if n := len(srv.free); n != 1 {
+		t.Fatalf("free-list holds %d flows, want only the surviving transfer's", n)
 	}
 }

@@ -3,6 +3,7 @@ package hdf5
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Dataset is a typed N-dimensional array in the file, like an HDF5
@@ -22,11 +23,19 @@ func (d *Dataset) Path() string { return d.path }
 // Dtype returns the element type.
 func (d *Dataset) Dtype() Datatype { return d.o.dtype }
 
-// Space returns a copy of the dataset's extent with everything selected.
-func (d *Dataset) Space() *Dataspace { return &Dataspace{dims: d.o.shape.Dims()} }
+// Space returns the dataset's extent with everything selected. It shares
+// the extent vector, which is never modified in place (Extend installs a
+// new one), so the per-request full-extent selection copies nothing.
+func (d *Dataset) Space() *Dataspace { return &Dataspace{dims: d.o.shape.dims} }
 
-// Dims returns the dataset dimensions.
+// Dims returns a copy of the dataset dimensions.
 func (d *Dataset) Dims() []uint64 { return d.o.shape.Dims() }
+
+// NDims returns the dataset's rank.
+func (d *Dataset) NDims() int { return d.o.shape.NDims() }
+
+// SameExtent reports whether s spans exactly the dataset's dimensions.
+func (d *Dataset) SameExtent(s *Dataspace) bool { return slices.Equal(s.dims, d.o.shape.dims) }
 
 // NBytes returns the total dataset size in bytes.
 func (d *Dataset) NBytes() int64 {
@@ -47,15 +56,12 @@ func (d *Dataset) validateTransfer(fspace *Dataspace, buf []byte) (*Dataspace, i
 	if fspace == nil {
 		fspace = d.Space()
 	} else {
-		if fspace.NDims() != d.o.shape.NDims() {
+		if fspace.NDims() != d.NDims() {
 			return nil, 0, fmt.Errorf("hdf5: selection rank %d vs dataset rank %d",
-				fspace.NDims(), d.o.shape.NDims())
+				fspace.NDims(), d.NDims())
 		}
-		fd, dd := fspace.dims, d.o.shape.dims
-		for i := range fd {
-			if fd[i] != dd[i] {
-				return nil, 0, fmt.Errorf("hdf5: selection extent %v vs dataset extent %v", fd, dd)
-			}
+		if !d.SameExtent(fspace) {
+			return nil, 0, fmt.Errorf("hdf5: selection extent %v vs dataset extent %v", fspace.dims, d.o.shape.dims)
 		}
 	}
 	nbytes := int64(fspace.SelectionCount()) * int64(d.o.dtype.Size)

@@ -3,6 +3,7 @@ package hdf5
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrSelection is returned for invalid hyperslab selections.
@@ -25,6 +26,22 @@ type Dataspace struct {
 type hyperslab struct {
 	start, stride, count, block []uint64
 }
+
+// set copies the four selection vectors (each of rank n) into consecutive
+// quarters of buf, which must hold 4n elements: one backing array instead
+// of four.
+func (h *hyperslab) set(buf, start, stride, count, block []uint64) {
+	n := len(start)
+	h.start, h.stride, h.count, h.block = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:4*n:4*n]
+	copy(h.start, start)
+	copy(h.stride, stride)
+	copy(h.count, count)
+	copy(h.block, block)
+}
+
+// stackRank is the largest rank whose per-call index vectors (EachRun's
+// row strides and odometer) live in a stack array instead of the heap.
+const stackRank = 4
 
 // NewScalar returns a zero-dimensional space holding a single element.
 func NewScalar() *Dataspace { return &Dataspace{} }
@@ -64,19 +81,27 @@ func (s *Dataspace) Extent() uint64 {
 	return n
 }
 
-// Copy returns an independent copy of the space and its selection.
+// Copy returns an independent copy of the space and its selection, in
+// two allocations: the descriptor with room for a hyperslab, and one
+// backing array for every vector.
 func (s *Dataspace) Copy() *Dataspace {
-	c := &Dataspace{dims: append([]uint64(nil), s.dims...)}
-	c.points = append([]uint64(nil), s.points...)
-	if s.sel != nil {
-		c.sel = &hyperslab{
-			start:  append([]uint64(nil), s.sel.start...),
-			stride: append([]uint64(nil), s.sel.stride...),
-			count:  append([]uint64(nil), s.sel.count...),
-			block:  append([]uint64(nil), s.sel.block...),
-		}
+	nd, np := len(s.dims), len(s.points)
+	c := &struct {
+		Dataspace
+		slab hyperslab
+	}{}
+	buf := make([]uint64, 5*nd+np)
+	c.dims = buf[:nd:nd]
+	copy(c.dims, s.dims)
+	if s.points != nil {
+		c.points = buf[nd : nd+np : nd+np]
+		copy(c.points, s.points)
 	}
-	return c
+	if s.sel != nil {
+		c.slab.set(buf[nd+np:], s.sel.start, s.sel.stride, s.sel.count, s.sel.block)
+		c.sel = &c.slab
+	}
+	return &c.Dataspace
 }
 
 // SelectAll selects the entire extent.
@@ -127,12 +152,8 @@ func (s *Dataspace) SelectHyperslab(start, stride, count, block []uint64) error 
 				ErrSelection, d, last, s.dims[d])
 		}
 	}
-	s.sel = &hyperslab{
-		start:  append([]uint64(nil), start...),
-		stride: append([]uint64(nil), stride...),
-		count:  append([]uint64(nil), count...),
-		block:  append([]uint64(nil), block...),
-	}
+	s.sel = new(hyperslab)
+	s.sel.set(make([]uint64, 4*n), start, stride, count, block)
 	s.points = nil
 	return nil
 }
@@ -172,8 +193,14 @@ func (s *Dataspace) EachRun(fn func(offset, n uint64) error) error {
 		return fn(0, s.Extent())
 	}
 	nd := len(s.dims)
-	// rowStride[d] = elements per unit step in dimension d.
-	rowStride := make([]uint64, nd)
+	// rowStride[d] = elements per unit step in dimension d; idx is the
+	// odometer over dims [0, last).
+	var stack [2 * stackRank]uint64
+	scratch := stack[:]
+	if nd > stackRank {
+		scratch = make([]uint64, 2*nd)
+	}
+	rowStride, idx := scratch[:nd], scratch[nd:2*nd-1]
 	rs := uint64(1)
 	for d := nd - 1; d >= 0; d-- {
 		rowStride[d] = rs
@@ -199,9 +226,7 @@ func (s *Dataspace) EachRun(fn func(offset, n uint64) error) error {
 	if nd == 1 {
 		return emitRow(0)
 	}
-	// Odometer over dims [0, last): each position enumerates
-	// count[d]*block[d] coordinates.
-	idx := make([]uint64, last)
+	// Each odometer position enumerates count[d]*block[d] coordinates.
 	for {
 		base := uint64(0)
 		for d := 0; d < last; d++ {
@@ -229,16 +254,36 @@ func (s *Dataspace) EachRun(fn func(offset, n uint64) error) error {
 
 // String renders the extent and selection, e.g.
 // "[100]{start:[10] stride:[1] count:[20] block:[1]}". It is stable and
-// unique per (extent, selection), so callers may use it as a cache key.
+// unique per (extent, selection), so callers may use it as a cache key —
+// asyncvol does, per read, which is why it is built without fmt: one
+// allocation (the string) for selections of the usual size.
 func (s *Dataspace) String() string {
-	if s.points != nil {
-		return fmt.Sprintf("%v{points:%v}", s.dims, s.points)
+	var stack [192]byte
+	b := appendVec(stack[:0], "", s.dims)
+	switch {
+	case s.points != nil:
+		b = appendVec(b, "{points:", s.points)
+	case s.sel == nil:
+		b = append(b, "{all"...)
+	default:
+		b = appendVec(b, "{start:", s.sel.start)
+		b = appendVec(b, " stride:", s.sel.stride)
+		b = appendVec(b, " count:", s.sel.count)
+		b = appendVec(b, " block:", s.sel.block)
 	}
-	if s.sel == nil {
-		return fmt.Sprintf("%v{all}", s.dims)
+	return string(append(b, '}'))
+}
+
+// appendVec appends prefix and then v the way fmt's %v prints a slice.
+func appendVec(b []byte, prefix string, v []uint64) []byte {
+	b = append(append(b, prefix...), '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, x, 10)
 	}
-	return fmt.Sprintf("%v{start:%v stride:%v count:%v block:%v}",
-		s.dims, s.sel.start, s.sel.stride, s.sel.count, s.sel.block)
+	return append(b, ']')
 }
 
 func (s *Dataspace) encode(w *writer) {

@@ -2,7 +2,9 @@ package hdf5
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -377,5 +379,106 @@ func TestSelectPointsResetAndInterplay(t *testing.T) {
 	}
 	if c.String() == s.String() {
 		t.Fatal("String must distinguish selections")
+	}
+}
+
+// selectionShapes covers every selection kind, ranks on both sides of the
+// EachRun stack scratch, and values long enough to outgrow String's stack
+// buffer.
+func selectionShapes(t *testing.T) map[string]*Dataspace {
+	t.Helper()
+	slab1 := MustSimple(1 << 40)
+	slab3 := MustSimple(6, 8, 10)
+	slab5 := MustSimple(3, 4, 2, 5, 6)
+	points := MustSimple(4, 4)
+	empty := MustSimple(9)
+	for _, err := range []error{
+		slab1.SelectHyperslab([]uint64{1 << 39}, nil, []uint64{1}, []uint64{1 << 20}),
+		slab3.SelectHyperslab([]uint64{1, 2, 3}, []uint64{2, 3, 4}, []uint64{2, 2, 2}, []uint64{1, 2, 1}),
+		slab5.SelectHyperslab([]uint64{0, 1, 0, 1, 2}, nil, []uint64{2, 1, 2, 2, 1}, []uint64{1, 2, 1, 1, 3}),
+		points.SelectPoints([][]uint64{{3, 1}, {0, 0}, {2, 2}}),
+		empty.SelectPoints(nil),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string]*Dataspace{
+		"scalar": NewScalar(), "all": MustSimple(7, 9), "1d": slab1, "3d": slab3,
+		"5d": slab5, "points": points, "no-points": empty,
+	}
+}
+
+// TestCopyEqualsAndSharesNoStorage: a copy selects what the original selects
+// and shares no storage with it.
+func TestCopyEqualsAndSharesNoStorage(t *testing.T) {
+	for name, s := range selectionShapes(t) {
+		c := s.Copy()
+		wantOff, wantLen := collectRuns(t, s)
+		gotOff, gotLen := collectRuns(t, c)
+		if c.String() != s.String() || c.SelectionCount() != s.SelectionCount() ||
+			!slices.Equal(gotOff, wantOff) || !slices.Equal(gotLen, wantLen) {
+			t.Errorf("%s: copy %v differs from original %v", name, c, s)
+		}
+		want := s.String()
+		for _, v := range [][]uint64{c.dims, c.points} {
+			for i := range v {
+				v[i] = 99
+			}
+		}
+		if c.sel != nil {
+			for _, v := range [][]uint64{c.sel.start, c.sel.stride, c.sel.count, c.sel.block} {
+				for i := range v {
+					v[i] = 99
+				}
+			}
+		}
+		if s.String() != want {
+			t.Errorf("%s: scribbling on the copy changed the original to %v", name, s)
+		}
+	}
+}
+
+// TestStringMatchesFmt pins the fmt-free String to the rendering it
+// replaced, so cache keys built from it compare exactly as before.
+func TestStringMatchesFmt(t *testing.T) {
+	for name, s := range selectionShapes(t) {
+		var want string
+		switch {
+		case s.points != nil:
+			want = fmt.Sprintf("%v{points:%v}", s.dims, s.points)
+		case s.sel == nil:
+			want = fmt.Sprintf("%v{all}", s.dims)
+		default:
+			want = fmt.Sprintf("%v{start:%v stride:%v count:%v block:%v}",
+				s.dims, s.sel.start, s.sel.stride, s.sel.count, s.sel.block)
+		}
+		if got := s.String(); got != want {
+			t.Errorf("%s: String = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestAllocBudgetDataspace: the per-request selection operations on the
+// I/O hot path — copy, cache key, run enumeration.
+func TestAllocBudgetDataspace(t *testing.T) {
+	shapes := selectionShapes(t)
+	for _, name := range []string{"all", "1d", "3d", "points"} {
+		s := shapes[name]
+		if n := testing.AllocsPerRun(100, func() { _ = s.Copy() }); n > 2 {
+			t.Errorf("%s: Copy allocates %.0f objects, budget 2", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.String() }); n > 1 {
+			t.Errorf("%s: String allocates %.0f objects, budget 1", name, n)
+		}
+		var runs uint64
+		count := func(_, n uint64) error { runs += n; return nil }
+		if n := testing.AllocsPerRun(100, func() { _ = s.EachRun(count) }); n > 0 {
+			t.Errorf("%s: EachRun allocates %.0f objects, budget 0", name, n)
+		}
+	}
+	g := &Group{path: "/Step#3"}
+	if n := testing.AllocsPerRun(100, func() { _ = joinPath(g.path, "particles/x") }); n > 1 {
+		t.Errorf("joinPath allocates %.0f objects, budget 1", n)
 	}
 }

@@ -19,6 +19,7 @@ func (g *Group) Path() string { return g.path }
 // group path, collapsing empty components.
 func joinPath(base, rel string) string {
 	var b strings.Builder
+	b.Grow(len(base) + 1 + len(rel)) // the result's upper bound: one allocation
 	b.WriteString(strings.TrimSuffix(base, "/"))
 	for rest := rel; rest != ""; {
 		var part string

@@ -111,7 +111,7 @@ func (a *AggStage) eligible(req *Request) bool {
 	if !a.cfg.Enabled() || !req.Op.IsWrite() || req.Dataset == nil {
 		return false
 	}
-	if len(req.Dataset.Dims()) != 1 || req.Bytes() <= 0 {
+	if req.Dataset.NDims() != 1 || req.Bytes() <= 0 {
 		return false
 	}
 	_, contig := req.Contiguous()

@@ -147,6 +147,9 @@ type Pipeline struct {
 	stages   []Stage
 	terminal func(*Request) error
 	metrics  *metrics.Registry
+	// mRequests counts requests reaching the terminal; resolved once in
+	// build (nil, a no-op, on an unmetered pipeline).
+	mRequests *metrics.Counter
 	// chain[i] enters the pipeline at stage i (chain[len(stages)] is the
 	// terminal dispatch), memoized at construction so the hot Do path
 	// allocates no closures per request.
@@ -164,8 +167,10 @@ type Pipeline struct {
 // "ioreq.agg.merged_sources". A nil registry leaves the pipeline
 // unmetered.
 func (pl *Pipeline) WithMetrics(m *metrics.Registry) *Pipeline {
-	pl.metrics = m
-	pl.build()
+	if m != nil {
+		pl.metrics = m
+		pl.build()
+	}
 	return pl
 }
 
@@ -209,6 +214,7 @@ func (pl *Pipeline) Flush(p *vclock.Proc) error {
 func (pl *Pipeline) build() {
 	pl.chain = make([]func(*Request) error, len(pl.stages)+1)
 	pl.chain[len(pl.stages)] = pl.dispatch
+	pl.mRequests = pl.metrics.Counter("ioreq.requests")
 	for i := len(pl.stages) - 1; i >= 0; i-- {
 		st, next := pl.stages[i], pl.chain[i+1]
 		if pl.metrics == nil {
@@ -237,12 +243,13 @@ func (pl *Pipeline) build() {
 // leave the pipeline (a buffered aggregation write does not reach here
 // until its chain flushes).
 func (pl *Pipeline) dispatch(req *Request) error {
-	if m := pl.metrics; m != nil {
-		m.Counter("ioreq.requests").Add(1)
-		if n := len(req.Sources); n > 0 {
-			m.Counter("ioreq.agg.merged_requests").Add(1)
-			m.Counter("ioreq.agg.merged_sources").Add(int64(n))
-		}
+	pl.mRequests.Add(1)
+	if n := len(req.Sources); n > 0 {
+		// Looked up per merged request, not in build: an exported registry
+		// lists every counter it holds, and only runs that aggregate
+		// should list these two.
+		pl.metrics.Counter("ioreq.agg.merged_requests").Add(1)
+		pl.metrics.Counter("ioreq.agg.merged_sources").Add(int64(n))
 	}
 	return pl.terminal(req)
 }

@@ -26,18 +26,12 @@ func (validateStage) Process(req *Request, next func(*Request) error) error {
 	if req.Space == nil {
 		req.Space = d.Space()
 	} else {
-		ddims := d.Dims()
-		if req.Space.NDims() != len(ddims) {
+		if req.Space.NDims() != d.NDims() {
 			return fmt.Errorf("ioreq: selection rank %d vs dataset rank %d",
-				req.Space.NDims(), len(ddims))
+				req.Space.NDims(), d.NDims())
 		}
-		if req.Op == OpWrite || req.Op == OpRead {
-			fdims := req.Space.Dims()
-			for i := range fdims {
-				if fdims[i] != ddims[i] {
-					return fmt.Errorf("ioreq: selection extent %v vs dataset extent %v", fdims, ddims)
-				}
-			}
+		if (req.Op == OpWrite || req.Op == OpRead) && !d.SameExtent(req.Space) {
+			return fmt.Errorf("ioreq: selection extent %v vs dataset extent %v", req.Space.Dims(), d.Dims())
 		}
 	}
 	req.NBytes = int64(req.Space.SelectionCount()) * int64(d.Dtype().Size)

@@ -160,7 +160,7 @@ func (ck *ConsistencyChecker) recordOp(kind eventKind, rank int, req *ioreq.Requ
 	if ds := req.Dataset; ds != nil {
 		ev.path = ds.Path()
 		ev.elemSize = int64(ds.Dtype().Size)
-		ev.oneDim = len(ds.Dims()) == 1
+		ev.oneDim = ds.NDims() == 1
 	}
 	if sp := req.Space; sp != nil {
 		_ = sp.EachRun(func(off, n uint64) error {

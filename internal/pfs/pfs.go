@@ -59,6 +59,10 @@ type Target struct {
 	fault      atomic.Uint64 // float64 bits; fault-injection slowdown in (0,1]
 	hook       FaultHook     // set once before the run; nil when no faults
 
+	// Span-event and critical-path labels, built once: every charged
+	// operation names itself with one even when nothing records it.
+	writeLabel, readLabel, metaLabel string
+
 	// Dispatch counters: one data op = one charged request against the
 	// backend (the unit the small-request penalty applies to).
 	writeOps, readOps, metaOps atomic.Int64
@@ -125,7 +129,12 @@ func NewTarget(clk *vclock.Clock, cfg TargetConfig) *Target {
 	if cfg.BackendPeak <= 0 {
 		panic(fmt.Sprintf("pfs: BackendPeak %v must be positive", cfg.BackendPeak))
 	}
-	t := &Target{cfg: cfg}
+	t := &Target{
+		cfg:        cfg,
+		writeLabel: "pfs:" + cfg.Name + ":write",
+		readLabel:  "pfs:" + cfg.Name + ":read",
+		metaLabel:  "meta:" + cfg.Name,
+	}
 	t.contention.Store(math.Float64bits(1))
 	t.fault.Store(math.Float64bits(1))
 	t.srv = flow.NewServer(clk, t.capacityFor)
@@ -285,10 +294,10 @@ func (t *Target) TryWriteData(p *vclock.Proc, nbytes int64, sp *trace.Span) erro
 		t.bytesWritten.Add(nbytes)
 		t.mWriteOps.Add(1)
 		t.mBytesWritten.Add(nbytes)
-		sp.EventDurOn("pfs:"+t.cfg.Name+":write", nbytes, start, p.Now()-start, p.Name())
+		sp.EventDurOn(t.writeLabel, nbytes, start, p.Now()-start, p.Name())
 		t.crit.Record(critpath.Edge{
 			Track: p.Name(), Cause: critpath.PFSTransfer, Subsystem: "pfs",
-			Detail: "pfs:" + t.cfg.Name + ":write", Start: start, End: p.Now(), Bytes: nbytes,
+			Detail: t.writeLabel, Start: start, End: p.Now(), Bytes: nbytes,
 		})
 	}
 	return nil
@@ -305,10 +314,10 @@ func (t *Target) TryReadData(p *vclock.Proc, nbytes int64, sp *trace.Span) error
 		t.bytesRead.Add(nbytes)
 		t.mReadOps.Add(1)
 		t.mBytesRead.Add(nbytes)
-		sp.EventDurOn("pfs:"+t.cfg.Name+":read", nbytes, start, p.Now()-start, p.Name())
+		sp.EventDurOn(t.readLabel, nbytes, start, p.Now()-start, p.Name())
 		t.crit.Record(critpath.Edge{
 			Track: p.Name(), Cause: critpath.PFSTransfer, Subsystem: "pfs",
-			Detail: "pfs:" + t.cfg.Name + ":read", Start: start, End: p.Now(), Bytes: nbytes,
+			Detail: t.readLabel, Start: start, End: p.Now(), Bytes: nbytes,
 		})
 	}
 	return nil
@@ -354,7 +363,7 @@ func (t *Target) MetaOp(p *vclock.Proc) {
 	t.mMetaOps.Add(1)
 	t.crit.Record(critpath.Edge{
 		Track: p.Name(), Cause: critpath.Metadata, Subsystem: "pfs",
-		Detail: "meta:" + t.cfg.Name, Start: start, End: p.Now(),
+		Detail: t.metaLabel, Start: start, End: p.Now(),
 	})
 }
 

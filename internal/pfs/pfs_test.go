@@ -265,3 +265,30 @@ func TestBurstBufferFasterThanLustre(t *testing.T) {
 		t.Fatal("burst buffer not faster than Lustre at scale")
 	}
 }
+
+// TestAllocBudgetCharges: with no span and no recorder attached, a
+// charged operation builds no label string — MetaOp allocates nothing,
+// and a data charge only the flow server's two timer handles.
+func TestAllocBudgetCharges(t *testing.T) {
+	clk := vclock.New()
+	tg := NewTarget(clk, TargetConfig{
+		Name: "test", BackendPeak: 100 * MB, PerFlowBW: 10 * MB,
+		MetaLatency: time.Millisecond, OpLatency: time.Microsecond,
+	})
+	if tg.writeLabel != "pfs:test:write" || tg.readLabel != "pfs:test:read" || tg.metaLabel != "meta:test" {
+		t.Fatalf("labels %q %q %q", tg.writeLabel, tg.readLabel, tg.metaLabel)
+	}
+	var meta, write, read float64
+	clk.Go("r", func(p *vclock.Proc) {
+		tg.WriteData(p, MB) // warm the flow server's free-list
+		meta = testing.AllocsPerRun(100, func() { tg.MetaOp(p) })
+		write = testing.AllocsPerRun(100, func() { _ = tg.TryWriteData(p, MB, nil) })
+		read = testing.AllocsPerRun(100, func() { _ = tg.TryReadData(p, MB, nil) })
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if meta > 0 || write > 2 || read > 2 {
+		t.Fatalf("allocs per op: MetaOp %.0f (budget 0), TryWriteData %.0f, TryReadData %.0f (budget 2)", meta, write, read)
+	}
+}

@@ -102,13 +102,9 @@ func (e *Engine) NewStreamOn(clk *vclock.Clock, name string) *Stream {
 	if clk == nil {
 		clk = e.clk
 	}
-	s := &Stream{
-		e:      e,
-		clk:    clk,
-		name:   name,
-		wake:   vclock.NewEventNamed(clk, "taskengine:wake"),
-		exited: vclock.NewEventNamed(clk, "taskengine:exited"),
-	}
+	s := &Stream{e: e, clk: clk, name: name}
+	s.wake.Init(clk, "taskengine:wake")
+	s.exited.Init(clk, "taskengine:exited")
 	e.mu.Lock()
 	e.streams = append(e.streams, s)
 	e.mu.Unlock()
@@ -133,15 +129,47 @@ type Stream struct {
 	clk  *vclock.Clock // home clock (a shard under the sharded engine)
 	name string
 
-	mu      sync.Mutex
-	queue   []*Task
-	wake    *vclock.Event
+	mu    sync.Mutex
+	queue taskRing
+	// wake is re-armed (Reset) by the stream each time it goes idle, and
+	// idle is set with it: the one Push that finds idle set fires wake, so
+	// a re-armed wake can never see a stale Fire from an earlier Push.
+	wake    vclock.Event
+	idle    bool
 	stopped bool
 	killErr error        // non-nil once killed; Push then fails tasks instead of panicking
 	current *Task        // task being executed, failed on Kill so waiters unwind
 	proc    *vclock.Proc // the stream's process, for Kill
 
-	exited *vclock.Event
+	exited vclock.Event
+}
+
+// taskRing is the stream's FIFO: a growable ring, so a steady
+// push/pop load reuses one backing array and a popped slot is cleared
+// at once instead of pinning its finished task.
+type taskRing struct {
+	buf     []*Task
+	head, n int
+}
+
+func (r *taskRing) push(t *Task) {
+	if r.n == len(r.buf) {
+		buf := make([]*Task, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = t
+	r.n++
+}
+
+func (r *taskRing) pop() *Task {
+	t := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return t
 }
 
 // Name returns the stream name.
@@ -152,7 +180,7 @@ type Task struct {
 	name string
 	deps []*Task
 	fn   func(p *vclock.Proc) error
-	done *vclock.Event
+	done vclock.Event
 
 	mu  sync.Mutex
 	err error
@@ -162,12 +190,8 @@ type Task struct {
 // in deps has completed. Pushing to a stopped stream panics — it is a
 // lifecycle bug in the caller.
 func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) *Task {
-	t := &Task{
-		name: name,
-		deps: append([]*Task(nil), deps...),
-		fn:   fn,
-		done: vclock.NewEventNamed(s.clk, "taskengine:done"),
-	}
+	t := &Task{name: name, deps: append([]*Task(nil), deps...), fn: fn}
+	t.done.Init(s.clk, "taskengine:done")
 	s.mu.Lock()
 	if s.stopped {
 		killed := s.killErr
@@ -181,12 +205,15 @@ func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) 
 		}
 		panic(fmt.Sprintf("taskengine: Push(%q) on stopped stream %q", name, s.name))
 	}
-	s.queue = append(s.queue, t)
-	wake := s.wake
+	s.queue.push(t)
+	wake := s.idle
+	s.idle = false
 	s.mu.Unlock()
 	_, _, queued := s.e.instruments()
 	queued.Add(1)
-	wake.Fire()
+	if wake {
+		s.wake.Fire()
+	}
 	return t
 }
 
@@ -198,9 +225,10 @@ func (s *Stream) Shutdown() {
 		return
 	}
 	s.stopped = true
-	wake := s.wake
 	s.mu.Unlock()
-	wake.Fire()
+	// Once stopped the stream never re-arms wake, so firing it
+	// unconditionally is safe (and a no-op when the stream is busy).
+	s.wake.Fire()
 }
 
 // Kill terminates the stream as by a crash: the background process dies
@@ -218,11 +246,10 @@ func (s *Stream) Kill(reason error) {
 	s.killErr = reason
 	s.stopped = true
 	queue := s.queue
-	s.queue = nil
+	s.queue = taskRing{}
 	cur := s.current
 	s.current = nil
 	proc := s.proc
-	wake := s.wake
 	s.mu.Unlock()
 	if proc != nil {
 		proc.Kill(reason)
@@ -230,14 +257,15 @@ func (s *Stream) Kill(reason error) {
 	if cur != nil {
 		cur.complete(reason)
 	}
-	for _, t := range queue {
-		t.complete(reason)
+	n := queue.n
+	for queue.n > 0 {
+		queue.pop().complete(reason)
 	}
-	if n := len(queue); n > 0 {
+	if n > 0 {
 		_, _, queued := s.e.instruments()
 		queued.Add(-float64(n))
 	}
-	wake.Fire() // in case the proc had not started yet
+	s.wake.Fire() // in case the proc had not started yet
 }
 
 // Join blocks p until the stream process has exited.
@@ -247,7 +275,7 @@ func (s *Stream) Join(p *vclock.Proc) { s.exited.Wait(p) }
 func (s *Stream) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return s.queue.n
 }
 
 func (s *Stream) run(p *vclock.Proc) {
@@ -257,26 +285,25 @@ func (s *Stream) run(p *vclock.Proc) {
 	s.mu.Unlock()
 	for {
 		s.mu.Lock()
-		if len(s.queue) == 0 {
+		if s.queue.n == 0 {
 			if s.stopped {
 				s.mu.Unlock()
 				return
 			}
 			// Re-arm the wake event (events are one-shot) and sleep
 			// until more work arrives.
-			s.wake = vclock.NewEventNamed(s.clk, "taskengine:wake")
-			wake := s.wake
+			s.wake.Reset()
+			s.idle = true
 			s.mu.Unlock()
 			idleStart := p.Now()
-			wake.Wait(p)
+			s.wake.Wait(p)
 			s.e.crit().Record(critpath.Edge{
 				Track: p.Name(), Cause: critpath.QueueWait, Subsystem: "taskengine",
 				Detail: "stream-idle", Start: idleStart, End: p.Now(),
 			})
 			continue
 		}
-		t := s.queue[0]
-		s.queue = s.queue[1:]
+		t := s.queue.pop()
 		s.current = t
 		s.mu.Unlock()
 		tasks, seconds, queued := s.e.instruments()
@@ -293,6 +320,11 @@ func (s *Stream) run(p *vclock.Proc) {
 		}
 		start := p.Now()
 		err := t.fn(p)
+		// A finished task stays reachable from whoever tracks completion
+		// (event sets, a connector's newest-task pointer, prefetch
+		// caches); it must not pin what its closure captured — the
+		// request, its selection, a staging buffer — until they let go.
+		t.fn = nil
 		tasks.Add(1)
 		seconds.Observe((p.Now() - start).Seconds())
 		t.complete(err)

@@ -2,6 +2,8 @@ package taskengine
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -238,5 +240,114 @@ func TestManyStreamsConcurrent(t *testing.T) {
 	// Streams are parallel: 10 sequential seconds each, all overlapped.
 	if now := clk.Now(); now != 10*time.Second {
 		t.Fatalf("final time = %v, want 10s", now)
+	}
+}
+
+// TestAllocBudgetPushWait: one task pushed and awaited on an idle stream
+// allocates the Task and nothing else — its completion event is embedded,
+// the single waiter sits in the event's inline slot, the stream re-arms
+// one wake event, and the ring reuses its slot.
+func TestAllocBudgetPushWait(t *testing.T) {
+	clk := vclock.New()
+	eng := New(clk)
+	fn := func(q *vclock.Proc) error { q.Sleep(time.Microsecond); return nil }
+	var allocs float64
+	clk.Go("app", func(p *vclock.Proc) {
+		st := eng.NewStream("bg")
+		defer st.Shutdown()
+		allocs = testing.AllocsPerRun(200, func() {
+			if err := st.Push("t", nil, fn).Wait(p); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 1 {
+		t.Fatalf("Push+Wait allocates %.1f objects, budget 1", allocs)
+	}
+}
+
+// TestRingKeepsFIFOAcrossGrowth pushes while the ring's head is
+// mid-buffer so growth has to unwrap it, and checks nothing is lost or
+// reordered.
+func TestRingKeepsFIFOAcrossGrowth(t *testing.T) {
+	var r taskRing
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			r.push(&Task{name: fmt.Sprint(next)})
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := r.pop().name; got != fmt.Sprint(want) {
+				t.Fatalf("popped %s, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push(3)
+	pop(2)
+	push(3) // wraps in the initial 4-slot buffer
+	push(5) // grows with head at 2
+	pop(4)
+	push(20)
+	pop(r.n)
+	if want != next {
+		t.Fatalf("popped %d tasks, pushed %d", want, next)
+	}
+	for i, slot := range r.buf {
+		if slot != nil {
+			t.Fatalf("drained ring still holds a task in slot %d", i)
+		}
+	}
+}
+
+// TestCompletedTaskIsCollectable: with the stream still alive, a finished
+// task nobody tracks is garbage (the queue cleared its slot), and a
+// finished task somebody still tracks no longer pins what its closure
+// captured — the staging buffer of a completed write.
+func TestCompletedTaskIsCollectable(t *testing.T) {
+	clk := vclock.New()
+	eng := New(clk)
+	bufFreed, taskFreed := make(chan struct{}), make(chan struct{})
+	checked := make(chan struct{})
+	clk.Go("app", func(p *vclock.Proc) {
+		st := eng.NewStream("bg")
+		defer st.Shutdown()
+		tracked := func() *Task {
+			buf := make([]byte, 1<<16)
+			runtime.SetFinalizer(&buf[0], func(*byte) { close(bufFreed) })
+			staged := st.Push("staged", nil, func(*vclock.Proc) error { buf[0]++; return nil })
+			later := st.Push("later", nil, func(*vclock.Proc) error { return nil })
+			if err := errors.Join(staged.Wait(p), later.Wait(p)); err != nil {
+				t.Error(err)
+			}
+			runtime.SetFinalizer(later, func(*Task) { close(taskFreed) })
+			return staged
+		}()
+		// The stream stays alive and idle, as a rank's does between
+		// checkpoints, while the host checks (this proc counts as running,
+		// so the clock neither advances nor reports a deadlock).
+		<-checked
+		runtime.KeepAlive(tracked)
+	})
+	defer close(checked)
+	deadline := time.After(10 * time.Second)
+	for bufFreed != nil || taskFreed != nil {
+		runtime.GC()
+		select {
+		case <-bufFreed:
+			bufFreed = nil
+		case <-taskFreed:
+			taskFreed = nil
+		case <-deadline:
+			t.Fatalf("with the stream alive: tracked task's buffer freed=%v, untracked task freed=%v",
+				bufFreed == nil, taskFreed == nil)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

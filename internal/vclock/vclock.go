@@ -467,21 +467,55 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Event is a one-shot signal in virtual time. Waiters block until Fire is
-// called; waits after Fire return immediately. The zero value is not
-// usable; construct with NewEvent.
+// called; waits after Fire return immediately. An Event is embeddable by
+// value: call Init before first use (NewEvent and NewEventNamed do so on
+// a fresh heap Event) and do not copy it afterwards — the waiter list
+// starts out aliasing the struct's own storage.
 type Event struct {
-	c       *Clock
-	label   string
-	fired   bool
+	c     *Clock
+	label string
+	fired bool
+	// waiters is the registration-ordered wait list. It aliases inline
+	// until a second waiter registers, so the common single-waiter event
+	// (a flow's completion, a task's future, a stream's wake) never
+	// allocates one.
 	waiters []*Proc
+	inline  [1]*Proc
 }
 
+// Init (re)initializes e as an unfired event on c. label is what wait
+// observers see; it has no effect on scheduling. The event must have no
+// waiters and no concurrent users.
+func (e *Event) Init(c *Clock, label string) { *e = Event{c: c, label: label} }
+
 // NewEvent returns an unfired Event on c.
-func NewEvent(c *Clock) *Event { return &Event{c: c} }
+func NewEvent(c *Clock) *Event { return NewEventNamed(c, "") }
 
 // NewEventNamed returns an unfired Event carrying a label that wait
 // observers see; the label has no effect on scheduling.
-func NewEventNamed(c *Clock, label string) *Event { return &Event{c: c, label: label} }
+func NewEventNamed(c *Clock, label string) *Event {
+	e := new(Event)
+	e.Init(c, label)
+	return e
+}
+
+// Reset re-arms a fired event so it can be waited on and fired again.
+// Only its sole waiter may call it, after that wait returned: nothing
+// else may be waiting on or about to fire the event.
+func (e *Event) Reset() {
+	e.c.mu.Lock()
+	e.fired = false
+	e.c.mu.Unlock()
+}
+
+// addWaiterLocked registers p at the tail of the wait list. Caller
+// holds e.c.mu.
+func (e *Event) addWaiterLocked(p *Proc) {
+	if e.waiters == nil {
+		e.waiters = e.inline[:0]
+	}
+	e.waiters = append(e.waiters, p)
+}
 
 // Fired reports whether the event has been fired.
 func (e *Event) Fired() bool {
@@ -576,7 +610,7 @@ func (e *Event) Wait(p *Proc) {
 	if obs != nil {
 		start = time.Duration(c.nowView.Load())
 	}
-	e.waiters = append(e.waiters, p)
+	e.addWaiterLocked(p)
 	p.waitingOn = e
 	p.state = stateEventWait
 	c.blockLocked()
@@ -625,7 +659,7 @@ func (e *Event) waitCross(p *Proc) {
 	if obs != nil {
 		start = time.Duration(pc.nowView.Load())
 	}
-	e.waiters = append(e.waiters, p)
+	e.addWaiterLocked(p)
 	p.waitingOn = e
 	p.state = stateEventWait
 	pc.blockLocked()
