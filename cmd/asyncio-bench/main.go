@@ -39,7 +39,6 @@ func main() {
 		parallel     = flag.Int("parallel", 0, "workers for independent experiment points (0 = GOMAXPROCS, 1 = serial)")
 		selfbench    = flag.Bool("selfbench", false, "benchmark the simulator itself and exit")
 		selfbenchOut = flag.String("selfbench-out", "BENCH_simulator.json", "where -selfbench writes its JSON report")
-		shardscale   = flag.Bool("shardscale", false, "run the abl-shard ablation (events/s vs shard count; wall-clock, so not in -list) and exit")
 	)
 	cf := cliflags.Register(flag.CommandLine)
 	flag.Parse()
@@ -71,15 +70,10 @@ func main() {
 	}
 	experiments.SetDefaultConsistency(csp)
 	experiments.SetParallelism(*parallel)
+	sc := parseScale(*scale)
 
-	// Selfbench pins shard counts per case (serial baselines vs explicit
-	// sharded entries), so the global -shards override does not apply.
 	if *selfbench {
-		runSelfbench(*scale, *selfbenchOut)
-		return
-	}
-	if *shardscale {
-		runShardScale(*scale)
+		runSelfbench(sc, *selfbenchOut)
 		return
 	}
 
@@ -102,17 +96,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc experiments.Scale
-	switch *scale {
-	case "reduced":
-		sc = experiments.ReducedScale()
-	case "full":
-		sc = experiments.FullScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want reduced or full)\n", *scale)
-		os.Exit(2)
-	}
-
 	run := ids
 	if *exp != "all" {
 		if reg[*exp] == nil {
@@ -127,10 +110,7 @@ func main() {
 	// so observability data can be exported without touching every
 	// experiment. The observer's report order is part of the output
 	// (metrics CSV labels, "last run" trace selection), so observed
-	// generation forces serial sweeps regardless of -parallel. Intra-run
-	// sharding is unaffected: runs execute one at a time, but each run
-	// still spreads its ranks across shards, and the exports are
-	// byte-identical at any shard count.
+	// generation forces serial sweeps regardless of -parallel.
 	var reports []*core.Report
 	if cf.WantObservability() {
 		if cf.TraceJSON != "" || cf.MetricsCSV != "" {
@@ -143,15 +123,6 @@ func main() {
 		defer core.SetRunObserver(nil)
 		experiments.SetParallelism(1)
 	}
-
-	// Resolve -shards after the worker count settles: auto divides the
-	// machine between sweep workers and intra-run shards, so forcing
-	// serial sweeps (above) hands the whole core budget to each run.
-	nShards, err := experiments.ResolveShardSpec(cf.Shards)
-	if err != nil {
-		fatalf("-shards: %v", err)
-	}
-	experiments.SetShards(nShards)
 
 	for _, id := range run {
 		start := time.Now()
@@ -213,16 +184,7 @@ func main() {
 // runSelfbench benchmarks the simulator itself (engine microbenchmarks
 // plus a stable subset of figure generators) and writes the JSON report
 // both to stdout and to the given path.
-func runSelfbench(scale, out string) {
-	var sc experiments.Scale
-	switch scale {
-	case "reduced":
-		sc = experiments.ReducedScale()
-	case "full":
-		sc = experiments.FullScale()
-	default:
-		fatalf("unknown scale %q (want reduced or full)", scale)
-	}
+func runSelfbench(sc experiments.Scale, out string) {
 	rep, err := simbench.Run(sc)
 	if err != nil {
 		fatalf("selfbench: %v", err)
@@ -242,27 +204,17 @@ func runSelfbench(scale, out string) {
 	}
 }
 
-// runShardScale runs the abl-shard ablation: the same VPIC-IO runs at
-// 1/2/4/8 intra-run shards, reporting simulator events/s and wall time.
-// Wall-clock is machine-dependent, so this lives outside the registry
-// (and the determinism suites) on purpose.
-func runShardScale(scale string) {
-	var sc experiments.Scale
-	switch scale {
+// parseScale resolves the -scale flag; an unknown name is a usage error.
+func parseScale(name string) experiments.Scale {
+	switch name {
 	case "reduced":
-		sc = experiments.ReducedScale()
+		return experiments.ReducedScale()
 	case "full":
-		sc = experiments.FullScale()
-	default:
-		fatalf("unknown scale %q (want reduced or full)", scale)
+		return experiments.FullScale()
 	}
-	tab, err := experiments.ShardScale(sc, nil, nil)
-	if err != nil {
-		fatalf("shardscale: %v", err)
-	}
-	if err := tab.Render(os.Stdout); err != nil {
-		fatalf("shardscale: rendering: %v", err)
-	}
+	fmt.Fprintf(os.Stderr, "unknown scale %q (want reduced or full)\n", name)
+	os.Exit(2)
+	return experiments.Scale{}
 }
 
 func fatalf(format string, args ...any) {

@@ -110,11 +110,6 @@ type Options struct {
 	// including the degraded synchronous dispatch path inside staging).
 	// Stages are shared across connectors and must be concurrency-safe.
 	InlineStages []ioreq.Stage
-	// Clock places the connector's background stream on an explicit
-	// clock — under the sharded engine, the owning rank's home shard —
-	// instead of the engine's. Nil keeps the engine clock (the serial
-	// default).
-	Clock *vclock.Clock
 	// Crit, when non-nil, records the connector's blocking intervals —
 	// backpressure, drain waits, staging copies, prefetch waits, and
 	// injected background stalls — as causal critical-path edges.
@@ -206,7 +201,7 @@ func New(eng *taskengine.Engine, name string, opts Options) *Connector {
 		c.mStalls = m.Counter("asyncvol.backpressure_stalls")
 		c.mStallWait = m.Histogram("asyncvol.backpressure_wait_seconds")
 	}
-	c.stream = eng.NewStreamOn(opts.Clock, "asyncvol:"+name)
+	c.stream = eng.NewStream("asyncvol:" + name)
 	stages := append(append([]ioreq.Stage(nil), opts.InlineStages...), stagingStage{c: c})
 	if opts.Aggregate.Enabled() {
 		c.agg = ioreq.NewAgg(opts.Aggregate)

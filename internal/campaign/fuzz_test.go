@@ -18,7 +18,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte("\n\t{ \"scale\": \"reduced\",\n\t  \"sweep\": \"fig3a\",\n\t  \"kind\": \"sweep\" }\n"))
 	f.Add([]byte(`{"kind":"run","workload":"vpic","nodes":2,"steps":4,"mode":"adaptive","compute_seconds":30}`))
 	f.Add([]byte(`{"kind":"run","workload":"vpic","nodes":1,"steps":6,"mode":"async","faults":"crashrank=3@95s","checkpoint_every":2,"journal":true,"durability":"lustre"}`))
-	f.Add([]byte(`{"kind":"run","workload":"bdcats","system":"cori","consistency":"session","shards":"2:stripe"}`))
+	f.Add([]byte(`{"kind":"run","workload":"bdcats","system":"cori","consistency":"session"}`))
 	f.Add([]byte(`{"sweep":"fig99"}`))
 	f.Add([]byte(`{"unknown_field":true}`))
 	f.Add([]byte(`{"kind":"run","mode":"turbo"}`))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"asyncio/internal/perfetto"
 	"asyncio/internal/pfs"
 	"asyncio/internal/recovery"
-	"asyncio/internal/shard"
 	"asyncio/internal/systems"
 	"asyncio/internal/trace"
 	"asyncio/internal/vclock"
@@ -52,8 +50,6 @@ func runKnobs(c *Spec) (*experiments.RunKnobs, error) {
 	return &experiments.RunKnobs{
 		Faults:      pk.Faults,
 		Consistency: pk.Consistency,
-		Shards:      pk.Shards.Resolve(shard.MaxShards, runtime.GOMAXPROCS(0)),
-		ShardPolicy: pk.Shards.Policy,
 	}, nil
 }
 
@@ -241,14 +237,7 @@ func computeRunPoint(c *Spec) ([]byte, error) {
 		cons = pfs.NewConsistency(&sp)
 		sysOpts = append(sysOpts, systems.WithConsistency(cons))
 	}
-	var clk *vclock.Clock
-	if n := pk.Shards.Resolve(shard.MaxShards, runtime.GOMAXPROCS(0)); n > 1 {
-		co := vclock.NewSharded(n)
-		clk = co.Clock(0)
-		sysOpts = append(sysOpts, systems.WithSharding(co, pk.Shards.Policy))
-	} else {
-		clk = vclock.New()
-	}
+	clk := vclock.New()
 	var sys *systems.System
 	if c.System == "summit" {
 		sys = systems.Summit(clk, c.Nodes, sysOpts...)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -71,7 +72,6 @@ const fig3aPermuted = `
 	  "scale":   "reduced",
 	  "tenant":  "default",
 	  "sweep":   "fig3a",
-	  "shards":  "1",
 	  "kind":    "sweep"
 	}
 `
@@ -246,6 +246,12 @@ func TestServiceStatusAndEvents(t *testing.T) {
 func TestServiceTypedErrors(t *testing.T) {
 	svc, ts := startService(t, Config{Workers: 1, QueueDepth: 2})
 
+	// An otherwise valid sweep carrying the execution knob the spec no
+	// longer has: rejected like any unknown field, never silently ignored.
+	removedKnob, err := os.ReadFile("testdata/spec_removed_knob.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []string{
 		`{`,
 		`{"sweep":"fig99"}`,
@@ -253,6 +259,7 @@ func TestServiceTypedErrors(t *testing.T) {
 		`{"sweep":"fig3a","nodes":4}`,
 		`{"unknown_field":1}`,
 		`{"kind":"run","faults":"nonsense"}`,
+		string(removedKnob),
 	} {
 		code, _, body := post(t, ts, "/v1/campaigns", bad)
 		if code != http.StatusBadRequest {

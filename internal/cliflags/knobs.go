@@ -2,9 +2,9 @@ package cliflags
 
 // This file reuses the knob grammar for non-flag frontends. The
 // campaign service (internal/campaign) accepts scenario specs over
-// HTTP whose knob fields — faults, consistency, durability, shards —
-// are the same strings the CLI flags take. Parsing them through Knobs
-// means the HTTP surface and the flag surface share one grammar by
+// HTTP whose knob fields — faults, consistency, durability — are the
+// same strings the CLI flags take. Parsing them through Knobs means
+// the HTTP surface and the flag surface share one grammar by
 // construction, exactly as Register keeps the two CLIs from drifting.
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"asyncio/internal/faults"
 	"asyncio/internal/pfs"
-	"asyncio/internal/shard"
 )
 
 // Knobs is the shared flag block's grammar as plain values: the form a
@@ -23,7 +22,6 @@ type Knobs struct {
 	Consistency    string // -consistency spec (see internal/pfs)
 	Durability     string // -durability: gpfs | lustre ("" = gpfs)
 	DurabilitySeed int64  // -durability-seed (0 = 1, the flag default)
-	Shards         string // -shards: auto, N, N:block, N:stripe ("" = 1)
 }
 
 // ParsedKnobs is the validated, canonicalized form of a Knobs block.
@@ -34,7 +32,6 @@ type ParsedKnobs struct {
 	Faults      *faults.Spec         // nil when no schedule was given
 	Consistency *pfs.ConsistencySpec // nil = historical implicit model
 	Durability  pfs.DurabilityConfig
-	Shards      shard.Spec
 }
 
 // Parse validates every knob with the same parsers the CLI flags use
@@ -69,15 +66,6 @@ func (k Knobs) Parse() (*ParsedKnobs, error) {
 		return nil, fmt.Errorf("durability: %w", err)
 	}
 	p.Durability = dur
-	raw := k.Shards
-	if raw == "" {
-		raw = "1"
-	}
-	sp, err := shard.ParseSpec(raw)
-	if err != nil {
-		return nil, fmt.Errorf("shards: %w", err)
-	}
-	p.Shards = sp
 	return p, nil
 }
 

@@ -308,9 +308,7 @@ func Run(sys *systems.System, cfg Config, hooks Hooks) (*Report, error) {
 	costs := mpi.DefaultCosts()
 	costs.Metrics = sys.Metrics
 	costs.Crit = sys.Crit
-	// Sharded systems spawn each rank on its home shard's clock; the
-	// world's rendezvous events live on shard 0 and wake cross-shard.
-	world := mpi.RunOn(sys.RankClocks(ranks), ranks, costs, func(c *mpi.Comm) {
+	world := mpi.Run(sys.Clk, ranks, costs, func(c *mpi.Comm) {
 		runRank(c, sys, cfg, hooks, ctl, rep, ct)
 	})
 	timers := scheduleCrashes(sys, crashes, ranks, world, ct, rep)
@@ -327,8 +325,8 @@ func Run(sys *systems.System, cfg Config, hooks Hooks) (*Report, error) {
 	}
 	if sys.Crit != nil {
 		// The profile label is a pure function of the run configuration,
-		// never of the execution (shard count, workers), so the exported
-		// profile bytes stay comparable across engines.
+		// never of the execution (workers, host), so the exported profile
+		// bytes stay comparable across runs.
 		sys.Crit.SetMakespan(sys.Clk.Now())
 		rep.CritPath = sys.Crit.Profile(fmt.Sprintf("%s/%s/%s ranks=%d",
 			sys.Name, cfg.Workload, rep.Run.Mode, ranks))

@@ -24,14 +24,11 @@ func almostEq(a, b float64) bool {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Edge{Track: "rank0", Cause: Compute, Start: 0, End: sec(1)})
-	r.ObserveWait("rank0", "sleep", "", 0, sec(1), false)
+	r.ObserveWait("rank0", "sleep", "", 0, sec(1))
 	r.MarkInit(sec(1))
 	r.MarkEpoch(0, sec(2))
 	r.MarkWindow("w", 0, sec(1))
 	r.SetMakespan(sec(3))
-	if got := r.CrossShardWaits(); got != 0 {
-		t.Fatalf("nil recorder CrossShardWaits = %d", got)
-	}
 	if got := r.Edges(); got != nil {
 		t.Fatalf("nil recorder Edges = %v", got)
 	}
@@ -165,13 +162,10 @@ func catSeconds(cats []CategoryTotal, c Cause) float64 {
 
 func TestWaitGraphAggregation(t *testing.T) {
 	r := NewRecorder()
-	r.ObserveWait("rank1", "event", "mpi:collective", sec(0), sec(2), false)
-	r.ObserveWait("rank1", "event", "mpi:collective", sec(3), sec(4), true)
-	r.ObserveWait("rank0", "sleep", "", sec(0), sec(1), false)
+	r.ObserveWait("rank1", "event", "mpi:collective", sec(0), sec(2))
+	r.ObserveWait("rank1", "event", "mpi:collective", sec(3), sec(4))
+	r.ObserveWait("rank0", "sleep", "", sec(0), sec(1))
 	r.SetMakespan(sec(4))
-	if got := r.CrossShardWaits(); got != 1 {
-		t.Fatalf("CrossShardWaits = %d, want 1", got)
-	}
 	p := r.Profile("t")
 	if len(p.WaitGraph) != 2 {
 		t.Fatalf("wait graph = %+v, want 2 entries", p.WaitGraph)
@@ -314,7 +308,7 @@ func sampleProfile() *Profile {
 	r.Record(Edge{Track: "rank0", Cause: Compute, Subsystem: "app", Start: 0, End: sec(4)})
 	r.Record(Edge{Track: "rank0", Cause: PFSTransfer, Subsystem: "pfs",
 		Detail: "pfs:gpfs:write", Start: sec(4), End: sec(10), Bytes: 8 << 20})
-	r.ObserveWait("rank0", "sleep", "", 0, sec(4), false)
+	r.ObserveWait("rank0", "sleep", "", 0, sec(4))
 	r.MarkEpoch(0, sec(10))
 	r.SetMakespan(sec(10))
 	return r.Profile("sync")

@@ -33,48 +33,33 @@ func TestAblationBlame(t *testing.T) {
 	}
 }
 
-// blameProfileAt runs one profiled VPIC-IO configuration on an engine
-// with the given shard count and returns the profile's canonical JSON.
-func blameProfileAt(t *testing.T, shards int) ([]byte, *critpath.Recorder) {
+// blameProfile runs one profiled VPIC-IO configuration and returns the
+// profile's canonical JSON.
+func blameProfile(t *testing.T) []byte {
 	t.Helper()
-	rec := critpath.NewRecorder()
-	opts := []systems.Option{systems.WithCritPath(rec)}
-	var clk *vclock.Clock
-	if shards > 1 {
-		co := vclock.NewSharded(shards)
-		clk = co.Clock(0)
-		opts = append(opts, systems.WithSharding(co, ""))
-	} else {
-		clk = vclock.New()
-	}
-	sys := systems.Summit(clk, 2, opts...)
+	sys := systems.Summit(vclock.New(), 2, systems.WithCritPath(critpath.NewRecorder()))
 	rep, _, err := vpicio.Run(sys, vpicio.Config{Steps: 3, Mode: core.ForceAsync})
 	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatal(err)
 	}
 	if rep.CritPath == nil {
-		t.Fatalf("shards=%d: no profile", shards)
+		t.Fatal("no profile")
 	}
 	b, err := rep.CritPath.MarshalBytes()
 	if err != nil {
-		t.Fatalf("shards=%d: marshal: %v", shards, err)
+		t.Fatalf("marshal: %v", err)
 	}
-	return b, rec
+	return b
 }
 
-// TestCritpathShardDeterminism asserts the profiler sees the same causal
-// structure regardless of the engine partition: the full profile —
-// categories, segments, phases, and the wait-for graph — is
-// byte-identical between the serial engine and a 4-shard run, even
-// though the sharded run demonstrably took cross-shard wait edges.
-func TestCritpathShardDeterminism(t *testing.T) {
-	serial, _ := blameProfileAt(t, 1)
-	sharded, rec := blameProfileAt(t, 4)
-	if !bytes.Equal(serial, sharded) {
-		t.Fatalf("profile JSON differs between shards=1 (%d bytes) and shards=4 (%d bytes):\n--- serial ---\n%s\n--- sharded ---\n%s",
-			len(serial), len(sharded), serial, sharded)
-	}
-	if rec.CrossShardWaits() == 0 {
-		t.Fatal("sharded run recorded no cross-shard waits; determinism check is vacuous")
+// TestCritpathRunDeterminism asserts the exported profile is a pure
+// function of the run configuration: the full profile — categories,
+// segments, phases, and the wait-for graph — is byte-identical between
+// two runs, however the host scheduled their goroutines.
+func TestCritpathRunDeterminism(t *testing.T) {
+	first, second := blameProfile(t), blameProfile(t)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("profile JSON differs between two runs (%d vs %d bytes):\n--- first ---\n%s\n--- second ---\n%s",
+			len(first), len(second), first, second)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // consistencyOutcome classifies one checked trial: either the oracle is
 // clean, or it reports a *typed* model violation. Anything else — a
 // harness error, an untyped checker error, a panic — fails the
-// property. The classification string also feeds the shard-equivalence
-// fingerprint, so the serial and sharded engines must agree not only on
-// the bytes they produce but on the verdict the oracle reaches.
+// property. The classification string also feeds the reproducibility
+// fingerprint, so two runs of a trial must agree not only on the bytes
+// they produce but on the verdict the oracle reaches.
 func consistencyOutcome(t *testing.T, i int, model pfs.Model, res *CrashTrialResult) string {
 	t.Helper()
 	if res.Checker == nil {
@@ -43,7 +43,7 @@ func consistencyOutcome(t *testing.T, i int, model pfs.Model, res *CrashTrialRes
 // come back checker-clean or fail with a typed model violation, and the
 // full trial fingerprint — final image bytes, recovery classification,
 // and the oracle's verdict plus its event counts — must be
-// byte-identical between the serial engine and the 4-shard engine.
+// byte-identical between two runs of the same trial.
 func TestConsistencyProperty(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
@@ -51,32 +51,31 @@ func TestConsistencyProperty(t *testing.T) {
 	}
 	if err := RunParallel(trials, func(i int) error {
 		model := consistencyModels[i%len(consistencyModels)]
-		run := func(shards int) (string, error) {
-			// Offset past the base chaos (+0), sharded-property (+10k),
+		run := func() (string, error) {
+			// Offset past the base chaos (+0), crash-property (+10k),
 			// and consistency-chaos (+20k) suites.
 			cfg := chaosTrialConfig(i + 30_000)
-			cfg.Shards = shards
 			cfg.Consistency = checkedSpec(t, model)
 			res, err := CrashTrial(cfg)
 			if err != nil {
-				return "", fmt.Errorf("trial %d (%s, shards=%d, %s): %w", i, model, shards, cfg.FaultSpec, err)
+				return "", fmt.Errorf("trial %d (%s, %s): %w", i, model, cfg.FaultSpec, err)
 			}
 			fp := chaosFingerprint(t, res) +
 				" checker=" + res.Checker.Summary() +
 				" verdict=" + consistencyOutcome(t, i, model, res)
 			return fp, nil
 		}
-		serial, err := run(1)
+		first, err := run()
 		if err != nil {
 			return err
 		}
-		sharded, err := run(4)
+		second, err := run()
 		if err != nil {
 			return err
 		}
-		if serial != sharded {
-			return fmt.Errorf("trial %d (%s): shard divergence\n  serial:  %s\n  sharded: %s",
-				i, model, serial, sharded)
+		if first != second {
+			return fmt.Errorf("trial %d (%s): runs diverged\n  first:  %s\n  second: %s",
+				i, model, first, second)
 		}
 		return nil
 	}); err != nil {

@@ -9,7 +9,7 @@ import (
 // chaosFingerprint reduces a crash-trial result to a comparable string:
 // every externally observable outcome — crash records, scan
 // classification, checkpoint coverage, restart cost, and a hash of the
-// final image bytes. Two engines that agree on this string produced the
+// final image bytes. Two runs that agree on this string produced the
 // same report byte for byte.
 func chaosFingerprint(t *testing.T, res *CrashTrialResult) string {
 	t.Helper()
@@ -33,13 +33,12 @@ func chaosFingerprint(t *testing.T, res *CrashTrialResult) string {
 	return fmt.Sprintf("%s image=%x", s, sha256.Sum256(buf))
 }
 
-// TestShardedCrashProperty is the property-based half of the sharded
-// engine's contract: across 1000 random seeds, crash targets, crash
-// instants, durability models, and checkpoint intervals, the serial
-// engine and the 4-shard engine must produce byte-identical trial
-// reports — same crash records, same journal classification, same
-// recovered image.
-func TestShardedCrashProperty(t *testing.T) {
+// TestCrashProperty is the per-seed reproducibility property: across
+// 1000 random seeds, crash targets, crash instants, durability models,
+// and checkpoint intervals, running the same trial twice must produce
+// byte-identical trial reports — same crash records, same journal
+// classification, same recovered image.
+func TestCrashProperty(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
 		trials = 40
@@ -49,19 +48,16 @@ func TestShardedCrashProperty(t *testing.T) {
 		// Offset past the chaos fleet's indices so the two suites draw
 		// different (seed, fault-spec) tuples.
 		cfg := chaosTrialConfig(i + 10_000)
-		cfg.Shards = 1
-		serial, err := CrashTrial(cfg)
-		if err != nil {
-			return fmt.Errorf("trial %d serial (%s): %w", i, cfg.FaultSpec, err)
+		var fps [2]string
+		for k := range fps {
+			res, err := CrashTrial(cfg)
+			if err != nil {
+				return fmt.Errorf("trial %d run %d (%s): %w", i, k, cfg.FaultSpec, err)
+			}
+			fps[k] = chaosFingerprint(t, res)
 		}
-		cfg.Shards = 4
-		sharded, err := CrashTrial(cfg)
-		if err != nil {
-			return fmt.Errorf("trial %d sharded (%s): %w", i, cfg.FaultSpec, err)
-		}
-		a, b := chaosFingerprint(t, serial), chaosFingerprint(t, sharded)
-		if a != b {
-			diffs[i] = fmt.Sprintf("trial %d (%s):\n  serial:  %s\n  sharded: %s", i, cfg.FaultSpec, a, b)
+		if fps[0] != fps[1] {
+			diffs[i] = fmt.Sprintf("trial %d (%s):\n  first:  %s\n  second: %s", i, cfg.FaultSpec, fps[0], fps[1])
 		}
 		return nil
 	}); err != nil {
@@ -77,6 +73,6 @@ func TestShardedCrashProperty(t *testing.T) {
 		}
 	}
 	if bad > 0 {
-		t.Fatalf("%d of %d trials diverged between 1 and 4 shards", bad, trials)
+		t.Fatalf("%d of %d trials diverged between two runs", bad, trials)
 	}
 }

@@ -328,3 +328,35 @@ func TestKilledWaiterDoesNotRecycleFlow(t *testing.T) {
 		t.Fatalf("free-list holds %d flows, want only the surviving transfer's", n)
 	}
 }
+
+// TestEqualFlowsWakeInArrivalOrder pins the server's flow list to
+// arrival order: equal flows admitted at one instant finish at one
+// instant, and their waiters must resume in the order they arrived —
+// the order is visible downstream in every queue those waiters touch
+// next. Many flows over several rounds, so an implementation that
+// iterates a map cannot pass by luck.
+func TestEqualFlowsWakeInArrivalOrder(t *testing.T) {
+	const flows, rounds = 32, 8
+	clk := vclock.New()
+	srv := NewServer(clk, ConstCapacity(100*MiB))
+	woke := make([][]int, rounds)
+	for i := 0; i < flows; i++ {
+		clk.Go("x", func(p *vclock.Proc) {
+			for r := 0; r < rounds; r++ {
+				srv.Transfer(p, MiB)
+				woke[r] = append(woke[r], i) // procs run one at a time
+			}
+		})
+	}
+	run(t, clk)
+	for r, order := range woke {
+		if len(order) != flows {
+			t.Fatalf("round %d: %d flows completed, want %d", r, len(order), flows)
+		}
+		for k, i := range order {
+			if i != k {
+				t.Fatalf("round %d: flows woke in order %v, want arrival order", r, order)
+			}
+		}
+	}
+}

@@ -286,3 +286,46 @@ func TestAggPassesReadsThrough(t *testing.T) {
 		t.Errorf("stats = %+v, want Passthrough 1, Buffered 0", st)
 	}
 }
+
+// TestAggFlushDispatchesInChainCreationOrder pins Flush's dispatch order
+// to the order the chains were created: each dispatch charges virtual
+// time to the flushing process, so the order is part of the simulated
+// outcome and must not follow the pending map's iteration order. Many
+// datasets over several rounds, so a map-ordered Flush cannot pass by
+// luck.
+func TestAggFlushDispatchesInChainCreationOrder(t *testing.T) {
+	const datasets, rounds = 24, 4
+	ds := make([]*hdf5.Dataset, datasets)
+	index := make(map[*hdf5.Dataset]int, datasets)
+	for i := range ds {
+		ds[i] = newDataset(t, 8)
+		index[ds[i]] = i
+	}
+	var order []int
+	pl := ioreq.NewCustom(func(req *ioreq.Request) error {
+		order = append(order, index[req.Dataset])
+		return nil
+	}, ioreq.NewAgg(ioreq.AggConfig{MaxRequests: 10}))
+	for r := 0; r < rounds; r++ {
+		order = order[:0]
+		// Start each chain at a round-dependent dataset so creation
+		// order is not the slice order every time.
+		for k := 0; k < datasets; k++ {
+			d := ds[(k*7+r)%datasets]
+			if err := pl.Do(&ioreq.Request{Op: ioreq.OpWrite, Dataset: d, Space: slab(t, 8, 0, 4), Buf: make([]byte, 4)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pl.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != datasets {
+			t.Fatalf("round %d: %d dispatches, want %d", r, len(order), datasets)
+		}
+		for k, got := range order {
+			if want := (k*7 + r) % datasets; got != want {
+				t.Fatalf("round %d: dispatch order %v, want chain-creation order", r, order)
+			}
+		}
+	}
+}

@@ -24,7 +24,6 @@ import (
 	"asyncio/internal/memsys"
 	"asyncio/internal/metrics"
 	"asyncio/internal/pfs"
-	"asyncio/internal/shard"
 	"asyncio/internal/vclock"
 )
 
@@ -65,15 +64,6 @@ type System struct {
 	// their request pipelines and call its publish points; every call
 	// site is nil-safe.
 	Consistency *pfs.Consistency
-	// Coord is the shard coordinator when the system was built with
-	// WithSharding; nil for a serial run. Clk is then shard 0's clock:
-	// shared resources (PFS flow servers, fault windows, the metrics
-	// registry, crash timers) live on shard 0, ranks and their
-	// background streams on their home shard per Plan.
-	Coord *vclock.Coordinator
-	// Plan is the rank/target partition when sharded (zero value
-	// otherwise).
-	Plan shard.Plan
 }
 
 // Option tweaks a System during construction.
@@ -84,8 +74,6 @@ type config struct {
 	day            int64
 	contention     bool
 	faults         *faults.Injector
-	coord          *vclock.Coordinator
-	policy         string
 	crit           *critpath.Recorder
 	consistency    *pfs.Consistency
 }
@@ -108,11 +96,10 @@ func WithFaults(in *faults.Injector) Option {
 	return func(c *config) { c.faults = in }
 }
 
-// WithCritPath attaches a causal critical-path recorder: the clock (or
-// every shard of the coordinator) reports blocking waits into its
-// wait-for graph, the storage targets and fault injector record typed
-// causal edges, and core.Run seals the profile into the Report. One
-// recorder serves one system/run.
+// WithCritPath attaches a causal critical-path recorder: the clock
+// reports blocking waits into its wait-for graph, the storage targets
+// and fault injector record typed causal edges, and core.Run seals the
+// profile into the Report. One recorder serves one system/run.
 func WithCritPath(rec *critpath.Recorder) Option {
 	return func(c *config) { c.crit = rec }
 }
@@ -124,18 +111,6 @@ func WithCritPath(rec *critpath.Recorder) Option {
 // Consistency serves one system/run.
 func WithConsistency(cs *pfs.Consistency) Option {
 	return func(c *config) { c.consistency = cs }
-}
-
-// WithSharding runs the system on a sharded event engine: the clock
-// passed to the constructor must be co.Clock(0), ranks are partitioned
-// across co's shards with the given rank-assignment policy (see
-// internal/shard; "" means block), and the coordinator's lookahead is
-// set to the system's safe value (see SafeLookahead).
-func WithSharding(co *vclock.Coordinator, policy string) Option {
-	return func(c *config) {
-		c.coord = co
-		c.policy = policy
-	}
 }
 
 // Summit builds a Summit allocation of the given node count.
@@ -223,30 +198,12 @@ func apply(opts []Option) config {
 }
 
 func finish(s *System, cfg config) {
-	if co := cfg.coord; co != nil {
-		if co.Clock(0) != s.Clk {
-			panic("systems: WithSharding requires the system clock to be shard 0 of the coordinator")
-		}
-		s.Coord = co
-		plan, err := shard.NewPlan(
-			shard.Spec{N: co.NumShards(), Policy: cfg.policy},
-			s.Size(), s.targetCount(), co.NumShards())
-		if err != nil {
-			panic("systems: " + err.Error())
-		}
-		s.Plan = plan
-		co.SetLookahead(s.SafeLookahead())
-	}
 	s.Metrics = metrics.NewRegistry(s.Clk)
 	s.PFS.Instrument(s.Metrics)
 	s.BurstBuffer.Instrument(s.Metrics)
 	if cfg.crit != nil {
 		s.Crit = cfg.crit
-		if s.Coord != nil {
-			s.Coord.SetWaitObserver(s.Crit)
-		} else {
-			s.Clk.SetWaitObserver(s.Crit)
-		}
+		s.Clk.SetWaitObserver(s.Crit)
 		s.PFS.SetCrit(s.Crit)
 		s.BurstBuffer.SetCrit(s.Crit)
 		// Must precede Attach-time RetryStage creation in the workloads:
@@ -275,61 +232,6 @@ func finish(s *System, cfg config) {
 
 // Size returns the total rank count of the allocation.
 func (s *System) Size() int { return s.Machine.Size() }
-
-// targetCount returns the number of PFS targets for the shard plan.
-func (s *System) targetCount() int {
-	n := 1 // scratch PFS
-	if s.BurstBuffer != nil {
-		n++
-	}
-	return n
-}
-
-// ClockFor returns the clock rank's process must run on: its home
-// shard's clock when sharded, the system clock otherwise.
-func (s *System) ClockFor(rank int) *vclock.Clock {
-	if s.Coord == nil || rank < 0 || rank >= len(s.Plan.RankShard) {
-		return s.Clk
-	}
-	return s.Coord.Clock(s.Plan.RankShard[rank])
-}
-
-// RankClocks returns the per-rank clock slice for an mpi.RunOn world of
-// the given size (a prefix of the allocation's ranks). Serial systems
-// return the single system clock.
-func (s *System) RankClocks(ranks int) []*vclock.Clock {
-	if s.Coord == nil {
-		return []*vclock.Clock{s.Clk}
-	}
-	clks := make([]*vclock.Clock, ranks)
-	for r := range clks {
-		clks[r] = s.ClockFor(r)
-	}
-	return clks
-}
-
-// Shards returns the effective shard count of the run's engine (1 for a
-// serial system).
-func (s *System) Shards() int {
-	if s.Coord == nil {
-		return 1
-	}
-	return s.Coord.NumShards()
-}
-
-// SafeLookahead computes the conservative lookahead for this system's
-// topology: the minimum virtual latency of any cross-shard edge. Every
-// shard's ranks reach the storage targets — flow servers living on
-// shard 0 whose admission (Server.Transfer arrival batching) happens at
-// the caller's current instant — and share the metrics registry, whose
-// observations are likewise timestamped at the caller's instant. Both
-// are zero-latency cross-shard edges, so the safe horizon is 0: the
-// coordinator runs lockstep-instant windows, which is exactly what
-// keeps sharded runs byte-identical to serial ones. A topology that
-// gave each shard private targets and charged a nonzero network latency
-// on remote access could return that latency here and widen the
-// windows.
-func (s *System) SafeLookahead() time.Duration { return 0 }
 
 // Nodes returns the allocated node count.
 func (s *System) Nodes() int { return s.Machine.NumNodes() }

@@ -90,25 +90,13 @@ func (e *Engine) crit() *critpath.Recorder {
 // NewStream spawns an execution stream: a dedicated process that runs
 // pushed tasks in FIFO order. The stream runs until Shutdown.
 func (e *Engine) NewStream(name string) *Stream {
-	return e.NewStreamOn(e.clk, name)
-}
-
-// NewStreamOn is NewStream with the stream's process and events placed
-// on an explicit clock — under the sharded engine, a rank's background
-// stream lives on the rank's home shard so its task churn contends on
-// that shard's lock. clk must be the engine clock or a shard of the
-// same coordinator; nil falls back to the engine clock.
-func (e *Engine) NewStreamOn(clk *vclock.Clock, name string) *Stream {
-	if clk == nil {
-		clk = e.clk
-	}
-	s := &Stream{e: e, clk: clk, name: name}
-	s.wake.Init(clk, "taskengine:wake")
-	s.exited.Init(clk, "taskengine:exited")
+	s := &Stream{e: e, name: name}
+	s.wake.Init(e.clk, "taskengine:wake")
+	s.exited.Init(e.clk, "taskengine:exited")
 	e.mu.Lock()
 	e.streams = append(e.streams, s)
 	e.mu.Unlock()
-	clk.Go("stream:"+name, s.run)
+	e.clk.Go("stream:"+name, s.run)
 	return s
 }
 
@@ -126,7 +114,6 @@ func (e *Engine) ShutdownAll() {
 // Stream is a single background execution context.
 type Stream struct {
 	e    *Engine
-	clk  *vclock.Clock // home clock (a shard under the sharded engine)
 	name string
 
 	mu    sync.Mutex
@@ -191,7 +178,7 @@ type Task struct {
 // lifecycle bug in the caller.
 func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) *Task {
 	t := &Task{name: name, deps: append([]*Task(nil), deps...), fn: fn}
-	t.done.Init(s.clk, "taskengine:done")
+	t.done.Init(s.e.clk, "taskengine:done")
 	s.mu.Lock()
 	if s.stopped {
 		killed := s.killErr

@@ -17,27 +17,21 @@ type embedded struct {
 }
 
 // wakeOrder registers n waiters on one value-embedded event in index
-// order (waiter i registers at i µs, on shard i mod shards), kills the
-// listed ones at 50 µs, fires at 60 µs and returns the order the rest
-// resumed in. shards == 1 is the serial engine.
-func wakeOrder(t *testing.T, shards, n int, kill ...int) []int {
+// order (waiter i registers at i µs), kills the listed ones at 50 µs,
+// fires at 60 µs and returns the order the rest resumed in.
+func wakeOrder(t *testing.T, n int, kill ...int) []int {
 	t.Helper()
-	clks := []*Clock{New()}
-	wait := clks[0].Wait
-	if shards > 1 {
-		co := NewSharded(shards)
-		clks, wait = co.Clocks(), co.Wait
-	}
+	c := New()
 	h := new(embedded)
-	h.done.Init(clks[0], "test:done")
+	h.done.Init(c, "test:done")
 	var (
 		mu    sync.Mutex
 		order []int
 		procs = make([]*Proc, n)
 	)
-	release := clks[0].Hold()
+	release := c.Hold()
 	for i := 0; i < n; i++ {
-		clks[i%len(clks)].Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+		c.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
 			mu.Lock()
 			procs[i] = p
 			mu.Unlock()
@@ -48,7 +42,7 @@ func wakeOrder(t *testing.T, shards, n int, kill ...int) []int {
 			mu.Unlock()
 		})
 	}
-	clks[0].Go("firer", func(p *Proc) {
+	c.Go("firer", func(p *Proc) {
 		p.Sleep(50 * time.Microsecond)
 		for _, i := range kill {
 			procs[i].Kill(errors.New("boom"))
@@ -57,16 +51,15 @@ func wakeOrder(t *testing.T, shards, n int, kill ...int) []int {
 		h.done.Fire()
 	})
 	release()
-	if err := wait(); err != nil {
-		t.Fatalf("shards=%d kill=%v: %v", shards, kill, err)
+	if err := c.Wait(); err != nil {
+		t.Fatalf("kill=%v: %v", kill, err)
 	}
 	return order
 }
 
-// TestEventWakeOrder pins the inline-waiter Event's contract on both
-// engines: waiters resume in registration order, and killing the first
-// (the inline slot), a middle and the last waiter before Fire leaves the
-// rest in order.
+// TestEventWakeOrder pins the inline-waiter Event's contract: waiters
+// resume in registration order, and killing the first (the inline slot),
+// a middle and the last waiter before Fire leaves the rest in order.
 func TestEventWakeOrder(t *testing.T) {
 	const n = 6
 	cases := []struct {
@@ -81,18 +74,67 @@ func TestEventWakeOrder(t *testing.T) {
 		{[]int{0, 1, 2, 3, 4, 5}, nil},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 4} {
-			if got := wakeOrder(t, shards, n, tc.kill...); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("shards=%d kill=%v: woke %v, want %v", shards, tc.kill, got, tc.want)
-			}
+		if got := wakeOrder(t, n, tc.kill...); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("kill=%v: woke %v, want %v", tc.kill, got, tc.want)
 		}
 	}
 	// A lone waiter lives in the inline slot only; killing it must leave
 	// an event that still fires cleanly.
-	for _, shards := range []int{1, 4} {
-		if got := wakeOrder(t, shards, 1, 0); got != nil {
-			t.Errorf("shards=%d: killed lone waiter woke %v", shards, got)
-		}
+	if got := wakeOrder(t, 1, 0); got != nil {
+		t.Errorf("killed lone waiter woke %v", got)
+	}
+}
+
+// waitLog records every blocking edge it observes.
+type waitLog struct {
+	mu    sync.Mutex
+	edges []string
+}
+
+func (w *waitLog) ObserveWait(proc, kind, label string, start, end time.Duration) {
+	w.mu.Lock()
+	w.edges = append(w.edges, fmt.Sprintf("%s %s %s %v-%v", proc, kind, label, start, end))
+	w.mu.Unlock()
+}
+
+// TestEventWaitObservedFromBlockInstant: when the last runnable process
+// calls Event.Wait, blocking it advances the clock inline to the instant
+// a timer fires the event. The observer must still see the wait start
+// at the instant the process blocked, not the instant it woke.
+func TestEventWaitObservedFromBlockInstant(t *testing.T) {
+	c := New()
+	obs := new(waitLog)
+	c.SetWaitObserver(obs)
+	ev := NewEventNamed(c, "test:late")
+	c.Go("lone", func(p *Proc) {
+		p.Sleep(3 * time.Microsecond)
+		c.AfterFunc(7*time.Microsecond, func(time.Duration) { ev.Fire() })
+		ev.Wait(p)
+	})
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lone sleep  0s-3µs", "lone event test:late 3µs-10µs"}
+	if !reflect.DeepEqual(obs.edges, want) {
+		t.Fatalf("observed %q, want %q", obs.edges, want)
+	}
+}
+
+// TestEventWaitForeignClockPanics: a process may only wait on events of
+// its own clock; mixing clocks is a programming error, reported loudly.
+func TestEventWaitForeignClockPanics(t *testing.T) {
+	c := New()
+	ev := NewEvent(New())
+	done := make(chan any, 1)
+	c.Go("w", func(p *Proc) {
+		defer func() { done <- recover() }()
+		ev.Wait(p)
+	})
+	if r := <-done; r == nil {
+		t.Fatal("Event.Wait on another clock's event did not panic")
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

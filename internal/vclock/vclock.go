@@ -67,9 +67,7 @@ type Clock struct {
 	free      []*timerEntry             // recycled entries (the pool)
 	cbScratch []func(now time.Duration) // batch buffer for same-instant callbacks
 
-	// The serialized run queue (serial engine and per-shard under a
-	// lookahead > 0 coordinator; the lockstep coordinator keeps a global
-	// one instead — see shard.go). Every wakeup is parked here and
+	// The serialized run queue. Every wakeup is parked here and
 	// delivered one at a time, each only once the clock is idle, so the
 	// woken proc runs with every other process parked at a blocking
 	// point — the order a single-CPU FIFO scheduler produces. deferHead
@@ -77,13 +75,6 @@ type Clock struct {
 	// so the backing array is reused.
 	deferredQ []chan struct{}
 	deferHead int
-
-	// Sharded mode (see shard.go): when coord is non-nil this clock is
-	// shard `shard` of a Coordinator, which owns all time advancement;
-	// block sites poke it after releasing mu instead of advancing
-	// in-place. Both are set once at construction and read-only after.
-	coord *Coordinator
-	shard int
 
 	// waitObs, when non-nil, observes every blocking interval (sleeps
 	// and event waits). Set once via SetWaitObserver before any process
@@ -93,13 +84,12 @@ type Clock struct {
 
 // WaitObserver receives every blocking edge of the clock's processes:
 // kind is "sleep" or "event", label the event's label (empty for
-// sleeps and unlabeled events), start/end the blocked interval in
-// virtual time, and crossShard whether the wait crossed a shard
-// boundary of a sharded engine. Implementations must be safe for
-// concurrent use and cheap — they run on every blocking operation.
+// sleeps and unlabeled events) and start/end the blocked interval in
+// virtual time. Implementations must be safe for concurrent use and
+// cheap — they run on every blocking operation.
 // internal/critpath's Recorder implements this interface.
 type WaitObserver interface {
-	ObserveWait(proc, kind, label string, start, end time.Duration, crossShard bool)
+	ObserveWait(proc, kind, label string, start, end time.Duration)
 }
 
 // SetWaitObserver installs o as the clock's blocking-edge observer.
@@ -112,21 +102,6 @@ func New() *Clock {
 	c := &Clock{procs: make(map[*Proc]struct{})}
 	c.idle = sync.NewCond(&c.mu)
 	return c
-}
-
-// Coordinator returns the coordinator this clock is a shard of, or nil
-// for a serial clock.
-func (c *Clock) Coordinator() *Coordinator { return c.coord }
-
-// Shard returns this clock's shard index within its coordinator; 0 for
-// a serial clock.
-func (c *Clock) Shard() int { return c.shard }
-
-// pokeNeededLocked reports whether the caller, having just decremented
-// running, must poke the coordinator after releasing c.mu. Serial clocks
-// never need a poke (blockLocked advances in-place).
-func (c *Clock) pokeNeededLocked() bool {
-	return c.coord != nil && c.running == 0
 }
 
 // blocking reasons, formatted lazily only for deadlock reports so the hot
@@ -200,23 +175,12 @@ func (p *Proc) Kill(reason error) {
 		return
 	}
 	if ev := p.waitingOn; ev != nil {
-		// Blocked on an event: claim the wakeup by clearing waitingOn
-		// under the victim's clock lock — a racing Fire skips any waiter
-		// whose waitingOn no longer points at it — then withdraw from
-		// the waiter list so the event doesn't keep a dead proc.
+		// Blocked on an event: withdraw from the waiter list, so a later
+		// Fire neither wakes nor keeps a dead proc, and queue it to die.
 		p.waitingOn = nil
+		removeWaiterLocked(ev, p)
 		c.parkWakeLocked(p.wake)
-		if ev.c == c {
-			removeWaiterLocked(ev, p)
-			c.mu.Unlock()
-		} else {
-			// Cross-shard event: the waiter list is guarded by the
-			// event's clock lock, never held together with the victim's.
-			c.mu.Unlock()
-			ev.c.mu.Lock()
-			removeWaiterLocked(ev, p)
-			ev.c.mu.Unlock()
-		}
+		c.mu.Unlock()
 		c.kick()
 		return
 	}
@@ -225,9 +189,8 @@ func (p *Proc) Kill(reason error) {
 	c.mu.Unlock()
 }
 
-// removeWaiterLocked withdraws p from ev's waiter list if present.
-// Caller holds ev.c.mu. A concurrent Fire may already have stolen the
-// list, in which case p is simply absent.
+// removeWaiterLocked withdraws p from ev's waiter list. Caller holds
+// ev.c.mu.
 func removeWaiterLocked(ev *Event, p *Proc) {
 	for i, w := range ev.waiters {
 		if w == p {
@@ -237,17 +200,11 @@ func removeWaiterLocked(ev *Event, p *Proc) {
 	}
 }
 
-// parkWakeLocked enqueues a wakeup on the serialized run queue that owns
-// this clock's delivery order: the clock's own queue for a serial clock
-// or a lookahead > 0 shard, the coordinator's global queue under
-// lockstep. The woken proc carries no runnable claim while parked; the
-// delivering advance loop claims running++ at the moment it signals the
-// channel. Caller holds c.mu and should kick() after releasing it.
+// parkWakeLocked enqueues a wakeup on the serialized run queue. The
+// woken proc carries no runnable claim while parked; the delivering
+// advance loop claims running++ at the moment it signals the channel.
+// Caller holds c.mu and should kick() after releasing it.
 func (c *Clock) parkWakeLocked(ch chan struct{}) {
-	if co := c.coord; co != nil && co.lockstep.Load() {
-		co.parkGlobal(c, ch)
-		return
-	}
 	c.deferredQ = append(c.deferredQ, ch)
 }
 
@@ -256,33 +213,14 @@ func (c *Clock) parkWakeLocked(ch chan struct{}) {
 // the parker is the host goroutine or a timer callback on an otherwise
 // idle clock. Caller must NOT hold c.mu.
 func (c *Clock) kick() {
-	co := c.coord
-	if co == nil {
-		c.mu.Lock()
-		c.maybeAdvanceLocked()
-		c.mu.Unlock()
-		return
-	}
-	if co.lockstep.Load() {
-		co.poke()
-		return
-	}
-	// Lookahead > 0 shard: delivery is shard-local.
 	c.mu.Lock()
-	c.deliverLocalLocked()
+	c.maybeAdvanceLocked()
 	c.mu.Unlock()
 }
 
-// deliverLocalLocked delivers the head of this clock's own run queue if
-// the clock is idle. Caller holds c.mu. Used by lookahead > 0 shards
-// (and internally by the serial advance loop's equivalent path).
-func (c *Clock) deliverLocalLocked() {
-	if c.running > 0 || c.dead {
-		return
-	}
-	if c.deferHead >= len(c.deferredQ) {
-		return
-	}
+// deliverLocked delivers the head of the run queue. Caller holds c.mu
+// and has checked that the clock is idle and the queue non-empty.
+func (c *Clock) deliverLocked() {
 	ch := c.deferredQ[c.deferHead]
 	c.deferredQ[c.deferHead] = nil
 	c.deferHead++
@@ -353,12 +291,8 @@ func (c *Clock) Go(name string, fn func(p *Proc)) {
 			c.mu.Lock()
 			c.alive--
 			delete(c.procs, p)
-			c.unblockLocked() // running--; may advance time or end the run
-			poke := c.pokeNeededLocked()
+			c.blockLocked() // running--; may advance time or end the run
 			c.mu.Unlock()
-			if poke {
-				c.coord.poke()
-			}
 		}()
 		defer func() {
 			// A Killed panic that nobody recovered means the spawner does
@@ -391,12 +325,8 @@ func (c *Clock) Hold() (release func()) {
 	return func() {
 		once.Do(func() {
 			c.mu.Lock()
-			c.unblockLocked()
-			poke := c.pokeNeededLocked()
+			c.blockLocked()
 			c.mu.Unlock()
-			if poke {
-				c.coord.poke()
-			}
 		})
 	}
 }
@@ -406,10 +336,6 @@ func (c *Clock) Hold() (release func()) {
 // clock see a quiescent simulation. It returns an error if the clock
 // deadlocked.
 func (c *Clock) Wait() error {
-	if c.coord != nil {
-		// A shard finishes only when the whole sharded run finishes.
-		return c.coord.Wait()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A run whose processes are all still parked (spawned but never
@@ -450,16 +376,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.state = stateSleeping
 	p.stateAt = e.at
 	c.blockLocked()
-	poke := c.pokeNeededLocked()
 	c.mu.Unlock()
-	if poke {
-		c.coord.poke()
-	}
 	<-p.wake
 	p.state = stateRunning
 	p.checkKilled()
 	if o := c.waitObs; o != nil {
-		o.ObserveWait(p.name, "sleep", "", sleepStart, c.Now(), false)
+		o.ObserveWait(p.name, "sleep", "", sleepStart, c.Now())
 	}
 }
 
@@ -527,8 +449,7 @@ func (e *Event) Fired() bool {
 // Fire signals the event, queueing a wakeup for every current waiter at
 // the present instant. Firing an already-fired event is a no-op. Fire
 // may be called from a process, a timer callback, or the host goroutine.
-// Waiters may live on other shards of the event clock's coordinator:
-// each is parked on its own clock's run queue.
+// Waiters are parked in registration order.
 func (e *Event) Fire() {
 	c := e.c
 	c.mu.Lock()
@@ -539,59 +460,24 @@ func (e *Event) Fire() {
 	e.fired = true
 	waiters := e.waiters
 	e.waiters = nil
-	if c.coord == nil {
-		// Serial: every waiter lives on this clock; park in
-		// registration order under the single lock. The waitingOn
-		// check skips waiters a racing Kill already claimed (it clears
-		// waitingOn under the waiter's lock, which is this one).
-		parked := false
-		for _, p := range waiters {
-			if p.waitingOn == e {
-				p.waitingOn = nil
-				c.parkWakeLocked(p.wake)
-				parked = true
-			}
-		}
-		c.mu.Unlock()
-		if parked {
-			c.kick()
-		}
-		return
+	// Park in registration order. Kill withdraws its victim from the
+	// list under this same lock, so every listed waiter is still waiting.
+	for _, p := range waiters {
+		p.waitingOn = nil
+		c.parkWakeLocked(p.wake)
 	}
 	c.mu.Unlock()
-	// Sharded: waiters may span shards. Park strictly in registration
-	// order, one waiter's clock at a time — under lockstep the global
-	// run-queue order is part of the output and must match the serial
-	// engine's registration order, so same-shard waiters must not jump
-	// ahead of earlier cross-shard ones. Kicks happen only after every
-	// waiter is parked; kicking mid-loop could deliver an early waiter
-	// whose execution then interleaves with the remaining parks.
-	kicks := waiters[:0]
-	for _, p := range waiters {
-		pc := p.c
-		pc.mu.Lock()
-		if p.waitingOn != e {
-			pc.mu.Unlock() // claimed by a concurrent Kill
-			continue
-		}
-		p.waitingOn = nil
-		pc.parkWakeLocked(p.wake)
-		pc.mu.Unlock()
-		kicks = append(kicks, p)
-	}
-	for _, p := range kicks {
-		p.c.kick()
+	if len(waiters) > 0 {
+		c.kick()
 	}
 }
 
 // Wait blocks p until the event fires. Returns immediately if already
-// fired. p may live on a different shard than the event; both clocks
-// must then belong to one coordinator.
+// fired. p must be a process of the event's clock.
 func (e *Event) Wait(p *Proc) {
 	c := e.c
 	if p.c != c {
-		e.waitCross(p)
-		return
+		panic("vclock: Event.Wait by a process of another clock")
 	}
 	c.mu.Lock()
 	if p.killed.Load() {
@@ -602,9 +488,9 @@ func (e *Event) Wait(p *Proc) {
 		c.mu.Unlock()
 		return
 	}
-	// Capture the wait's start before blockLocked: on the serial engine
-	// blocking the last runnable proc advances the clock inline, so a
-	// read afterwards would see the wake instant, not the block instant.
+	// Capture the wait's start before blockLocked: blocking the last
+	// runnable proc advances the clock inline, so a read afterwards
+	// would see the wake instant, not the block instant.
 	var start time.Duration
 	obs := c.waitObs
 	if obs != nil {
@@ -614,66 +500,12 @@ func (e *Event) Wait(p *Proc) {
 	p.waitingOn = e
 	p.state = stateEventWait
 	c.blockLocked()
-	poke := c.pokeNeededLocked()
 	c.mu.Unlock()
-	if poke {
-		c.coord.poke()
-	}
 	<-p.wake
 	p.state = stateRunning
 	p.checkKilled()
 	if obs != nil {
-		obs.ObserveWait(p.name, "event", e.label, start, c.Now(), false)
-	}
-}
-
-// waitCross is Wait for a waiter on a different shard than the event.
-// It takes both clock locks in shard order (deadlock-free because every
-// multi-lock path orders the same way and no path nests the coordinator
-// mutex inside a shard lock).
-func (e *Event) waitCross(p *Proc) {
-	ec, pc := e.c, p.c
-	if ec.coord == nil || ec.coord != pc.coord {
-		panic("vclock: Event.Wait across clocks that do not share a coordinator")
-	}
-	first, second := ec, pc
-	if pc.shard < ec.shard {
-		first, second = pc, ec
-	}
-	first.mu.Lock()
-	second.mu.Lock()
-	if p.killed.Load() {
-		second.mu.Unlock()
-		first.mu.Unlock()
-		panic(Killed{p.killErr})
-	}
-	if e.fired {
-		second.mu.Unlock()
-		first.mu.Unlock()
-		return
-	}
-	// As in Wait: read the block instant before blockLocked can advance
-	// the proc's clock.
-	var start time.Duration
-	obs := pc.waitObs
-	if obs != nil {
-		start = time.Duration(pc.nowView.Load())
-	}
-	e.addWaiterLocked(p)
-	p.waitingOn = e
-	p.state = stateEventWait
-	pc.blockLocked()
-	poke := pc.pokeNeededLocked()
-	second.mu.Unlock()
-	first.mu.Unlock()
-	if poke {
-		pc.coord.poke()
-	}
-	<-p.wake
-	p.state = stateRunning
-	p.checkKilled()
-	if obs != nil {
-		obs.ObserveWait(p.name, "event", e.label, start, pc.Now(), true)
+		obs.ObserveWait(p.name, "event", e.label, start, c.Now())
 	}
 }
 
@@ -757,43 +589,18 @@ func (c *Clock) recycle(e *timerEntry) {
 }
 
 // push stamps the entry's ordering sequence and inserts it in the heap.
-// Under a coordinator the sequence comes from a coordinator-wide counter
-// so that entries created by the same (serialized) execution order sort
-// identically regardless of which shard's heap they land in — the
-// linchpin of byte-identity between shard counts.
 func (c *Clock) push(e *timerEntry) {
-	if co := c.coord; co != nil {
-		e.seq = co.seqCtr.Add(1)
-	} else {
-		c.seq++
-		e.seq = c.seq
-	}
+	c.seq++
+	e.seq = c.seq
 	heap.Push(&c.queue, e)
 }
 
-// blockLocked marks the calling process as blocked and advances virtual
-// time if it was the last runnable one. Caller holds c.mu. In sharded
-// mode advancement belongs to the coordinator — but a lookahead > 0
-// shard first drains its own run queue (shard-local serialized
-// delivery); only when that is empty does the caller need to check
-// pokeNeededLocked and poke after releasing the lock.
+// blockLocked gives up one runnable claim — a process blocking or
+// exiting, a Hold released — and advances virtual time if it was the
+// last. Caller holds c.mu.
 func (c *Clock) blockLocked() {
 	c.running--
-	if co := c.coord; co == nil {
-		c.maybeAdvanceLocked()
-	} else if !co.lockstep.Load() {
-		c.deliverLocalLocked()
-	}
-}
-
-// unblockLocked is blockLocked for process exit paths.
-func (c *Clock) unblockLocked() {
-	c.running--
-	if co := c.coord; co == nil {
-		c.maybeAdvanceLocked()
-	} else if !co.lockstep.Load() {
-		c.deliverLocalLocked()
-	}
+	c.maybeAdvanceLocked()
 }
 
 // maybeAdvanceLocked delivers the next serialized wakeup, advancing
@@ -817,7 +624,7 @@ func (c *Clock) maybeAdvanceLocked() {
 			return
 		}
 		if c.deferHead < len(c.deferredQ) {
-			c.deliverLocalLocked()
+			c.deliverLocked()
 			return
 		}
 		if c.alive == 0 {

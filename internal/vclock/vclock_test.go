@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -325,6 +326,38 @@ func TestSameInstantOrderIsFIFO(t *testing.T) {
 			t.Fatalf("proc %d ran twice", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestSameInstantCallbacksThenWakesInOrder pins the delivery order
+// within one instant: timer callbacks run first — even one scheduled
+// after every sleeper registered — and then the sleepers resume one at
+// a time in registration order. The log is appended without a lock, so
+// under -race this also fails if two woken processes ever overlap.
+func TestSameInstantCallbacksThenWakesInOrder(t *testing.T) {
+	const procs = 16
+	c := New()
+	var log []int
+	release := c.Hold()
+	for i := 0; i < procs; i++ {
+		c.Go("sleeper", func(p *Proc) {
+			p.Sleep(time.Second)
+			log = append(log, i)
+		})
+	}
+	c.Go("arm", func(p *Proc) {
+		c.AfterFunc(time.Second, func(time.Duration) { log = append(log, -1) })
+	})
+	release()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{-1}
+	for i := 0; i < procs; i++ {
+		want = append(want, i)
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("delivery order %v, want %v", log, want)
 	}
 }
 
