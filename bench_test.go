@@ -28,7 +28,7 @@ func runFig(b *testing.B, id string, metrics map[string]string) *experiments.Tab
 		var data *experiments.SweepData
 		for i := 0; i < b.N; i++ {
 			var err error
-			data, err = experiments.SimulateSweep(id, scale)
+			data, err = experiments.SimulateSweep(id, scale, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func runFig(b *testing.B, id string, metrics map[string]string) *experiments.Tab
 		}
 		for i := 0; i < b.N; i++ {
 			var err error
-			tab, err = gen(scale)
+			tab, err = gen(scale, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func BenchmarkFig7NyxOverlapCori(b *testing.B) {
 	var tab *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = gen(scale)
+		tab, err = gen(scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkFig8VPICVariability(b *testing.B) {
 	var tab *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = gen(scale)
+		tab, err = gen(scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkModelAccuracy(b *testing.B) {
 	var syncR2, asyncR2 float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		syncR2, asyncR2, err = experiments.R2Values(scale)
+		syncR2, asyncR2, err = experiments.R2Values(scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

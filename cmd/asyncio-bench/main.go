@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"sort"
@@ -25,7 +26,6 @@ import (
 	"asyncio/internal/cliflags"
 	"asyncio/internal/core"
 	"asyncio/internal/experiments"
-	"asyncio/internal/metrics"
 	"asyncio/internal/perfetto"
 	"asyncio/internal/simbench"
 )
@@ -50,30 +50,32 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
-	if err := experiments.SetDefaultFaults(cf.Faults); err != nil {
-		fatalf("-faults: %v", err)
+	k, err := cf.RunKnobs()
+	if err != nil {
+		fatalf("-%v", err)
 	}
-	// Durability flags parameterize the crash experiments' write-back
-	// model; the per-run checkpoint/journal switches belong to
+	// The durability flags parameterize the crash experiments'
+	// write-back model; the per-run checkpoint/journal switches belong to
 	// asyncio-trace (crash sweeps schedule checkpoints themselves).
 	if cf.WantDurability() {
 		fatalf("-checkpoint-every/-journal configure a single run; use asyncio-trace (crash experiments sweep checkpoint intervals themselves)")
 	}
-	dur, derr := cf.DurabilityConfig()
-	if derr != nil {
-		fatalf("%v", derr)
+	k.Workers = *parallel
+	// Experiments construct their systems (and so their registries)
+	// internally; the observer collects each completed run's report so
+	// observability data can be exported without touching every
+	// experiment. The observer's report order is part of the output
+	// (metrics CSV labels, "last run" trace selection), so observed
+	// generation forces serial sweeps regardless of -parallel.
+	var reports []*core.Report
+	if cf.WantObservability() {
+		k.Observer = func(rep *core.Report) { reports = append(reports, rep) }
+		k.Workers = 1
 	}
-	experiments.SetDefaultDurability(&dur)
-	csp, cerr := cf.ConsistencySpec()
-	if cerr != nil {
-		fatalf("-consistency: %v", cerr)
-	}
-	experiments.SetDefaultConsistency(csp)
-	experiments.SetParallelism(*parallel)
 	sc := parseScale(*scale)
 
 	if *selfbench {
-		runSelfbench(sc, *selfbenchOut)
+		runSelfbench(sc, k, *selfbenchOut)
 		return
 	}
 
@@ -105,28 +107,9 @@ func main() {
 		run = []string{*exp}
 	}
 
-	// Experiments construct their systems (and so their registries)
-	// internally; the observer hook collects each completed run's report
-	// so observability data can be exported without touching every
-	// experiment. The observer's report order is part of the output
-	// (metrics CSV labels, "last run" trace selection), so observed
-	// generation forces serial sweeps regardless of -parallel.
-	var reports []*core.Report
-	if cf.WantObservability() {
-		if cf.TraceJSON != "" || cf.MetricsCSV != "" {
-			metrics.SetSeriesDefault(true)
-		}
-		if cf.WantCritPath() {
-			experiments.SetCritPathProfiling(true)
-		}
-		core.SetRunObserver(func(rep *core.Report) { reports = append(reports, rep) })
-		defer core.SetRunObserver(nil)
-		experiments.SetParallelism(1)
-	}
-
 	for _, id := range run {
 		start := time.Now()
-		tab, err := reg[id](sc)
+		tab, err := reg[id](sc, k)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
@@ -141,18 +124,17 @@ func main() {
 	}
 
 	if cf.MetricsCSV != "" {
-		f, err := os.Create(cf.MetricsCSV)
+		err := cliflags.WriteFile(cf.MetricsCSV, "metrics CSV", func(w io.Writer) error {
+			for i, rep := range reports {
+				label := fmt.Sprintf("run%03d-%s-%s-%s-%dr", i, rep.Run.Workload, rep.Run.System, rep.Run.Mode, rep.Run.Ranks)
+				if err := rep.Metrics.WriteCSV(w, label); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			fatalf("%v", err)
-		}
-		for i, rep := range reports {
-			label := fmt.Sprintf("run%03d-%s-%s-%s-%dr", i, rep.Run.Workload, rep.Run.System, rep.Run.Mode, rep.Run.Ranks)
-			if err := rep.Metrics.WriteCSV(f, label); err != nil {
-				fatalf("writing metrics CSV: %v", err)
-			}
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing metrics CSV: %v", err)
 		}
 	}
 	if cf.TraceJSON != "" {
@@ -160,15 +142,11 @@ func main() {
 			fatalf("-trace-json: no runs were observed")
 		}
 		last := reports[len(reports)-1]
-		f, err := os.Create(cf.TraceJSON)
+		err := cliflags.WriteFile(cf.TraceJSON, "trace JSON", func(w io.Writer) error {
+			return perfetto.WriteProfile(w, last.Spans, last.Metrics, last.CritPath)
+		})
 		if err != nil {
 			fatalf("%v", err)
-		}
-		if err := perfetto.WriteProfile(f, last.Spans, last.Metrics, last.CritPath); err != nil {
-			fatalf("writing trace JSON: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing trace JSON: %v", err)
 		}
 	}
 	if cf.WantCritPath() {
@@ -184,23 +162,16 @@ func main() {
 // runSelfbench benchmarks the simulator itself (engine microbenchmarks
 // plus a stable subset of figure generators) and writes the JSON report
 // both to stdout and to the given path.
-func runSelfbench(sc experiments.Scale, out string) {
-	rep, err := simbench.Run(sc)
+func runSelfbench(sc experiments.Scale, k *experiments.RunKnobs, out string) {
+	rep, err := simbench.Run(sc, k)
 	if err != nil {
 		fatalf("selfbench: %v", err)
 	}
 	if err := rep.WriteJSON(os.Stdout); err != nil {
 		fatalf("selfbench: %v", err)
 	}
-	f, err := os.Create(out)
-	if err != nil {
+	if err := cliflags.WriteFile(out, out, rep.WriteJSON); err != nil {
 		fatalf("selfbench: %v", err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("selfbench: writing %s: %v", out, err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("selfbench: closing %s: %v", out, err)
 	}
 }
 

@@ -15,12 +15,8 @@ import (
 // background op with its bound run method, and the task; the event set's
 // own list grows amortized.
 func TestAllocBudgetWriteDrain(t *testing.T) {
-	clk := vclock.New()
-	// The connector's idle stream must not look like a deadlock before
-	// the application process exists.
-	release := clk.Hold()
-	defer release()
-	c := New(taskengine.New(clk), "rank0", Options{Copy: fixedCopy{bw: 4 * MiB}})
+	clk := newHeldClock()
+	c := New(taskengine.New(clk.Clock), "rank0", Options{Copy: fixedCopy{bw: 4 * MiB}})
 	f, err := c.Create(vol.Props{}, hdf5.NewNullStore(), hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +48,6 @@ func TestAllocBudgetWriteDrain(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,34 @@ func (c fixedCopy) Copy(p *vclock.Proc, n int64) {
 
 const MiB = 1 << 20
 
+// heldClock is a virtual clock for tests driven from host code. It is
+// pinned (vclock.Clock.Hold) whenever the host is running — assembling a
+// connector, whose idle stream would otherwise look like a deadlock
+// before the application process exists, or spawning processes — and
+// released exactly while the host sits in Wait.
+type heldClock struct {
+	*vclock.Clock
+	release func()
+}
+
+func newHeldClock() *heldClock {
+	clk := vclock.New()
+	return &heldClock{Clock: clk, release: clk.Hold()}
+}
+
+func (h *heldClock) Wait() error {
+	h.release()
+	err := h.Clock.Wait()
+	h.release = h.Clock.Hold()
+	return err
+}
+
 // setup creates a clock, an engine, a connector, and a file backed by a
 // MemStore with a 1 MiB/s driver.
-func setup(t *testing.T, opts Options) (*vclock.Clock, *Connector, vol.File) {
+func setup(t *testing.T, opts Options) (*heldClock, *Connector, vol.File) {
 	t.Helper()
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank0", opts)
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(),
 		hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))

@@ -29,8 +29,8 @@ func (fs *failingStore) WriteAt(p []byte, off int64) (int, error) {
 
 func TestBackgroundWriteFailureSurfacesThroughEventSet(t *testing.T) {
 	sentinel := errors.New("injected disk failure")
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	// Allow enough writes for file setup, then fail.
 	store := &failingStore{MemStore: hdf5.NewMemStore(), allow: 2, err: sentinel}
@@ -62,8 +62,8 @@ func TestBackgroundWriteFailureSurfacesThroughEventSet(t *testing.T) {
 
 func TestBackgroundFailureSurfacesThroughDrainAndClose(t *testing.T) {
 	sentinel := errors.New("injected failure")
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	store := &failingStore{MemStore: hdf5.NewMemStore(), allow: 2, err: sentinel}
 	f, err := c.Create(vol.Props{}, store)
@@ -93,8 +93,8 @@ func TestBackgroundFailureSurfacesThroughDrainAndClose(t *testing.T) {
 
 func TestPrefetchFailureSurfacesAtRead(t *testing.T) {
 	sentinel := errors.New("read path down")
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	store := &readFailStore{MemStore: hdf5.NewMemStore(), err: sentinel}
 	f, err := c.Create(vol.Props{}, store)

@@ -11,8 +11,8 @@ import (
 )
 
 func TestConnectorNameAndOpen(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank7", Options{Materialize: true})
 	if c.Name() != "async:rank7" {
 		t.Fatalf("Name = %q", c.Name())
@@ -53,8 +53,8 @@ func TestAsyncMetadataDoesNotBlockCaller(t *testing.T) {
 	// With a driver charging 10ms per metadata op, the async connector's
 	// metadata calls must not advance the caller's clock; the charges
 	// land on the background stream.
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	drv := sleepDriver{bw: 1 << 30, meta: 10 * time.Millisecond}
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(), hdf5.WithDriver(drv))
@@ -115,8 +115,8 @@ func TestAsyncMetadataDoesNotBlockCaller(t *testing.T) {
 }
 
 func TestDiscardPathsThroughConnector(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Copy: fixedCopy{bw: 1 * MiB}, Materialize: false})
 	f, err := c.Create(vol.Props{}, hdf5.NewNullStore(),
 		hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))
@@ -173,8 +173,8 @@ func TestDiscardPathsThroughConnector(t *testing.T) {
 }
 
 func TestFlushDrainsThenWritesMetadata(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	store := hdf5.NewMemStore()
 	f, err := c.Create(vol.Props{}, store, hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))
@@ -206,8 +206,8 @@ func TestFlushDrainsThenWritesMetadata(t *testing.T) {
 }
 
 func TestDatasetAccessors(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true})
 	f, _ := c.Create(vol.Props{}, hdf5.NewMemStore())
 	ds, err := f.Root().CreateDataset(vol.Props{}, "d", hdf5.F32, hdf5.MustSimple(4, 8), nil)
@@ -237,8 +237,8 @@ func TestMaxPendingBackpressure(t *testing.T) {
 	// must block until the first completes; unbounded submissions
 	// return immediately.
 	run := func(maxPending int) time.Duration {
-		clk := vclock.New()
-		eng := taskengine.New(clk)
+		clk := newHeldClock()
+		eng := taskengine.New(clk.Clock)
 		c := New(eng, "r0", Options{Materialize: true, MaxPending: maxPending})
 		f, err := c.Create(vol.Props{}, hdf5.NewMemStore(),
 			hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))
@@ -286,8 +286,8 @@ func TestMaxPendingBackpressure(t *testing.T) {
 }
 
 func TestPendingCounter(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true, MaxPending: 8})
 	f, _ := c.Create(vol.Props{}, hdf5.NewMemStore(),
 		hdf5.WithDriver(sleepDriver{bw: 1 * MiB}))

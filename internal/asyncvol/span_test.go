@@ -19,12 +19,12 @@ import (
 // the background stream, later) — the request carries the span across
 // the queue.
 func TestSpanFollowsRequestToBackgroundStream(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank0", Options{Copy: fixedCopy{bw: 4 * MiB}, Materialize: true})
 	// A pfs.Target implements hdf5.SpanDriver, so the background
 	// transfer lands on the span too. 1 MiB/s, no extras.
-	target := pfs.NewTarget(clk, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
+	target := pfs.NewTarget(clk.Clock, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(), hdf5.WithDriver(target))
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +86,14 @@ func TestSpanFollowsRequestToBackgroundStream(t *testing.T) {
 // task and one storage dispatch, and both writers' event sets observe
 // the merged completion.
 func TestAggregatedAsyncWritesShareOneDispatch(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank0", Options{
 		Copy:        fixedCopy{bw: 4 * MiB},
 		Materialize: true,
 		Aggregate:   ioreq.AggConfig{MaxRequests: 2},
 	})
-	target := pfs.NewTarget(clk, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
+	target := pfs.NewTarget(clk.Clock, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(), hdf5.WithDriver(target))
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +155,8 @@ func TestAggregatedAsyncWritesShareOneDispatch(t *testing.T) {
 // TestWrongEventSetTypeIsAnError pins the panic-to-error conversion: a
 // foreign event-set implementation is reported, not a crash.
 func TestWrongEventSetTypeIsAnError(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank0", Options{Materialize: true})
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore())
 	if err != nil {

@@ -30,9 +30,9 @@ func (s *stubFaults) StagingExhausted()                           { s.exhausted+
 // returned to zero and capacity checks eventually degraded every write.
 func TestStagedBytesReleasedAfterFaultedRun(t *testing.T) {
 	sentinel := errors.New("injected disk failure")
-	clk := vclock.New()
-	eng := taskengine.New(clk)
-	reg := metrics.NewRegistry(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
+	reg := metrics.NewRegistry(clk.Clock)
 	c := New(eng, "r0", Options{Materialize: true, Metrics: reg})
 	store := &failingStore{MemStore: hdf5.NewMemStore(), allow: 2, err: sentinel}
 	f, err := c.Create(vol.Props{}, store)
@@ -77,9 +77,9 @@ func TestStagedBytesReleasedAfterFaultedRun(t *testing.T) {
 // the caller (correct data, no background task) and must not disturb
 // the staged-byte accounting.
 func TestStagingExhaustionFallsBackSynchronously(t *testing.T) {
-	clk := vclock.New()
-	eng := taskengine.New(clk)
-	reg := metrics.NewRegistry(clk)
+	clk := newHeldClock()
+	eng := taskengine.New(clk.Clock)
+	reg := metrics.NewRegistry(clk.Clock)
 	fm := &stubFaults{cap: 100}
 	c := New(eng, "r0", Options{Materialize: true, Metrics: reg, Faults: fm})
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore())

@@ -4,26 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
-	"time"
 
-	"asyncio/internal/core"
-	"asyncio/internal/critpath"
 	"asyncio/internal/experiments"
-	"asyncio/internal/faults"
-	"asyncio/internal/perfetto"
-	"asyncio/internal/pfs"
-	"asyncio/internal/recovery"
-	"asyncio/internal/systems"
-	"asyncio/internal/trace"
-	"asyncio/internal/vclock"
-	"asyncio/internal/workloads/bdcats"
-	"asyncio/internal/workloads/castro"
-	"asyncio/internal/workloads/eqsim"
-	"asyncio/internal/workloads/harness"
-	"asyncio/internal/workloads/nyx"
-	"asyncio/internal/workloads/vpicio"
 )
 
 // ComputePoint simulates point i of the canonical spec c and returns
@@ -31,38 +16,21 @@ import (
 // is an independent run on its own virtual clock, so concurrent points
 // from differently-configured campaigns never share state.
 func ComputePoint(c *Spec, i int) ([]byte, error) {
+	k, err := c.Knobs.Parse()
+	if err != nil {
+		return nil, err
+	}
 	if c.Kind == "sweep" {
-		return computeSweepPoint(c, i)
+		p, err := experiments.SimulateSweepPoint(c.Sweep, scaleOf(c.Scale), i, k)
+		if err != nil {
+			return nil, err
+		}
+		return encodeSweepPoint(p), nil
 	}
 	if i != 0 {
 		return nil, fmt.Errorf("campaign: run spec has exactly one point, got index %d", i)
 	}
-	return computeRunPoint(c)
-}
-
-// runKnobs converts the spec's parsed knob block into the explicit
-// per-run knobs the experiments package threads through a sweep.
-func runKnobs(c *Spec) (*experiments.RunKnobs, error) {
-	pk, err := c.knobBlock().Parse()
-	if err != nil {
-		return nil, err
-	}
-	return &experiments.RunKnobs{
-		Faults:      pk.Faults,
-		Consistency: pk.Consistency,
-	}, nil
-}
-
-func computeSweepPoint(c *Spec, i int) ([]byte, error) {
-	k, err := runKnobs(c)
-	if err != nil {
-		return nil, err
-	}
-	p, err := experiments.SimulateSweepPoint(c.Sweep, scaleOf(c.Scale), i, k)
-	if err != nil {
-		return nil, err
-	}
-	return encodeSweepPoint(p), nil
+	return computeRunPoint(c, k)
 }
 
 // encodeSweepPoint renders a point exactly: FormatFloat 'g' with -1
@@ -205,142 +173,40 @@ func DecodeBundle(b []byte) (map[string][]byte, error) {
 	return m, nil
 }
 
-// computeRunPoint executes one instrumented run — the service-side
-// twin of cmd/asyncio-trace — and packs every artifact the CLI can
-// export into one deterministic JSON bundle (sorted keys, base64
-// values). An injected crash still produces the bundle: the partial
-// artifacts plus the crash/tear/journal-scan classification in the
-// summary are the result of a crash campaign, not a service error.
-func computeRunPoint(c *Spec) ([]byte, error) {
-	pk, err := c.knobBlock().Parse()
+// computeRunPoint executes one instrumented run (experiments.Run, the
+// function cmd/asyncio-trace also calls) with every export switched on,
+// and packs the artifacts into one deterministic JSON bundle (sorted
+// keys, base64 values). An injected crash still produces the bundle:
+// the partial artifacts plus the crash/tear/journal-scan classification
+// in the summary are the result of a crash campaign, not a service
+// error.
+func computeRunPoint(c *Spec, k *experiments.RunKnobs) ([]byte, error) {
+	k.CritPath, k.Series = true, true
+	res, err := experiments.Run(c.runSpec(), k)
+	if res == nil || (err != nil && !res.Report.Aborted) {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	summary := res.Summary
 	if err != nil {
-		return nil, err
-	}
-	var mode core.Mode
-	switch c.Mode {
-	case "sync":
-		mode = core.ForceSync
-	case "async":
-		mode = core.ForceAsync
-	default:
-		mode = core.Adaptive
+		summary = append(summary, (err.Error() + "\n")...)
 	}
 
-	var sysOpts []systems.Option
-	if pk.Faults != nil {
-		sysOpts = append(sysOpts, systems.WithFaults(faults.FromSpec(pk.Faults)))
-	}
-	sysOpts = append(sysOpts, systems.WithCritPath(critpath.NewRecorder()))
-	var cons *pfs.Consistency
-	if pk.Consistency != nil {
-		sp := *pk.Consistency
-		cons = pfs.NewConsistency(&sp)
-		sysOpts = append(sysOpts, systems.WithConsistency(cons))
-	}
-	clk := vclock.New()
-	var sys *systems.System
-	if c.System == "summit" {
-		sys = systems.Summit(clk, c.Nodes, sysOpts...)
-	} else {
-		sys = systems.CoriHaswell(clk, c.Nodes, sysOpts...)
-	}
-	sys.Metrics.EnableSeries()
-
-	var kit *harness.CrashKit
-	var ck *harness.Checkpointer
-	if c.Workload == "vpic" && (c.CheckpointEvery > 0 || c.Journal) {
-		kit = harness.NewCrashKit(pk.Durability, recovery.DefaultCost(), c.Journal)
-		ck = harness.NewCheckpointer(c.CheckpointEvery, kit.Journal)
-		ck.Instrument(sys.Metrics)
-		kit.Journal.Instrument(sys.Metrics, c.Workload)
-		kit.SetCrit(sys.Crit)
-	}
-
-	var rep *core.Report
-	switch c.Workload {
-	case "vpic":
-		cfg := vpicio.Config{Steps: c.Steps, ComputeTime: c.ComputeTime(), Mode: mode}
-		if kit != nil {
-			cfg.Store = kit.Durable
-			cfg.Checkpoint = ck
-			if c.Journal {
-				cfg.Env.AsyncInlineStages = kit.InlineStages()
-			}
+	bundle := map[string][]byte{ArtifactSummary: summary}
+	for _, a := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{ArtifactTrace, res.WriteTrace},
+		{ArtifactMetrics, res.WriteMetrics},
+		{ArtifactPerfetto, res.WritePerfetto},
+		{ArtifactCritPath, res.Report.CritPath.WriteJSON},
+	} {
+		var buf bytes.Buffer
+		if err := a.write(&buf); err != nil {
+			return nil, fmt.Errorf("campaign: %s: %w", a.name, err)
 		}
-		rep, _, err = vpicio.Run(sys, cfg)
-	case "bdcats":
-		rep, err = bdcats.Run(sys, bdcats.Config{Steps: c.Steps, ComputeTime: c.ComputeTime(), Mode: mode}, nil)
-	case "nyx":
-		cfg := nyx.SmallConfig()
-		cfg.Plotfiles = c.Steps
-		cfg.Mode = mode
-		rep, err = nyx.Run(sys, cfg)
-	case "castro":
-		rep, err = castro.Run(sys, castro.Config{Checkpoints: c.Steps, ComputeTime: c.ComputeTime(), Mode: mode})
-	case "eqsim":
-		rep, err = eqsim.Run(sys, eqsim.Config{Checkpoints: c.Steps, Mode: mode})
+		bundle[a.name] = buf.Bytes()
 	}
-	aborted := err != nil && rep != nil && rep.Aborted
-	if err != nil && !aborted {
-		return nil, err
-	}
-
-	bundle := make(map[string][]byte)
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, rep.Run.Records); err != nil {
-		return nil, fmt.Errorf("campaign: trace CSV: %w", err)
-	}
-	bundle[ArtifactTrace] = append([]byte(nil), buf.Bytes()...)
-
-	buf.Reset()
-	label := fmt.Sprintf("%s-%s-%dn-%s", c.Workload, sys.Name, sys.Nodes(), c.Mode)
-	if err := rep.Metrics.WriteCSV(&buf, label); err != nil {
-		return nil, fmt.Errorf("campaign: metrics CSV: %w", err)
-	}
-	bundle[ArtifactMetrics] = append([]byte(nil), buf.Bytes()...)
-
-	buf.Reset()
-	if err := perfetto.WriteProfile(&buf, rep.Spans, rep.Metrics, rep.CritPath); err != nil {
-		return nil, fmt.Errorf("campaign: perfetto: %w", err)
-	}
-	bundle[ArtifactPerfetto] = append([]byte(nil), buf.Bytes()...)
-
-	if rep.CritPath != nil {
-		buf.Reset()
-		if err := rep.CritPath.WriteJSON(&buf); err != nil {
-			return nil, fmt.Errorf("campaign: critpath: %w", err)
-		}
-		bundle[ArtifactCritPath] = append([]byte(nil), buf.Bytes()...)
-	}
-
-	var sum bytes.Buffer
-	fmt.Fprintf(&sum, "%s on %s, %d nodes (%d ranks), %d epochs, mode=%s: total %v, peak %.2f GB/s\n",
-		c.Workload, sys.Name, sys.Nodes(), rep.Run.Ranks, len(rep.Run.Records), c.Mode,
-		rep.Run.TotalTime().Round(time.Millisecond), rep.Run.PeakRate()/1e9)
-	if cons != nil {
-		fmt.Fprintf(&sum, "consistency: %s, visibility wait %v\n",
-			cons.Checker().Summary(), time.Duration(cons.VisibilityWaitNs()))
-		if cerr := cons.Checker().Check(); cerr != nil && !aborted {
-			return nil, fmt.Errorf("campaign: consistency check: %w", cerr)
-		}
-	}
-	if aborted {
-		for _, cr := range rep.Crashes {
-			fmt.Fprintf(&sum, "crash at %v: ranks %v (%s)\n", cr.At, cr.Ranks, cr.Err)
-		}
-		if kit != nil {
-			if pr := kit.Durable.Crash(clk.Now()); pr != nil {
-				fmt.Fprintf(&sum, "write-back cache at crash: %d dirty bytes → %d flushed, %d torn, %d lost\n",
-					pr.DirtyBytes, pr.Flushed, pr.Torn, pr.Lost)
-			}
-			scan := recovery.Scan(kit.Journal.Bytes(), kit.Base, recovery.ScanOptions{Replay: true})
-			fmt.Fprintf(&sum, "journal scan: %s\n", scan.Summary())
-			fmt.Fprintf(&sum, "last durable checkpoint: epoch %d (restart from %d)\n",
-				ck.LastDurable(), ck.LastDurable()+1)
-		}
-		fmt.Fprintf(&sum, "run aborted: %v\n", err)
-	}
-	bundle[ArtifactSummary] = sum.Bytes()
 
 	// json.Marshal of map[string][]byte sorts keys and base64-encodes
 	// values: one canonical byte encoding of the whole artifact set.

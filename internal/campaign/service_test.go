@@ -83,7 +83,7 @@ const fig3aPermuted = `
 // exactly what the CLI sweep path renders.
 func TestServiceSweepDeterminism(t *testing.T) {
 	// The CLI path: what `asyncio-bench -exp fig3a -scale reduced` prints.
-	tab, err := experiments.Registry()["fig3a"](experiments.ReducedScale())
+	tab, err := experiments.Registry()["fig3a"](experiments.ReducedScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,15 +54,13 @@ type Spec struct {
 	Steps          int     `json:"steps,omitempty"`           // epochs
 	ComputeSeconds float64 `json:"compute_seconds,omitempty"` // compute phase per epoch
 
-	// Crash durability (run kind, vpic only).
-	Durability      string `json:"durability,omitempty"`       // gpfs | lustre
-	DurabilitySeed  int64  `json:"durability_seed,omitempty"`  // tearing draws
-	CheckpointEvery int    `json:"checkpoint_every,omitempty"` // epochs, 0 = off
-	Journal         bool   `json:"journal,omitempty"`
+	// Crash-durability plumbing (run kind, vpic only).
+	CheckpointEvery int  `json:"checkpoint_every,omitempty"` // epochs, 0 = off
+	Journal         bool `json:"journal,omitempty"`
 
-	// Shared knob block (grammar: internal/cliflags).
-	Faults      string `json:"faults,omitempty"`
-	Consistency string `json:"consistency,omitempty"`
+	// Shared knob block — faults, consistency, durability,
+	// durability_seed — in the grammar of the CLI flags.
+	cliflags.Knobs
 }
 
 // SpecError is the typed 400 a malformed spec produces. Field names the
@@ -167,7 +165,7 @@ func (s *Spec) Canonicalize() (*Spec, error) {
 	default:
 		return nil, specErrf("kind", "unknown kind %q (want sweep or run)", c.Kind)
 	}
-	pk, err := c.knobBlock().Parse()
+	pk, err := c.Knobs.Parse()
 	if err != nil {
 		return nil, &SpecError{Msg: err.Error()}
 	}
@@ -280,20 +278,20 @@ func (c *Spec) canonRun() error {
 	if c.CheckpointEvery < 0 || c.CheckpointEvery > 64 {
 		return specErrf("checkpoint_every", "%d outside 0..64", c.CheckpointEvery)
 	}
-	if (c.CheckpointEvery > 0 || c.Journal) && c.Workload != "vpic" {
-		return specErrf("checkpoint_every", "crash-durability plumbing is only wired into the vpic workload")
+	// What is left — crash-durability plumbing on a workload that has
+	// none — is the run function's own rule.
+	if err := c.runSpec().Validate(); err != nil {
+		return specErrf("checkpoint_every", "%v", err)
 	}
 	return nil
 }
 
-// knobBlock lifts the spec's knob fields into the shared cliflags
-// grammar for validation and canonicalization.
-func (c *Spec) knobBlock() cliflags.Knobs {
-	return cliflags.Knobs{
-		Faults:         c.Faults,
-		Consistency:    c.Consistency,
-		Durability:     c.Durability,
-		DurabilitySeed: c.DurabilitySeed,
+// runSpec is the canonical run spec in the form experiments.Run takes.
+func (c *Spec) runSpec() experiments.RunSpec {
+	return experiments.RunSpec{
+		Workload: c.Workload, System: c.System, Nodes: c.Nodes, Mode: c.Mode,
+		Steps: c.Steps, Compute: c.ComputeTime(),
+		CheckpointEvery: c.CheckpointEvery, Journal: c.Journal,
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 	"os"
 
 	"asyncio/internal/critpath"
-	"asyncio/internal/faults"
-	"asyncio/internal/pfs"
+	"asyncio/internal/experiments"
 )
 
 // Set holds the parsed values of the shared flag block.
@@ -26,17 +25,13 @@ type Set struct {
 	CritPath   string // -critpath: critical-path profile JSON + summary table
 	Pprof      string // -pprof: critical-path profile as gzipped pprof protobuf
 
-	// Fault injection.
-	Faults string // -faults: spec parsed by internal/faults
+	// -faults, -consistency, -durability and -durability-seed bind
+	// straight into the knob block a scenario spec also carries.
+	Knobs
 
-	// Crash durability (consumed by crash-consistency runs).
-	Durability      string // -durability: gpfs | lustre
-	DurabilitySeed  int64  // -durability-seed
-	CheckpointEvery int    // -checkpoint-every: durable commit interval, 0 = off
-	Journal         bool   // -journal: write-ahead journal on the async path
-
-	// PFS consistency model.
-	Consistency string // -consistency: spec parsed by internal/pfs
+	// Crash-durability plumbing of a single run (asyncio-trace).
+	CheckpointEvery int  // -checkpoint-every: durable commit interval, 0 = off
+	Journal         bool // -journal: write-ahead journal on the async path
 }
 
 // Register installs the shared flag block on fs and returns the Set
@@ -69,30 +64,18 @@ func (s *Set) WantObservability() bool {
 // (checkpoints or journaling) was requested.
 func (s *Set) WantDurability() bool { return s.CheckpointEvery > 0 || s.Journal }
 
-// Injector builds the run's fault injector from -faults (nil, nil when
-// no spec was given). Injectors serve exactly one run; call once per
-// run.
-func (s *Set) Injector() (*faults.Injector, error) {
-	if s.Faults == "" {
-		return nil, nil
+// RunKnobs parses the knob flags (Knobs.Parse) and switches on what the
+// requested exports need: a critical-path recorder for -critpath/-pprof,
+// metric series for -trace-json/-metrics. Errors name the flag without
+// its dash ("faults: …").
+func (s *Set) RunKnobs() (*experiments.RunKnobs, error) {
+	k, err := s.Knobs.Parse()
+	if err != nil {
+		return nil, err
 	}
-	return faults.New(s.Faults)
-}
-
-// ConsistencySpec parses -consistency (nil, nil when the flag was left
-// empty: the historical implicit model, byte-identical to builds that
-// predate the knob).
-func (s *Set) ConsistencySpec() (*pfs.ConsistencySpec, error) {
-	if s.Consistency == "" {
-		return nil, nil
-	}
-	return pfs.ParseConsistency(s.Consistency)
-}
-
-// DurabilityConfig resolves -durability/-durability-seed into the
-// write-back cache model crash runs tear on power loss.
-func (s *Set) DurabilityConfig() (pfs.DurabilityConfig, error) {
-	return durabilityConfig(s.Durability, s.DurabilitySeed)
+	k.CritPath = s.WantCritPath()
+	k.Series = s.TraceJSON != "" || s.MetricsCSV != ""
+	return k, nil
 }
 
 // ExportProfile writes the requested critical-path artifacts: the
@@ -108,15 +91,7 @@ func (s *Set) ExportProfile(prof *critpath.Profile, render io.Writer) error {
 		return errors.New("no critical-path profile was produced")
 	}
 	if s.CritPath != "" {
-		f, err := os.Create(s.CritPath)
-		if err != nil {
-			return err
-		}
-		if err := prof.WriteJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing critical-path profile: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := WriteFile(s.CritPath, "critical-path profile", prof.WriteJSON); err != nil {
 			return err
 		}
 		if render != nil {
@@ -124,17 +99,24 @@ func (s *Set) ExportProfile(prof *critpath.Profile, render io.Writer) error {
 		}
 	}
 	if s.Pprof != "" {
-		f, err := os.Create(s.Pprof)
-		if err != nil {
-			return err
-		}
-		if err := prof.WritePprof(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing pprof profile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return WriteFile(s.Pprof, "pprof profile", prof.WritePprof)
+	}
+	return nil
+}
+
+// WriteFile creates path and fills it through write — how every export
+// flag of the block lands on disk. what names the export in errors.
+func WriteFile(path, what string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", what, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", what, err)
 	}
 	return nil
 }

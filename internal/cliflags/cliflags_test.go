@@ -5,10 +5,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"asyncio/internal/critpath"
+	"asyncio/internal/pfs"
 )
 
 // sharedNames is the flag surface the CLIs must agree on. The list is
@@ -51,16 +54,28 @@ func TestParseAndHelpers(t *testing.T) {
 		t.Fatalf("want* helpers = (%v, %v, %v), want all true",
 			s.WantCritPath(), s.WantObservability(), s.WantDurability())
 	}
-	in, err := s.Injector()
-	if err != nil || in == nil {
-		t.Fatalf("Injector() = (%v, %v), want non-nil injector", in, err)
+	k, err := s.RunKnobs()
+	if err != nil {
+		t.Fatalf("RunKnobs() error: %v", err)
 	}
-	if _, err := s.DurabilityConfig(); err != nil {
-		t.Fatalf("DurabilityConfig() error: %v", err)
+	if k.Faults == nil || k.Consistency != nil {
+		t.Fatalf("RunKnobs() = %+v, want a fault schedule and no consistency spec", k)
+	}
+	if want := pfs.LustreDurability(7, 8); !reflect.DeepEqual(*k.Durability, want) {
+		t.Fatalf("RunKnobs().Durability = %+v, want %+v", *k.Durability, want)
+	}
+	// -critpath asks for a recorder; neither -trace-json nor -metrics was
+	// given, so no series.
+	if !k.CritPath || k.Series {
+		t.Fatalf("RunKnobs() CritPath, Series = %v, %v, want true, false", k.CritPath, k.Series)
+	}
+	s.MetricsCSV = "m.csv"
+	if k, _ := s.RunKnobs(); !k.Series {
+		t.Fatal("-metrics did not switch series recording on")
 	}
 	s.Durability = "nvram"
-	if _, err := s.DurabilityConfig(); err == nil {
-		t.Fatal("DurabilityConfig() accepted an unknown mode")
+	if _, err := s.RunKnobs(); err == nil || !strings.HasPrefix(err.Error(), "durability:") {
+		t.Fatalf("RunKnobs() with an unknown durability mode: err = %v, want one naming the knob", err)
 	}
 }
 

@@ -10,48 +10,43 @@ package cliflags
 import (
 	"fmt"
 
+	"asyncio/internal/experiments"
 	"asyncio/internal/faults"
 	"asyncio/internal/pfs"
 )
 
-// Knobs is the shared flag block's grammar as plain values: the form a
-// scenario spec carries them in. Zero values mean "knob not set" and
-// parse to the same defaults the flags have.
+// Knobs is the shared flag block's grammar as plain values. Set embeds
+// it (Register binds the flags straight into it) and a scenario spec
+// embeds it (the JSON names are the spec's wire format), so both parse
+// through the one Parse below. Zero values mean "knob not set" and parse
+// to the same defaults the flags have.
 type Knobs struct {
-	Faults         string // -faults spec (see internal/faults)
-	Consistency    string // -consistency spec (see internal/pfs)
-	Durability     string // -durability: gpfs | lustre ("" = gpfs)
-	DurabilitySeed int64  // -durability-seed (0 = 1, the flag default)
+	Faults         string `json:"faults,omitempty"`          // -faults spec (see internal/faults)
+	Consistency    string `json:"consistency,omitempty"`     // -consistency spec (see internal/pfs)
+	Durability     string `json:"durability,omitempty"`      // -durability: gpfs | lustre ("" = gpfs)
+	DurabilitySeed int64  `json:"durability_seed,omitempty"` // -durability-seed (0 = 1, the flag default)
 }
 
-// ParsedKnobs is the validated, canonicalized form of a Knobs block.
-// The spec pointers are schedules/templates, not run-scoped state: build
-// a fresh injector (faults.FromSpec) or consistency model
-// (pfs.NewConsistency of a copy) per run.
-type ParsedKnobs struct {
-	Faults      *faults.Spec         // nil when no schedule was given
-	Consistency *pfs.ConsistencySpec // nil = historical implicit model
-	Durability  pfs.DurabilityConfig
-}
-
-// Parse validates every knob with the same parsers the CLI flags use
-// and returns the parsed forms. Errors name the knob, mirroring the
-// CLIs' "-faults: ..." messages.
-func (k Knobs) Parse() (*ParsedKnobs, error) {
-	p := &ParsedKnobs{}
+// Parse validates every knob with the parsers of the packages that own
+// the grammars and returns the run knobs they configure: the fault
+// schedule, the consistency spec (both templates — each run builds its
+// own injector and model from them) and the durability model. Errors
+// name the knob ("faults: …"); a CLI prefixes the dash.
+func (k Knobs) Parse() (*experiments.RunKnobs, error) {
+	rk := &experiments.RunKnobs{}
 	if k.Faults != "" {
 		sp, err := faults.ParseSpec(k.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("faults: %w", err)
 		}
-		p.Faults = sp
+		rk.Faults = sp
 	}
 	if k.Consistency != "" {
 		sp, err := pfs.ParseConsistency(k.Consistency)
 		if err != nil {
 			return nil, fmt.Errorf("consistency: %w", err)
 		}
-		p.Consistency = sp
+		rk.Consistency = sp
 	}
 	name := k.Durability
 	if name == "" {
@@ -65,12 +60,11 @@ func (k Knobs) Parse() (*ParsedKnobs, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durability: %w", err)
 	}
-	p.Durability = dur
-	return p, nil
+	rk.Durability = &dur
+	return rk, nil
 }
 
-// durabilityConfig resolves a durability model name and seed — shared
-// by Set.DurabilityConfig (the flags) and Knobs.Parse (the service).
+// durabilityConfig resolves a durability model name and seed.
 func durabilityConfig(name string, seed int64) (pfs.DurabilityConfig, error) {
 	switch name {
 	case "gpfs":

@@ -226,25 +226,6 @@ type CrashRecord struct {
 	Err   string
 }
 
-// runObserver, when set, receives every completed Report. Command-line
-// tools that cannot reach into experiment internals (cmd/asyncio-bench
-// constructs systems deep inside sweep helpers) register one to collect
-// per-run observability data. Runs execute sequentially per process.
-var (
-	runObserverMu sync.Mutex
-	runObserver   func(*Report)
-)
-
-// SetRunObserver installs fn (nil to clear), returning the previous
-// observer.
-func SetRunObserver(fn func(*Report)) func(*Report) {
-	runObserverMu.Lock()
-	defer runObserverMu.Unlock()
-	prev := runObserver
-	runObserver = fn
-	return prev
-}
-
 // Run executes the iterative application on sys. It spawns cfg.Ranks MPI
 // rank processes on the system's clock, drives Iterations epochs, and
 // returns after all ranks finish. It must be called from the host
@@ -339,11 +320,8 @@ func Run(sys *systems.System, cfg Config, hooks Hooks) (*Report, error) {
 		rep.Aborted = true
 		rep.Err = err.Error()
 	}
-	runObserverMu.Lock()
-	obs := runObserver
-	runObserverMu.Unlock()
-	if obs != nil {
-		obs(rep)
+	if sys.RunObserver != nil {
+		sys.RunObserver(rep)
 	}
 	if err != nil {
 		return rep, err

@@ -15,7 +15,7 @@ import (
 func TestModelAccuracy(t *testing.T) {
 	sc := ReducedScale()
 
-	syncR2, asyncR2, err := R2Values(sc)
+	syncR2, asyncR2, err := R2Values(sc, nil)
 	if err != nil {
 		t.Fatalf("fig3a fits: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestModelAccuracy(t *testing.T) {
 		t.Errorf("fig3a async r² = %.3f, want ≥ 0.90", asyncR2)
 	}
 
-	tab, err := Fig5CosmoflowSummit(sc)
+	tab, err := Registry()["fig5"](sc, nil)
 	if err != nil {
 		t.Fatalf("fig5: %v", err)
 	}

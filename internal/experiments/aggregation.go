@@ -23,7 +23,7 @@ import (
 // backend the per-flow injection cap is the bottleneck instead and
 // direct parallel writes win; both columns report honestly whichever
 // way it falls at the given scale.
-func AblationAggregation(scale Scale) (*Table, error) {
+func AblationAggregation(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.CoriNodes
 	// Small per-rank slabs: 16 Ki particles → 64 KB per property.
 	const particles = 16 << 10
@@ -41,10 +41,10 @@ func AblationAggregation(scale Scale) (*Table, error) {
 		dispatches  int64
 	}
 	points := make([]point, 2*len(nodes))
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		n := nodes[i/2]
 		window := i%2 == 1
-		sys := newSystem("cori", n)
+		sys := k.newSystem("cori", n)
 		target := pfs.NewTarget(sys.Clk, pfs.TargetConfig{
 			Name:        "lustre-congested",
 			BackendPeak: 0.3e9,

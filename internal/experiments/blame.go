@@ -49,7 +49,7 @@ const blameOutageSpec = "outage=gpfs@3300ms+1s;retries=12;backoff=50ms;maxbackof
 //     pfs-transfer;
 //   - inside the faulted run's outage window, blame concentrates on
 //     retry-backoff / fault-stall.
-func AblationBlame(scale Scale) (*Table, error) {
+func AblationBlame(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes[0]
 	const steps = 3
 	const compute = time.Second
@@ -64,7 +64,7 @@ func AblationBlame(scale Scale) (*Table, error) {
 		{"sync-faulted", core.ForceSync, blameOutageSpec},
 	}
 	profs := make([]*critpath.Profile, len(variants))
-	err := RunParallel(len(variants), func(i int) error {
+	err := RunParallel(k, len(variants), func(i int) error {
 		v := variants[i]
 		opts := []systems.Option{systems.WithCritPath(critpath.NewRecorder())}
 		if v.spec != "" {
@@ -74,7 +74,7 @@ func AblationBlame(scale Scale) (*Table, error) {
 			}
 			opts = append(opts, systems.WithFaults(in))
 		}
-		sys := newSystem("summit", nodes, opts...)
+		sys := k.newSystem("summit", nodes, opts...)
 		rep, _, err := vpicio.Run(sys, vpicio.Config{
 			Steps: steps, ComputeTime: compute, Mode: v.mode,
 		})

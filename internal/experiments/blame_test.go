@@ -15,7 +15,7 @@ import (
 // reduced scale; the generator itself errors when any of the profiler's
 // promised properties fail.
 func TestAblationBlame(t *testing.T) {
-	tbl, err := AblationBlame(ReducedScale())
+	tbl, err := AblationBlame(ReducedScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ var consistencyModels = []pfs.Model{
 //   - the consistency checker finds zero violations on every run (the
 //     harness publishes at each model's own point, so the spectrum is
 //     exercised, not just priced).
-func AblationConsistency(scale Scale) (*Table, error) {
+func AblationConsistency(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes[0]
 	const steps = 3
 	const compute = time.Second
@@ -49,7 +49,7 @@ func AblationConsistency(scale Scale) (*Table, error) {
 		summary  string
 	}
 	cells := make([]cell, 2*len(consistencyModels))
-	err := RunParallel(len(cells), func(i int) error {
+	err := RunParallel(k, len(cells), func(i int) error {
 		model := consistencyModels[i/2]
 		mode := core.ForceSync
 		if i%2 == 1 {
@@ -60,7 +60,7 @@ func AblationConsistency(scale Scale) (*Table, error) {
 			return err
 		}
 		cons := pfs.NewConsistency(sp)
-		sys := newSystem("summit", nodes,
+		sys := k.newSystem("summit", nodes,
 			systems.WithCritPath(critpath.NewRecorder()),
 			systems.WithConsistency(cons))
 		// Checkpoint every epoch so the commit model has publish points

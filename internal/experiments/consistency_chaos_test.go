@@ -31,9 +31,9 @@ func runConsistencyChaosTrial(t *testing.T, i int, model pfs.Model) string {
 	t.Helper()
 	// Offset past the crash-chaos (base) and crash-property (+10k)
 	// suites so this fleet draws its own (seed, fault-spec) tuples.
-	cfg := chaosTrialConfig(i + 20_000)
-	cfg.Consistency = checkedSpec(t, model)
-	res, err := CrashTrial(cfg)
+	cfg, k := chaosTrialConfig(i + 20_000)
+	k.Consistency = checkedSpec(t, model)
+	res, err := CrashTrial(cfg, k)
 	if err != nil {
 		t.Fatalf("trial %d (%s, %s): %v", i, model, cfg.FaultSpec, err)
 	}
@@ -63,7 +63,7 @@ func runConsistencyChaosFleet(t *testing.T, model pfs.Model) {
 		trials = 40
 	}
 	tags := make([]string, trials)
-	if err := RunParallel(trials, func(i int) error {
+	if err := RunParallel(nil, trials, func(i int) error {
 		tags[i] = runConsistencyChaosTrial(t, i, model)
 		return nil
 	}); err != nil {
@@ -128,7 +128,7 @@ func TestConsistencyInlineScenarios(t *testing.T) {
 // TestAblationConsistencySmoke exercises the registered experiment —
 // including its strict-ordering and bandwidth-gain gates — end to end.
 func TestAblationConsistencySmoke(t *testing.T) {
-	tab, err := AblationConsistency(ReducedScale())
+	tab, err := AblationConsistency(ReducedScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

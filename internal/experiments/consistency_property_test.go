@@ -49,14 +49,14 @@ func TestConsistencyProperty(t *testing.T) {
 	if testing.Short() {
 		trials = 40
 	}
-	if err := RunParallel(trials, func(i int) error {
+	if err := RunParallel(nil, trials, func(i int) error {
 		model := consistencyModels[i%len(consistencyModels)]
 		run := func() (string, error) {
 			// Offset past the base chaos (+0), crash-property (+10k),
 			// and consistency-chaos (+20k) suites.
-			cfg := chaosTrialConfig(i + 30_000)
-			cfg.Consistency = checkedSpec(t, model)
-			res, err := CrashTrial(cfg)
+			cfg, k := chaosTrialConfig(i + 30_000)
+			k.Consistency = checkedSpec(t, model)
+			res, err := CrashTrial(cfg, k)
 			if err != nil {
 				return "", fmt.Errorf("trial %d (%s, %s): %w", i, model, cfg.FaultSpec, err)
 			}

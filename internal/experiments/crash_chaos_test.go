@@ -12,7 +12,8 @@ import (
 // chaosTrialConfig builds the i-th chaos trial: a tiny VPIC-IO run with
 // a seeded crash whose target, instant, mode, durability model, and
 // checkpoint interval all derive deterministically from the trial index.
-func chaosTrialConfig(i int) CrashTrialConfig {
+// The durability model travels in the returned knobs.
+func chaosTrialConfig(i int) (CrashTrialConfig, *RunKnobs) {
 	// Cheap deterministic mixing (splitmix64) so neighboring trials get
 	// unrelated draws without math/rand.
 	mix := func(k uint64) uint64 {
@@ -54,9 +55,8 @@ func chaosTrialConfig(i int) CrashTrialConfig {
 		Mode:             mode,
 		CheckpointEvery:  1 + int(mix(7)%3),
 		FaultSpec:        fmt.Sprintf("seed=%d;%s=%d@%s", int64(mix(8)%1000), target, idx, crashAt),
-		Durability:       &durability,
 		JournalPayload:   true,
-	}
+	}, &RunKnobs{Durability: &durability}
 }
 
 // runChaosTrial executes trial i and applies the harness's invariants:
@@ -66,8 +66,8 @@ func chaosTrialConfig(i int) CrashTrialConfig {
 // it from scratch. Returns a short outcome tag for aggregation.
 func runChaosTrial(t *testing.T, i int) string {
 	t.Helper()
-	cfg := chaosTrialConfig(i)
-	res, err := CrashTrial(cfg)
+	cfg, k := chaosTrialConfig(i)
+	res, err := CrashTrial(cfg, k)
 	if err != nil {
 		t.Fatalf("trial %d (%s): %v", i, cfg.FaultSpec, err)
 	}
@@ -114,7 +114,7 @@ func TestCrashChaos(t *testing.T) {
 	counts := make(map[string]int)
 	type out struct{ tag string }
 	outs := make([]out, trials)
-	if err := RunParallel(trials, func(i int) error {
+	if err := RunParallel(nil, trials, func(i int) error {
 		outs[i].tag = runChaosTrial(t, i)
 		return nil
 	}); err != nil {
@@ -137,12 +137,12 @@ func TestCrashChaos(t *testing.T) {
 // identical scan classifications.
 func TestCrashTrialDeterministic(t *testing.T) {
 	for _, i := range []int{3, 17, 42} {
-		cfg := chaosTrialConfig(i)
-		a, err := CrashTrial(cfg)
+		cfg, k := chaosTrialConfig(i)
+		a, err := CrashTrial(cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := CrashTrial(cfg)
+		b, err := CrashTrial(cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestCrashSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crashsweep runs 30s-compute epochs")
 	}
-	tab, err := CrashSweep(ReducedScale())
+	tab, err := CrashSweep(ReducedScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

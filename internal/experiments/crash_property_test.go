@@ -44,17 +44,17 @@ func TestCrashProperty(t *testing.T) {
 		trials = 40
 	}
 	diffs := make([]string, trials)
-	if err := RunParallel(trials, func(i int) error {
+	if err := RunParallel(nil, trials, func(i int) error {
 		// Offset past the chaos fleet's indices so the two suites draw
 		// different (seed, fault-spec) tuples.
-		cfg := chaosTrialConfig(i + 10_000)
+		cfg, k := chaosTrialConfig(i + 10_000)
 		var fps [2]string
-		for k := range fps {
-			res, err := CrashTrial(cfg)
+		for r := range fps {
+			res, err := CrashTrial(cfg, k)
 			if err != nil {
-				return fmt.Errorf("trial %d run %d (%s): %w", i, k, cfg.FaultSpec, err)
+				return fmt.Errorf("trial %d run %d (%s): %w", i, r, cfg.FaultSpec, err)
 			}
-			fps[k] = chaosFingerprint(t, res)
+			fps[r] = chaosFingerprint(t, res)
 		}
 		if fps[0] != fps[1] {
 			diffs[i] = fmt.Sprintf("trial %d (%s):\n  first:  %s\n  second: %s", i, cfg.FaultSpec, fps[0], fps[1])

@@ -32,18 +32,9 @@ type CrashTrialConfig struct {
 	CheckpointEvery int
 	// FaultSpec is the full schedule, typically "seed=N;crashrank=R@T".
 	FaultSpec string
-	// Durability overrides the write-back cache model (default: GPFS
-	// semantics seeded from the trial).
-	Durability *pfs.DurabilityConfig
 	// JournalPayload captures element bytes in the journal (verification
 	// and replay) rather than extent maps alone.
 	JournalPayload bool
-	// Consistency pins the crash run's PFS consistency model (nil falls
-	// back to the process-wide default, or the historical implicit model
-	// when that is unset too). A fresh pfs.Consistency is built per
-	// trial; its checker lands in the result for visibility/durability
-	// oracle runs.
-	Consistency *pfs.ConsistencySpec
 }
 
 // CrashTrialResult carries everything a trial produced, for both the
@@ -82,11 +73,15 @@ type CrashTrialResult struct {
 	Checker *pfs.ConsistencyChecker
 }
 
-// CrashTrial executes one crash→scan→replay→restart cycle. The flow is
+// CrashTrial executes one crash→scan→replay→restart cycle under the
+// given knobs: k.Durability is the write-back model the crash tears,
+// k.Consistency the crash run's PFS consistency model (its checker
+// lands in the result), k.CritPath profiles the crash run; k.Faults is
+// ignored — the kill schedule is cfg.FaultSpec. The flow is
 // deterministic: every random draw (crash tearing, fault schedule) is
-// seeded through cfg, so identical configs produce byte-identical
+// seeded through cfg and k, so identical inputs produce byte-identical
 // stores.
-func CrashTrial(cfg CrashTrialConfig) (*CrashTrialResult, error) {
+func CrashTrial(cfg CrashTrialConfig, k *RunKnobs) (*CrashTrialResult, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
@@ -99,39 +94,19 @@ func CrashTrial(cfg CrashTrialConfig) (*CrashTrialResult, error) {
 	if cfg.ComputeTime == 0 {
 		cfg.ComputeTime = time.Second
 	}
-	dur := pfs.GPFSDurability(1)
-	if defaultDurability != nil {
-		dur = *defaultDurability
-	}
-	if cfg.Durability != nil {
-		dur = *cfg.Durability
-	}
 
-	kit := harness.NewCrashKit(dur, recovery.DefaultCost(), cfg.JournalPayload)
+	kit := harness.NewCrashKit(k.durability(), recovery.DefaultCost(), cfg.JournalPayload)
 	ck := harness.NewCheckpointer(cfg.CheckpointEvery, kit.Journal)
 	in, err := faults.New(cfg.FaultSpec)
 	if err != nil {
 		return nil, err
 	}
-	var cons *pfs.Consistency
-	if sp := cfg.Consistency; sp != nil {
-		c := *sp
-		cons = pfs.NewConsistency(&c)
-	} else if defaultConsistency != nil {
-		c := *defaultConsistency
-		cons = pfs.NewConsistency(&c)
-	}
-
-	opts := append(critOpts(), systems.WithFaults(in))
-	if cons != nil {
-		opts = append(opts, systems.WithConsistency(cons))
-	}
-	sys := systems.Summit(vclock.New(), cfg.Nodes, opts...)
+	sys := k.newSystem("summit", cfg.Nodes, systems.WithFaults(in))
 	ck.Instrument(sys.Metrics)
 	kit.Journal.Instrument(sys.Metrics, "vpic")
 	kit.SetCrit(sys.Crit)
 
-	res := &CrashTrialResult{LastDurable: -1, Store: kit.Base, Journal: kit.Journal, Checker: cons.Checker()}
+	res := &CrashTrialResult{LastDurable: -1, Store: kit.Base, Journal: kit.Journal, Checker: sys.Consistency.Checker()}
 	rep, _, err := vpicio.Run(sys, vpicio.Config{
 		Steps:            cfg.Steps,
 		ParticlesPerRank: cfg.ParticlesPerRank,
@@ -178,7 +153,7 @@ func CrashTrial(cfg CrashTrialConfig) (*CrashTrialResult, error) {
 		// replay is the final state and there is nothing to re-execute.
 		return res, nil
 	}
-	sys2 := systems.Summit(vclock.New(), cfg.Nodes)
+	sys2 := systems.Summit(vclock.New(), cfg.Nodes, k.watchOpts()...)
 	rep2, _, err := vpicio.Run(sys2, vpicio.Config{
 		Steps:            cfg.Steps,
 		ParticlesPerRank: cfg.ParticlesPerRank,
@@ -246,7 +221,7 @@ func VerifyTrialImage(store hdf5.Store, ranks, steps int, perRank uint64) error 
 // the epochs lost to the crash (work that must be redone on restart);
 // the notes record the journal's classification of in-flight extents
 // and the restart cost.
-func CrashSweep(scale Scale) (*Table, error) {
+func CrashSweep(scale Scale, k *RunKnobs) (*Table, error) {
 	intervals := []int{1, 2, 4}
 	steps := scale.Steps
 	if steps < 5 {
@@ -266,7 +241,7 @@ func CrashSweep(scale Scale) (*Table, error) {
 	// The crash lands mid-run: after a couple of epochs (~31 s each with
 	// the paper's 30 s compute phase) but well before the last.
 	crashAt := 95 * time.Second
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		every := intervals[i/2]
 		mode := core.ForceSync
 		if i%2 == 1 {
@@ -281,7 +256,7 @@ func CrashSweep(scale Scale) (*Table, error) {
 			CheckpointEvery:  every,
 			FaultSpec:        fmt.Sprintf("seed=17;crashnode=0@%s", crashAt),
 			JournalPayload:   true,
-		})
+		}, k)
 		if err != nil {
 			return fmt.Errorf("crashsweep every=%d %v: %w", every, mode, err)
 		}

@@ -8,12 +8,11 @@ import (
 )
 
 // renderAll regenerates every registered experiment at tiny scale under
-// the given parallelism and returns one concatenated rendering, id by
-// id in sorted order.
+// the given worker count (set through the knobs) and returns one
+// concatenated rendering, id by id in sorted order.
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
-	prev := SetParallelism(workers)
-	defer SetParallelism(prev)
+	k := &RunKnobs{Workers: workers}
 
 	reg := Registry()
 	ids := make([]string, 0, len(reg))
@@ -25,7 +24,7 @@ func renderAll(t *testing.T, workers int) string {
 	var sb strings.Builder
 	sc := tinyScale()
 	for _, id := range ids {
-		tab, err := reg[id](sc)
+		tab, err := reg[id](sc, k)
 		if err != nil {
 			t.Fatalf("%s (parallelism %d): %v", id, workers, err)
 		}

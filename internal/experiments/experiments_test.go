@@ -77,7 +77,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig3aShape(t *testing.T) {
-	tab, err := Fig3aVPICWriteSummit(tinyScale())
+	tab, err := Registry()["fig3a"](tinyScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFig3aShape(t *testing.T) {
 }
 
 func TestFig3cAsyncReadsOrdersOfMagnitudeFaster(t *testing.T) {
-	tab, err := Fig3cBDCATSReadSummit(tinyScale())
+	tab, err := Registry()["fig3c"](tinyScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFig3cAsyncReadsOrdersOfMagnitudeFaster(t *testing.T) {
 }
 
 func TestFig8AsyncHidesVariability(t *testing.T) {
-	tab, err := Fig8VPICVariability(tinyScale())
+	tab, err := Fig8VPICVariability(tinyScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFig8AsyncHidesVariability(t *testing.T) {
 }
 
 func TestFig1ScenarioVerdicts(t *testing.T) {
-	tab, err := Fig1Scenarios(Scale{})
+	tab, err := Fig1Scenarios(Scale{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFig1ScenarioVerdicts(t *testing.T) {
 }
 
 func TestModelAccuracyMeetsPaperThresholds(t *testing.T) {
-	syncR2, asyncR2, err := R2Values(tinyScale())
+	syncR2, asyncR2, err := R2Values(tinyScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestModelAccuracyMeetsPaperThresholds(t *testing.T) {
 }
 
 func TestMicroMemcpyKnee(t *testing.T) {
-	tab, err := MicroMemcpy(Scale{})
+	tab, err := MicroMemcpy(Scale{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMicroMemcpyKnee(t *testing.T) {
 }
 
 func TestMicroGPUAmortization(t *testing.T) {
-	tab, err := MicroGPUTransfer(Scale{})
+	tab, err := MicroGPUTransfer(Scale{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMicroGPUAmortization(t *testing.T) {
 func TestAblationZeroCopyEliminatesBlockingIO(t *testing.T) {
 	sc := tinyScale()
 	sc.SummitNodes = []int{1, 4}
-	tab, err := AblationZeroCopy(sc)
+	tab, err := AblationZeroCopy(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAblationZeroCopyEliminatesBlockingIO(t *testing.T) {
 
 func TestAblationFitKindsLinearLogWins(t *testing.T) {
 	sc := Scale{SummitNodes: []int{2, 8, 32, 128, 512, 1024}, Steps: 2}
-	tab, err := AblationFitKinds(sc)
+	tab, err := AblationFitKinds(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAblationFitKindsLinearLogWins(t *testing.T) {
 func TestAblationStagingOrdering(t *testing.T) {
 	sc := tinyScale()
 	sc.SummitNodes = []int{2}
-	tab, err := AblationStaging(sc)
+	tab, err := AblationStaging(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestAblationStagingOrdering(t *testing.T) {
 func TestAblationBurstBufferBeatsLustre(t *testing.T) {
 	sc := tinyScale()
 	sc.CoriNodes = []int{4}
-	tab, err := AblationBurstBuffer(sc)
+	tab, err := AblationBurstBuffer(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAblationBurstBufferBeatsLustre(t *testing.T) {
 func TestAblationAggregationWinsOnCongestedBackend(t *testing.T) {
 	sc := tinyScale()
 	sc.CoriNodes = []int{1}
-	tab, err := AblationAggregation(sc)
+	tab, err := AblationAggregation(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestFig7AsyncLessSensitiveToCheckpointFrequency(t *testing.T) {
 		t.Skip("multi-run sweep")
 	}
 	sc := Scale{CoriNodes: []int{2}, Steps: 2}
-	tab, err := Fig7NyxOverlapCori(sc)
+	tab, err := Fig7NyxOverlapCori(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func fmtSscanf(s, format string, args ...any) (int, error) {
 func TestDeterministicReproduction(t *testing.T) {
 	sc := Scale{SummitNodes: []int{2, 8}, Steps: 2, Days: 2}
 	render := func() string {
-		tab, err := Fig3aVPICWriteSummit(sc)
+		tab, err := Registry()["fig3a"](sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestDeterministicReproduction(t *testing.T) {
 	}
 	// Contended runs are deterministic too (seeded).
 	renderFig8 := func() string {
-		tab, err := Fig8VPICVariability(sc)
+		tab, err := Fig8VPICVariability(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

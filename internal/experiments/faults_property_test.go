@@ -15,6 +15,7 @@ import (
 	"asyncio/internal/hdf5"
 	"asyncio/internal/perfetto"
 	"asyncio/internal/systems"
+	"asyncio/internal/vclock"
 	"asyncio/internal/vol"
 	"asyncio/internal/workloads/vpicio"
 )
@@ -123,7 +124,7 @@ func runFaultTrial(t *testing.T, seed int64, steps int, perRank uint64) trialOut
 	if err != nil {
 		t.Fatalf("trial %d: generated invalid spec %q: %v", seed, spec, err)
 	}
-	sys := newSystem("summit", 1, systems.WithFaults(in))
+	sys := systems.Summit(vclock.New(), 1, systems.WithFaults(in))
 	sys.Metrics.EnableSeries()
 	rep, raw, err := vpicio.Run(sys, vpicio.Config{
 		Steps: steps, ParticlesPerRank: perRank, ComputeTime: 500 * time.Millisecond,

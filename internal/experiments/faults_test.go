@@ -8,6 +8,7 @@ import (
 	"asyncio/internal/faults"
 	"asyncio/internal/systems"
 	"asyncio/internal/trace"
+	"asyncio/internal/vclock"
 	"asyncio/internal/workloads/vpicio"
 )
 
@@ -25,7 +26,7 @@ func TestDegradationDemotesAndRepromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := newSystem("summit", 2, systems.WithFaults(in))
+	sys := systems.Summit(vclock.New(), 2, systems.WithFaults(in))
 	sys.Metrics.EnableSeries()
 	rep, _, err := vpicio.Run(sys, vpicio.Config{
 		Steps: 16, ComputeTime: 5 * time.Second, Mode: core.ForceAsync,

@@ -10,34 +10,13 @@ import (
 	"asyncio/internal/workloads/vpicio"
 )
 
-// defaultFaultSpec, when non-nil, is attached (as a fresh injector per
-// run — an injector serves exactly one run) to every system the
-// experiments build. cmd/asyncio-bench wires its -faults flag here so
-// any figure can be regenerated under an injected fault schedule.
-var defaultFaultSpec *faults.Spec
-
-// SetDefaultFaults installs a fault schedule on every system the
-// experiment generators construct; the empty string clears it.
-func SetDefaultFaults(spec string) error {
-	if spec == "" {
-		defaultFaultSpec = nil
-		return nil
-	}
-	sp, err := faults.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	defaultFaultSpec = sp
-	return nil
-}
-
 // FaultSweep measures how injected storage faults erode the paper's
 // headline async-vs-sync comparison: VPIC-IO on Summit under increasing
 // transient-error rates on every storage target, with the retry stage
 // absorbing the failures. Synchronous rates pay every retry's backoff
 // inside the blocking I/O phase; asynchronous rates hide the retries in
 // the background stream until the staging pipeline itself saturates.
-func FaultSweep(scale Scale) (*Table, error) {
+func FaultSweep(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes[0]
 	if len(scale.SummitNodes) > 1 {
 		nodes = scale.SummitNodes[1]
@@ -57,7 +36,7 @@ func FaultSweep(scale Scale) (*Table, error) {
 		retries int64
 	}
 	points := make([]point, 2*len(rates))
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		rate := rates[i/2]
 		mode := core.ForceSync
 		if i%2 == 1 {
@@ -67,7 +46,7 @@ func FaultSweep(scale Scale) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		sys := newSystem("summit", nodes, systems.WithFaults(in))
+		sys := k.newSystem("summit", nodes, systems.WithFaults(in))
 		rep, _, err := vpicio.Run(sys, vpicio.Config{
 			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
 		})

@@ -17,8 +17,9 @@ import (
 	"asyncio/internal/workloads/vpicio"
 )
 
-// Generator regenerates one figure at the given scale.
-type Generator func(Scale) (*Table, error)
+// Generator regenerates one figure at the given scale under the given
+// knobs (nil = the default configuration).
+type Generator func(Scale, *RunKnobs) (*Table, error)
 
 // Registry maps experiment ids (as in DESIGN.md) to generators.
 func Registry() map[string]Generator {
@@ -41,18 +42,9 @@ func Registry() map[string]Generator {
 	}
 	for id := range sweepSpecs() {
 		id := id
-		reg[id] = func(scale Scale) (*Table, error) { return genSweep(id, scale) }
+		reg[id] = func(scale Scale, k *RunKnobs) (*Table, error) { return genSweep(id, scale, k) }
 	}
 	return reg
-}
-
-// newSystem builds a fresh clock+system for one run, attaching the
-// process-wide default fault schedule, consistency model and
-// critical-path profiling when they are installed. Callers that
-// cannot use the globals (concurrent differently-configured runs) build
-// systems through an explicit RunKnobs instead.
-func newSystem(name string, nodes int, opts ...systems.Option) *systems.System {
-	return snapshotKnobs().newSystem(name, nodes, opts...)
 }
 
 // runFn executes one workload run on a fresh system and returns its
@@ -91,7 +83,7 @@ func SweepPointCount(id string, scale Scale) (int, error) {
 }
 
 // SimulateSweepPoint runs exactly one (nodes, mode) half of a sweep
-// figure under the given knobs (nil = the process-wide defaults) and
+// figure under the given knobs (nil = the default configuration) and
 // returns its measurements. Each point is an independent simulation on
 // its own clock and system, so any subset of points can be computed on
 // any worker — or served from a cache — and reassembled with
@@ -110,7 +102,7 @@ func SimulateSweepPoint(id string, scale Scale, i int, k *RunKnobs) (SweepPoint,
 	if i%2 == 1 {
 		mode = core.ForceAsync
 	}
-	rep, err := sp.run(scale, k.orDefaults())(sp.sys, nodes, mode)
+	rep, err := sp.run(scale, k)(sp.sys, nodes, mode)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("%s %d nodes %v: %w", sp.sys, nodes, mode, err)
 	}
@@ -363,20 +355,19 @@ func SweepIDs() []string {
 }
 
 // SimulateSweep runs only the simulations of a sweep figure (in
-// parallel across points, under the process-wide default knobs read
-// once up front) and returns the collected points. Every point is an
+// parallel across points, under the given knobs) and returns the
+// collected points. Every point is an
 // independent simulation on its own clock and system, so the points
 // fan out through RunParallel with each result stored at its index —
 // the collected data is identical serial or parallel, and identical to
 // computing the points one at a time through SimulateSweepPoint.
-func SimulateSweep(id string, scale Scale) (*SweepData, error) {
+func SimulateSweep(id string, scale Scale, k *RunKnobs) (*SweepData, error) {
 	n, err := SweepPointCount(id, scale)
 	if err != nil {
 		return nil, err
 	}
-	k := snapshotKnobs()
 	halves := make([]SweepPoint, n)
-	err = RunParallel(n, func(i int) error {
+	err = RunParallel(k, n, func(i int) error {
 		p, perr := SimulateSweepPoint(id, scale, i, k)
 		halves[i] = p
 		return perr
@@ -401,51 +392,18 @@ func AssembleSweep(d *SweepData) (*Table, error) {
 	return t, nil
 }
 
-func genSweep(id string, scale Scale) (*Table, error) {
-	d, err := SimulateSweep(id, scale)
+func genSweep(id string, scale Scale, k *RunKnobs) (*Table, error) {
+	d, err := SimulateSweep(id, scale, k)
 	if err != nil {
 		return nil, err
 	}
 	return AssembleSweep(d)
 }
 
-// Fig3aVPICWriteSummit is Fig. 3a: VPIC-IO weak-scaling writes, Summit.
-func Fig3aVPICWriteSummit(scale Scale) (*Table, error) { return genSweep("fig3a", scale) }
-
-// Fig3bVPICWriteCori is Fig. 3b: VPIC-IO weak-scaling writes, Cori.
-func Fig3bVPICWriteCori(scale Scale) (*Table, error) { return genSweep("fig3b", scale) }
-
-// Fig3cBDCATSReadSummit is Fig. 3c: BD-CATS-IO weak-scaling reads,
-// Summit.
-func Fig3cBDCATSReadSummit(scale Scale) (*Table, error) { return genSweep("fig3c", scale) }
-
-// Fig3dBDCATSReadCori is Fig. 3d: BD-CATS-IO weak-scaling reads, Cori.
-func Fig3dBDCATSReadCori(scale Scale) (*Table, error) { return genSweep("fig3d", scale) }
-
-// Fig4aNyxSummit is Fig. 4a: Nyx large configuration (2048³), Summit,
-// strong scaling.
-func Fig4aNyxSummit(scale Scale) (*Table, error) { return genSweep("fig4a", scale) }
-
-// Fig4bNyxCori is Fig. 4b: Nyx small configuration (256³), Cori.
-func Fig4bNyxCori(scale Scale) (*Table, error) { return genSweep("fig4b", scale) }
-
-// Fig4cCastroSummit is Fig. 4c: Castro, Summit, strong scaling.
-func Fig4cCastroSummit(scale Scale) (*Table, error) { return genSweep("fig4c", scale) }
-
-// Fig4dCastroCori is Fig. 4d: Castro, Cori, strong scaling.
-func Fig4dCastroCori(scale Scale) (*Table, error) { return genSweep("fig4d", scale) }
-
-// Fig5CosmoflowSummit is Fig. 5: Cosmoflow training reads, Summit.
-func Fig5CosmoflowSummit(scale Scale) (*Table, error) { return genSweep("fig5", scale) }
-
-// Fig6EQSIMSummit is Fig. 6: EQSIM/SW4 checkpoints, Summit, strong
-// scaling.
-func Fig6EQSIMSummit(scale Scale) (*Table, error) { return genSweep("fig6", scale) }
-
 // Fig7NyxOverlapCori is Fig. 7: Nyx on Cori with the number of time
 // steps per computation phase swept, comparing application duration
 // under both modes plus the model's estimate (Eq. 1).
-func Fig7NyxOverlapCori(scale Scale) (*Table, error) {
+func Fig7NyxOverlapCori(scale Scale, k *RunKnobs) (*Table, error) {
 	stepsSweep := []int{1, 3, 6, 12, 24, 48, 96, 192}
 	// A moderate allocation where one plotfile costs a few compute
 	// steps — the regime where checkpoint frequency matters (the paper
@@ -466,7 +424,7 @@ func Fig7NyxOverlapCori(scale Scale) (*Table, error) {
 		syncDur, asyncDur, syncEst, asyncEst float64
 	}
 	points := make([]point, len(stepsSweep))
-	err := RunParallel(len(stepsSweep), func(si int) error {
+	err := RunParallel(k, len(stepsSweep), func(si int) error {
 		steps := stepsSweep[si]
 		est := model.NewEstimator()
 		var durs [2]float64
@@ -478,7 +436,7 @@ func Fig7NyxOverlapCori(scale Scale) (*Table, error) {
 			cfg.TimePerStep = 30 * time.Millisecond
 			cfg.Mode = mode
 			cfg.Estimator = est
-			rep, err := nyx.Run(newSystem("cori", nodes), cfg)
+			rep, err := nyx.Run(k.newSystem("cori", nodes), cfg)
 			if err != nil {
 				return fmt.Errorf("fig7 steps=%d %v: %w", steps, mode, err)
 			}
@@ -523,7 +481,7 @@ func Fig7NyxOverlapCori(scale Scale) (*Table, error) {
 // repeated runs on different days with backend contention — synchronous
 // rates scatter with the day's contention, asynchronous rates stay
 // consistent.
-func Fig8VPICVariability(scale Scale) (*Table, error) {
+func Fig8VPICVariability(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes[len(scale.SummitNodes)-1]
 	t := &Table{
 		ID:     "fig8",
@@ -534,13 +492,13 @@ func Fig8VPICVariability(scale Scale) (*Table, error) {
 	// Every (day, mode) run is independent: its own clock, system, and
 	// contention factor derived only from (seed, day).
 	rates := make([]float64, 2*scale.Days)
-	err := RunParallel(len(rates), func(i int) error {
+	err := RunParallel(k, len(rates), func(i int) error {
 		day := i / 2
 		mode := core.ForceSync
 		if i%2 == 1 {
 			mode = core.ForceAsync
 		}
-		sys := newSystem("summit", nodes, systems.WithContention(seed, int64(day)))
+		sys := k.newSystem("summit", nodes, systems.WithContention(seed, int64(day)))
 		rep, _, err := vpicio.Run(sys, vpicio.Config{
 			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
 		})
@@ -571,7 +529,7 @@ func Fig8VPICVariability(scale Scale) (*Table, error) {
 // Fig1Scenarios reproduces Fig. 1's three timelines from the epoch
 // equations: ideal overlap, partial overlap, and the slowdown scenario
 // where the transactional overhead exceeds the computation phase.
-func Fig1Scenarios(Scale) (*Table, error) {
+func Fig1Scenarios(Scale, *RunKnobs) (*Table, error) {
 	type scenario struct {
 		name               string
 		comp, io, overhead time.Duration
@@ -621,25 +579,10 @@ func maxDur(a, b time.Duration) time.Duration {
 // estimator (the Fig. 2 feedback loop accumulates observations run over
 // run), so the points are not independent the way the rate-figure
 // sweeps are.
-func ModelAccuracy(scale Scale) (*Table, error) {
-	est := model.NewEstimator(model.WithFitKinds(model.FitLinearLogRanks, model.FitLinearRanks))
-	var ranks, syncMeas, asyncMeas []float64
-	for _, nodes := range scale.SummitNodes {
-		for _, mode := range []core.Mode{core.ForceSync, core.ForceAsync} {
-			rep, _, err := vpicio.Run(newSystem("summit", nodes), vpicio.Config{
-				Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
-				Estimator: est,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if mode == core.ForceSync {
-				ranks = append(ranks, float64(rep.Run.Ranks))
-				syncMeas = append(syncMeas, gb(rep.Run.PeakRate()))
-			} else {
-				asyncMeas = append(asyncMeas, gb(rep.Run.PeakRate()))
-			}
-		}
+func ModelAccuracy(scale Scale, k *RunKnobs) (*Table, error) {
+	est, ranks, syncMeas, asyncMeas, err := accuracySweep(scale, k)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		ID:     "r2",
@@ -671,20 +614,37 @@ func ModelAccuracy(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// R2Values runs ModelAccuracy's underlying fits and returns (syncR2,
-// asyncR2) for programmatic assertions. Serial for the same reason as
-// ModelAccuracy: one estimator accumulates across the whole sweep.
-func R2Values(scale Scale) (float64, float64, error) {
-	est := model.NewEstimator(model.WithFitKinds(model.FitLinearLogRanks, model.FitLinearRanks))
+// accuracySweep runs the §V-C sweep — every Summit node count, sync then
+// async, all feeding one estimator — and returns the estimator with the
+// measured peak rates (GB/s) per rank count.
+func accuracySweep(scale Scale, k *RunKnobs) (est *model.Estimator, ranks, syncMeas, asyncMeas []float64, err error) {
+	est = model.NewEstimator(model.WithFitKinds(model.FitLinearLogRanks, model.FitLinearRanks))
 	for _, nodes := range scale.SummitNodes {
 		for _, mode := range []core.Mode{core.ForceSync, core.ForceAsync} {
-			if _, _, err := vpicio.Run(newSystem("summit", nodes), vpicio.Config{
+			rep, _, err := vpicio.Run(k.newSystem("summit", nodes), vpicio.Config{
 				Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
 				Estimator: est,
-			}); err != nil {
-				return 0, 0, err
+			})
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			if mode == core.ForceSync {
+				ranks = append(ranks, float64(rep.Run.Ranks))
+				syncMeas = append(syncMeas, gb(rep.Run.PeakRate()))
+			} else {
+				asyncMeas = append(asyncMeas, gb(rep.Run.PeakRate()))
 			}
 		}
+	}
+	return est, ranks, syncMeas, asyncMeas, nil
+}
+
+// R2Values runs ModelAccuracy's underlying fits and returns (syncR2,
+// asyncR2) for programmatic assertions.
+func R2Values(scale Scale, k *RunKnobs) (float64, float64, error) {
+	est, _, _, _, err := accuracySweep(scale, k)
+	if err != nil {
+		return 0, 0, err
 	}
 	sm, okS := est.SyncModel()
 	am, okA := est.AsyncModel()
@@ -697,15 +657,15 @@ func R2Values(scale Scale) (float64, float64, error) {
 // MicroMemcpy is the §III-B1 memcpy micro-benchmark: single-copy
 // bandwidth versus size on both systems' nodes, showing the knee below
 // ~32 MB.
-func MicroMemcpy(Scale) (*Table, error) {
+func MicroMemcpy(_ Scale, k *RunKnobs) (*Table, error) {
 	sizes := []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 32 << 20, 128 << 20, 512 << 20}
 	t := &Table{
 		ID:     "micro-mem",
 		Title:  "memcpy micro-benchmark: copy bandwidth vs size",
 		XLabel: "MB", YLabel: "GB/s",
 	}
-	summit := newSystem("summit", 1)
-	cori := newSystem("cori", 1)
+	summit := k.newSystem("summit", 1)
+	cori := k.newSystem("cori", 1)
 	var xs, sy, cy []float64
 	for _, sz := range sizes {
 		xs = append(xs, float64(sz)/1e6)
@@ -722,14 +682,14 @@ func MicroMemcpy(Scale) (*Table, error) {
 
 // MicroGPUTransfer is the §III-B1 GPU micro-benchmark: effective
 // CPU↔GPU bandwidth versus size, pinned vs unpinned host memory.
-func MicroGPUTransfer(Scale) (*Table, error) {
+func MicroGPUTransfer(_ Scale, k *RunKnobs) (*Table, error) {
 	sizes := []int64{64 << 10, 1 << 20, 10 << 20, 100 << 20, 1 << 30}
 	t := &Table{
 		ID:     "micro-gpu",
 		Title:  "GPU transfer micro-benchmark (Summit NVLink 2.0)",
 		XLabel: "MB", YLabel: "GB/s",
 	}
-	node := newSystem("summit", 1).NodeOf(0)
+	node := k.newSystem("summit", 1).NodeOf(0)
 	var xs, pinned, unpinned []float64
 	for _, sz := range sizes {
 		xs = append(xs, float64(sz)/1e6)
@@ -747,7 +707,7 @@ func MicroGPUTransfer(Scale) (*Table, error) {
 // AblationZeroCopy isolates the transactional overhead: asynchronous
 // VPIC-IO with and without the staging copy. Without it the slowdown
 // region of Fig. 1c cannot exist.
-func AblationZeroCopy(scale Scale) (*Table, error) {
+func AblationZeroCopy(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes
 	t := &Table{
 		ID:     "abl-zerocopy",
@@ -759,12 +719,12 @@ func AblationZeroCopy(scale Scale) (*Table, error) {
 		io    float64
 	}
 	points := make([]point, 2*len(nodes))
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		n := nodes[i/2]
 		zero := i%2 == 1
 		cfg := vpicio.Config{Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: core.ForceAsync}
 		cfg.Env.ZeroCopy = zero
-		rep, _, err := vpicio.Run(newSystem("summit", n), cfg)
+		rep, _, err := vpicio.Run(k.newSystem("summit", n), cfg)
 		if err != nil {
 			return err
 		}
@@ -793,11 +753,11 @@ func AblationZeroCopy(scale Scale) (*Table, error) {
 
 // AblationFitKinds compares linear and linear-log fits on saturating
 // synchronous data, justifying the paper's linear-log choice.
-func AblationFitKinds(scale Scale) (*Table, error) {
+func AblationFitKinds(scale Scale, k *RunKnobs) (*Table, error) {
 	ranks := make([]float64, len(scale.SummitNodes))
 	rates := make([]float64, len(scale.SummitNodes))
-	err := RunParallel(len(scale.SummitNodes), func(i int) error {
-		rep, _, err := vpicio.Run(newSystem("summit", scale.SummitNodes[i]), vpicio.Config{
+	err := RunParallel(k, len(scale.SummitNodes), func(i int) error {
+		rep, _, err := vpicio.Run(k.newSystem("summit", scale.SummitNodes[i]), vpicio.Config{
 			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: core.ForceSync,
 		})
 		if err != nil {
@@ -838,7 +798,7 @@ func AblationFitKinds(scale Scale) (*Table, error) {
 // AblationBurstBuffer compares synchronous VPIC-IO on Cori's Lustre
 // scratch against its DataWarp burst buffer — the faster shared tier
 // the related work (DataElevator, MLBS) stages through (§II-C).
-func AblationBurstBuffer(scale Scale) (*Table, error) {
+func AblationBurstBuffer(scale Scale, k *RunKnobs) (*Table, error) {
 	t := &Table{
 		ID:     "abl-bb",
 		Title:  "Extension: Lustre scratch vs burst buffer, sync VPIC-IO on Cori",
@@ -848,10 +808,10 @@ func AblationBurstBuffer(scale Scale) (*Table, error) {
 		ranks, rate float64
 	}
 	points := make([]point, 2*len(scale.CoriNodes))
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		n := scale.CoriNodes[i/2]
 		bb := i%2 == 1
-		sys := newSystem("cori", n)
+		sys := k.newSystem("cori", n)
 		cfg := vpicio.Config{Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: core.ForceSync}
 		if bb {
 			cfg.Target = sys.BurstBuffer
@@ -882,7 +842,7 @@ func AblationBurstBuffer(scale Scale) (*Table, error) {
 
 // AblationStaging compares staging locations for the transactional copy:
 // DRAM, node-local SSD, and GPU-sourced (pinned) staging on Summit.
-func AblationStaging(scale Scale) (*Table, error) {
+func AblationStaging(scale Scale, k *RunKnobs) (*Table, error) {
 	nodes := scale.SummitNodes
 	t := &Table{
 		ID:     "abl-staging",
@@ -901,12 +861,11 @@ func AblationStaging(scale Scale) (*Table, error) {
 		ranks, rate float64
 	}
 	points := make([]point, len(nodes)*len(kinds))
-	err := RunParallel(len(points), func(i int) error {
+	err := RunParallel(k, len(points), func(i int) error {
 		n := nodes[i/len(kinds)]
-		k := kinds[i%len(kinds)]
 		cfg := eqsim.Config{Checkpoints: scale.Steps, Mode: core.ForceAsync}
-		k.mod(&cfg)
-		rep, err := eqsim.Run(newSystem("summit", n), cfg)
+		kinds[i%len(kinds)].mod(&cfg)
+		rep, err := eqsim.Run(k.newSystem("summit", n), cfg)
 		if err != nil {
 			return err
 		}
@@ -925,8 +884,8 @@ func AblationStaging(scale Scale) (*Table, error) {
 			ys[ki] = append(ys[ki], p.rate)
 		}
 	}
-	for ki, k := range kinds {
-		t.Series = append(t.Series, Series{Name: k.name, X: xs, Y: ys[ki]})
+	for ki, kind := range kinds {
+		t.Series = append(t.Series, Series{Name: kind.name, X: xs, Y: ys[ki]})
 	}
 	t.note("DRAM staging is fastest; SSD staging trades speed for not consuming memory (§VI-A)")
 	return t, nil

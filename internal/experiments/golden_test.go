@@ -33,7 +33,7 @@ func TestDefaultModelGoldenFigures(t *testing.T) {
 			if gen == nil {
 				t.Fatalf("figure %q not registered", id)
 			}
-			tab, err := gen(ReducedScale())
+			tab, err := gen(ReducedScale(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

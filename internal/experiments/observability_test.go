@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"asyncio/internal/core"
-	"asyncio/internal/metrics"
 	"asyncio/internal/perfetto"
 	"asyncio/internal/systems"
 	"asyncio/internal/vclock"
@@ -148,33 +147,60 @@ func TestObservabilityOutputsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunObserverCollectsReports covers the hook asyncio-bench uses to
-// reach registries constructed inside experiment sweeps.
+// TestRunObserverCollectsReports covers the knobs asyncio-bench uses to
+// reach the runs a generator executes internally: with Workers forced
+// to 1 the observer sees every report of the generator exactly once, in
+// execution order (node counts ascending, sync before async), and
+// Series reaches each run's registry. The crash sweep's restart runs
+// are reports of the generator too.
 func TestRunObserverCollectsReports(t *testing.T) {
-	prevDefault := metrics.SetSeriesDefault(true)
-	defer metrics.SetSeriesDefault(prevDefault)
 	var got []*core.Report
-	prev := core.SetRunObserver(func(rep *core.Report) { got = append(got, rep) })
-	defer core.SetRunObserver(prev)
-
-	clk := vclock.New()
-	sys := systems.Summit(clk, 1)
-	rep, _, err := vpicio.Run(sys, vpicio.Config{
-		Steps:            1,
-		ParticlesPerRank: 1 << 14,
-		ComputeTime:      time.Second,
-		Mode:             core.ForceAsync,
-	})
-	if err != nil {
+	k := &RunKnobs{
+		Series:   true,
+		Workers:  1,
+		Observer: func(rep *core.Report) { got = append(got, rep) },
+	}
+	sc := tinyScale()
+	if _, err := Registry()["fig3a"](sc, k); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != rep {
-		t.Fatalf("observer saw %d reports", len(got))
+	if len(got) != 2*len(sc.SummitNodes) {
+		t.Fatalf("observer saw %d reports, want %d", len(got), 2*len(sc.SummitNodes))
 	}
-	if !rep.Metrics.SeriesEnabled() {
-		t.Fatal("SetSeriesDefault did not propagate to the run's registry")
+	for i, rep := range got {
+		wantRanks := 6 * sc.SummitNodes[i/2]
+		wantMode := []string{"sync", "async"}[i%2]
+		if rep.Run.Ranks != wantRanks || string(rep.Run.Mode) != wantMode {
+			t.Errorf("report %d is %d ranks %s, want %d ranks %s",
+				i, rep.Run.Ranks, rep.Run.Mode, wantRanks, wantMode)
+		}
+		if !rep.Metrics.SeriesEnabled() {
+			t.Errorf("report %d: Series did not reach the run's registry", i)
+		}
+		if len(rep.Spans) != wantRanks {
+			t.Errorf("report %d has %d spans, want %d", i, len(rep.Spans), wantRanks)
+		}
 	}
-	if len(rep.Spans) != 6 {
-		t.Fatalf("report has %d spans, want 6", len(rep.Spans))
+
+	// Nothing is process-wide: a run outside the knobs is not observed.
+	got = got[:0]
+	if _, err := Registry()["fig3a"](sc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("observer saw %d reports of a generator it was not given to", len(got))
+	}
+
+	// Crash trials: the crash run and the restart run both report.
+	if _, err := CrashSweep(sc, k); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 12 {
+		t.Fatalf("observer saw %d crash-sweep reports, want 12 (6 trials × crash + restart)", len(got))
+	}
+	for i := 0; i < len(got); i += 2 {
+		if !got[i].Aborted || got[i+1].Aborted {
+			t.Errorf("trial %d: aborted = %v, %v, want the crash run then its restart", i/2, got[i].Aborted, got[i+1].Aborted)
+		}
 	}
 }

@@ -1,47 +1,23 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// parallelismOverride, when >0, fixes the worker count RunParallel uses;
-// 0 means "one worker per GOMAXPROCS". Set via SetParallelism.
-var parallelismOverride atomic.Int64
-
-// SetParallelism fixes the number of workers RunParallel uses for
-// independent experiment points. n <= 0 restores the default (one worker
-// per GOMAXPROCS). It returns the previous override (0 = default) so
-// callers can restore it.
-func SetParallelism(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(parallelismOverride.Swap(int64(n)))
-}
-
-// Parallelism returns the worker count RunParallel will use.
-func Parallelism() int {
-	if n := int(parallelismOverride.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// RunParallel executes fn(0) … fn(n-1) across min(Parallelism(), n)
+// RunParallel executes fn(0) … fn(n-1) across min(k.Parallelism(), n)
 // workers and returns the lowest-index error, if any. Every index runs
 // regardless of other indexes' failures, and on one worker the indexes
 // run in order — so a figure built from independent experiment points
 // (each with its own vclock.Clock and systems.System) produces identical
 // results serial or parallel: callers store each point's result at its
 // index and never share mutable state across points.
-func RunParallel(n int, fn func(i int) error) error {
+func RunParallel(k *RunKnobs, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	workers := Parallelism()
+	workers := k.Parallelism()
 	if workers > n {
 		workers = n
 	}

@@ -18,7 +18,7 @@ func TestSweepPointParityFig3a(t *testing.T) {
 	if gen == nil {
 		t.Fatalf("figure %q not registered", id)
 	}
-	cliTab, err := gen(scale)
+	cliTab, err := gen(scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

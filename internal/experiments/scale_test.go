@@ -14,7 +14,7 @@ import (
 // batched-wakeup or pooled-timer paths would surface; CI runs it under
 // -race. Gated behind ASYNCIO_SCALE_TEST because it simulates ~40× more
 // ranks than the ordinary test matrix.
-func TestRaceAtScale(t *testing.T) { raceAtScale(t) }
+func TestRaceAtScale(t *testing.T) { raceAtScale(t, nil) }
 
 // TestRaceAtScaleConsistency reruns the 4096-rank point with the POSIX
 // consistency model and its checker enabled on every generated system:
@@ -26,18 +26,16 @@ func TestRaceAtScaleConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDefaultConsistency(sp)
-	defer SetDefaultConsistency(nil)
-	raceAtScale(t)
+	raceAtScale(t, &RunKnobs{Consistency: sp})
 }
 
-func raceAtScale(t *testing.T) {
+func raceAtScale(t *testing.T, k *RunKnobs) {
 	t.Helper()
 	if os.Getenv("ASYNCIO_SCALE_TEST") == "" {
 		t.Skip("set ASYNCIO_SCALE_TEST=1 to run the 4096-rank point")
 	}
 	sc := Scale{CoriNodes: []int{128}, SummitNodes: []int{128}, Steps: 2, Days: 1}
-	d, err := SimulateSweep("fig3b", sc)
+	d, err := SimulateSweep("fig3b", sc, k)
 	if err != nil {
 		t.Fatal(err)
 	}

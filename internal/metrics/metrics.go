@@ -72,35 +72,12 @@ type Registry struct {
 	hists  map[string]*Histogram
 }
 
-// seriesDefault is consulted by NewRegistry. Tools that cannot reach a
-// registry before the run constructs it (cmd/asyncio-bench builds
-// systems deep inside experiment sweeps) flip it with SetSeriesDefault.
-var (
-	seriesDefaultMu sync.Mutex
-	seriesDefault   bool
-)
-
-// SetSeriesDefault makes registries created afterwards record series by
-// default. Returns the previous default.
-func SetSeriesDefault(enabled bool) bool {
-	seriesDefaultMu.Lock()
-	defer seriesDefaultMu.Unlock()
-	prev := seriesDefault
-	seriesDefault = enabled
-	return prev
-}
-
 // NewRegistry returns an empty registry stamping observations with clk's
-// virtual time. Series recording starts at the package default (see
-// SetSeriesDefault); current values and histogram samples are always
-// kept.
+// virtual time. Series recording starts off (see EnableSeries); current
+// values and histogram samples are always kept.
 func NewRegistry(clk *vclock.Clock) *Registry {
-	seriesDefaultMu.Lock()
-	series := seriesDefault
-	seriesDefaultMu.Unlock()
 	return &Registry{
 		clk:    clk,
-		series: series,
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),

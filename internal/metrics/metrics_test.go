@@ -153,18 +153,6 @@ func TestSeriesDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestSetSeriesDefault(t *testing.T) {
-	prev := SetSeriesDefault(true)
-	defer SetSeriesDefault(prev)
-	if !NewRegistry(vclock.New()).SeriesEnabled() {
-		t.Fatal("SetSeriesDefault(true) did not enable series on new registries")
-	}
-	SetSeriesDefault(false)
-	if NewRegistry(vclock.New()).SeriesEnabled() {
-		t.Fatal("SetSeriesDefault(false) left series enabled")
-	}
-}
-
 func TestGaugeOnChangeDerivesSecondGauge(t *testing.T) {
 	clk := vclock.New()
 	r := NewRegistry(clk)

@@ -136,9 +136,9 @@ func EngineCases() []Case {
 }
 
 // FigureCases wraps figure generators from the experiments registry at
-// the given scale. Unknown ids are skipped (the registry owns the id
+// the given scale and knobs. Unknown ids are skipped (the registry owns the id
 // space; callers pass a stable subset).
-func FigureCases(scale experiments.Scale, ids []string) []Case {
+func FigureCases(scale experiments.Scale, k *experiments.RunKnobs, ids []string) []Case {
 	reg := experiments.Registry()
 	var cases []Case
 	for _, id := range ids {
@@ -149,7 +149,7 @@ func FigureCases(scale experiments.Scale, ids []string) []Case {
 		cases = append(cases, Case{
 			Name: "fig-" + id,
 			Run: func() error {
-				_, err := gen(scale)
+				_, err := gen(scale, k)
 				return err
 			},
 		})
@@ -166,10 +166,10 @@ func DefaultFigureIDs() []string {
 }
 
 // Run measures the engine cases plus the default figure cases at the
-// given scale and assembles the Report. Unless GOGC is set explicitly
+// given scale and knobs and assembles the Report. Unless GOGC is set explicitly
 // it measures under the same GC target the CLI uses (400), so numbers
 // from `go test` and from `asyncio-bench -selfbench` are comparable.
-func Run(scale experiments.Scale) (*Report, error) {
+func Run(scale experiments.Scale, k *experiments.RunKnobs) (*Report, error) {
 	if os.Getenv("GOGC") == "" {
 		defer debug.SetGCPercent(debug.SetGCPercent(400))
 	}
@@ -179,9 +179,9 @@ func Run(scale experiments.Scale) (*Report, error) {
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: experiments.Parallelism(),
+		Parallelism: k.Parallelism(),
 	}
-	cases := append(EngineCases(), FigureCases(scale, DefaultFigureIDs())...)
+	cases := append(EngineCases(), FigureCases(scale, k, DefaultFigureIDs())...)
 	for _, c := range cases {
 		r, err := Measure(c)
 		if err != nil {

@@ -46,8 +46,9 @@ type System struct {
 	MaxNodes     int // full-machine node count, for documentation
 	// Metrics is the run's observability registry on the system clock.
 	// Storage targets are pre-instrumented; core.Run wires the MPI
-	// layer and workloads wire connectors/engines through it. Call
-	// Metrics.EnableSeries() before the run to record time series.
+	// layer and workloads wire connectors/engines through it. Build the
+	// system WithSeries (or call Metrics.EnableSeries() before the run)
+	// to record time series.
 	Metrics *metrics.Registry
 	// Faults is the run's fault injector, attached to the storage
 	// targets at construction; nil for healthy runs. Workloads wire it
@@ -64,6 +65,11 @@ type System struct {
 	// their request pipelines and call its publish points; every call
 	// site is nil-safe.
 	Consistency *pfs.Consistency
+	// RunObserver, when the system was built with WithRunObserver,
+	// receives the *core.Report of the run executed on this system as
+	// core.Run returns — complete or aborted. It is typed any because
+	// core imports this package.
+	RunObserver func(report any)
 }
 
 // Option tweaks a System during construction.
@@ -76,6 +82,8 @@ type config struct {
 	faults         *faults.Injector
 	crit           *critpath.Recorder
 	consistency    *pfs.Consistency
+	series         bool
+	runObserver    func(report any)
 }
 
 // WithContention enables day-to-day backend contention, deterministic in
@@ -111,6 +119,19 @@ func WithCritPath(rec *critpath.Recorder) Option {
 // Consistency serves one system/run.
 func WithConsistency(cs *pfs.Consistency) Option {
 	return func(c *config) { c.consistency = cs }
+}
+
+// WithSeries(true) records change-point series in the system's metrics
+// registry from its creation on, so the storage targets' setup-time
+// gauge writes are part of the exported series too.
+func WithSeries(on bool) Option {
+	return func(c *config) { c.series = on }
+}
+
+// WithRunObserver hands the report of the run executed on this system
+// to fn (see System.RunObserver).
+func WithRunObserver(fn func(report any)) Option {
+	return func(c *config) { c.runObserver = fn }
 }
 
 // Summit builds a Summit allocation of the given node count.
@@ -199,6 +220,10 @@ func apply(opts []Option) config {
 
 func finish(s *System, cfg config) {
 	s.Metrics = metrics.NewRegistry(s.Clk)
+	if cfg.series {
+		s.Metrics.EnableSeries()
+	}
+	s.RunObserver = cfg.runObserver
 	s.PFS.Instrument(s.Metrics)
 	s.BurstBuffer.Instrument(s.Metrics)
 	if cfg.crit != nil {

@@ -13,8 +13,8 @@ var errKill = errors.New("node crash")
 // Kill completes queued tasks with the kill reason so waiters unwind
 // instead of hanging, and the in-flight task dies mid-run.
 func TestStreamKillFailsQueuedTasks(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	ran := 0
 	first := s.Push("long", nil, func(p *vclock.Proc) error {
@@ -51,8 +51,8 @@ func TestStreamKillFailsQueuedTasks(t *testing.T) {
 // lifecycle panic: a crashed rank may still issue operations before it
 // reaches its next blocking point.
 func TestPushAfterKillFailsTask(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	s.Kill(errKill)
 	task := s.Push("late", nil, func(p *vclock.Proc) error { return nil })
@@ -71,8 +71,8 @@ func TestPushAfterKillFailsTask(t *testing.T) {
 // Kill is idempotent and Push after Shutdown still panics (the
 // lifecycle bug remains a bug).
 func TestKillIdempotentAndShutdownStillPanics(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	s.Kill(errKill)
 	s.Kill(errors.New("other"))
@@ -80,8 +80,8 @@ func TestKillIdempotentAndShutdownStillPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clk2 := vclock.New()
-	s2 := New(clk2).NewStream("bg2")
+	clk2 := newHeldClock()
+	s2 := New(clk2.Clock).NewStream("bg2")
 	s2.Shutdown()
 	if err := clk2.Wait(); err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestKillIdempotentAndShutdownStillPanics(t *testing.T) {
 
 // After Kill, the engine's other streams keep working.
 func TestKillIsolatedToOneStream(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	dead := e.NewStream("dead")
 	live := e.NewStream("live")
 	dead.Kill(errKill)

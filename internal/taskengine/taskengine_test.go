@@ -11,9 +11,31 @@ import (
 	"asyncio/internal/vclock"
 )
 
-func TestTasksRunInFIFOOrder(t *testing.T) {
+// heldClock is a virtual clock for tests driven from host code. It is
+// pinned (vclock.Clock.Hold) whenever the host is running — creating
+// streams, whose idle processes would otherwise look like a deadlock, or
+// pushing tasks and spawning processes that must all start at the same
+// virtual instant — and released exactly while the host sits in Wait.
+type heldClock struct {
+	*vclock.Clock
+	release func()
+}
+
+func newHeldClock() *heldClock {
 	clk := vclock.New()
-	e := New(clk)
+	return &heldClock{Clock: clk, release: clk.Hold()}
+}
+
+func (h *heldClock) Wait() error {
+	h.release()
+	err := h.Clock.Wait()
+	h.release = h.Clock.Hold()
+	return err
+}
+
+func TestTasksRunInFIFOOrder(t *testing.T) {
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	var mu sync.Mutex
 	var order []int
@@ -37,8 +59,8 @@ func TestTasksRunInFIFOOrder(t *testing.T) {
 }
 
 func TestTaskWaitReturnsError(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	sentinel := errors.New("io failed")
 	task := s.Push("fail", nil, func(p *vclock.Proc) error { return sentinel })
@@ -62,8 +84,8 @@ func TestTaskOverlapsWithForeground(t *testing.T) {
 	// The core asynchronous-I/O property: a 10s background task pushed at
 	// t=0 overlaps a 10s foreground sleep, so the waiter finishes at 10s,
 	// not 20s.
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	var end time.Duration
 	clk.Go("fg", func(p *vclock.Proc) {
@@ -87,8 +109,8 @@ func TestTaskOverlapsWithForeground(t *testing.T) {
 }
 
 func TestDependenciesAcrossStreams(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s1 := e.NewStream("a")
 	s2 := e.NewStream("b")
 	var mu sync.Mutex
@@ -124,8 +146,8 @@ func TestDependenciesAcrossStreams(t *testing.T) {
 }
 
 func TestShutdownDrainsQueue(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	ran := 0
 	var mu sync.Mutex
@@ -149,8 +171,8 @@ func TestShutdownDrainsQueue(t *testing.T) {
 }
 
 func TestPushAfterShutdownPanics(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	s.Shutdown()
 	defer func() {
@@ -163,8 +185,8 @@ func TestPushAfterShutdownPanics(t *testing.T) {
 }
 
 func TestJoinWaitsForExit(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	s.Push("work", nil, func(p *vclock.Proc) error {
 		p.Sleep(3 * time.Second)
@@ -185,11 +207,11 @@ func TestJoinWaitsForExit(t *testing.T) {
 }
 
 func TestPendingCount(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	// Block the stream with a task waiting on an event, then queue more.
-	gate := vclock.NewEvent(clk)
+	gate := vclock.NewEvent(clk.Clock)
 	s.Push("gate", nil, func(p *vclock.Proc) error {
 		gate.Wait(p)
 		return nil
@@ -213,8 +235,8 @@ func TestPendingCount(t *testing.T) {
 }
 
 func TestManyStreamsConcurrent(t *testing.T) {
-	clk := vclock.New()
-	e := New(clk)
+	clk := newHeldClock()
+	e := New(clk.Clock)
 	const n = 32
 	var mu sync.Mutex
 	total := 0
@@ -248,8 +270,8 @@ func TestManyStreamsConcurrent(t *testing.T) {
 // the single waiter sits in the event's inline slot, the stream re-arms
 // one wake event, and the ring reuses its slot.
 func TestAllocBudgetPushWait(t *testing.T) {
-	clk := vclock.New()
-	eng := New(clk)
+	clk := newHeldClock()
+	eng := New(clk.Clock)
 	fn := func(q *vclock.Proc) error { q.Sleep(time.Microsecond); return nil }
 	var allocs float64
 	clk.Go("app", func(p *vclock.Proc) {
@@ -311,7 +333,7 @@ func TestRingKeepsFIFOAcrossGrowth(t *testing.T) {
 // finished task somebody still tracks no longer pins what its closure
 // captured — the staging buffer of a completed write.
 func TestCompletedTaskIsCollectable(t *testing.T) {
-	clk := vclock.New()
+	clk := vclock.New() // never waited on: the host polls while the app proc idles
 	eng := New(clk)
 	bufFreed, taskFreed := make(chan struct{}), make(chan struct{})
 	checked := make(chan struct{})

@@ -91,6 +91,8 @@ func TestManyProcsAgreeOnFinalTime(t *testing.T) {
 	c := New()
 	const n = 200
 	var maxSeen int64
+	// Every proc must start at t=0: pin time until the last is spawned.
+	release := c.Hold()
 	for i := 0; i < n; i++ {
 		d := time.Duration(i%17+1) * time.Millisecond
 		c.Go("p", func(p *Proc) {
@@ -106,6 +108,7 @@ func TestManyProcsAgreeOnFinalTime(t *testing.T) {
 			}
 		})
 	}
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}

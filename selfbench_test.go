@@ -33,7 +33,7 @@ func TestBenchRegression(t *testing.T) {
 		t.Fatalf("parsing baseline: %v", err)
 	}
 
-	fresh, err := simbench.Run(experiments.ReducedScale())
+	fresh, err := simbench.Run(experiments.ReducedScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
