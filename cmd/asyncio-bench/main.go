@@ -27,18 +27,15 @@ import (
 	"asyncio/internal/core"
 	"asyncio/internal/experiments"
 	"asyncio/internal/perfetto"
-	"asyncio/internal/simbench"
 )
 
 func main() {
 	var (
-		exp          = flag.String("exp", "", "experiment id (see -list) or \"all\"")
-		scale        = flag.String("scale", "reduced", "sweep scale: reduced or full")
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		timings      = flag.Bool("timings", false, "print wall-clock time per experiment")
-		parallel     = flag.Int("parallel", 0, "workers for independent experiment points (0 = GOMAXPROCS, 1 = serial)")
-		selfbench    = flag.Bool("selfbench", false, "benchmark the simulator itself and exit")
-		selfbenchOut = flag.String("selfbench-out", "BENCH_simulator.json", "where -selfbench writes its JSON report")
+		exp      = flag.String("exp", "", "experiment id (see -list) or \"all\"")
+		scale    = flag.String("scale", "reduced", "sweep scale: reduced or full")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		timings  = flag.Bool("timings", false, "print wall-clock time per experiment")
+		parallel = flag.Int("parallel", 0, "workers for independent experiment points (0 = GOMAXPROCS, 1 = serial)")
 	)
 	cf := cliflags.Register(flag.CommandLine)
 	flag.Parse()
@@ -73,11 +70,6 @@ func main() {
 		k.Workers = 1
 	}
 	sc := parseScale(*scale)
-
-	if *selfbench {
-		runSelfbench(sc, k, *selfbenchOut)
-		return
-	}
 
 	reg := experiments.Registry()
 	ids := make([]string, 0, len(reg))
@@ -156,22 +148,6 @@ func main() {
 		if err := cf.ExportProfile(reports[len(reports)-1].CritPath, os.Stdout); err != nil {
 			fatalf("-critpath/-pprof: %v", err)
 		}
-	}
-}
-
-// runSelfbench benchmarks the simulator itself (engine microbenchmarks
-// plus a stable subset of figure generators) and writes the JSON report
-// both to stdout and to the given path.
-func runSelfbench(sc experiments.Scale, k *experiments.RunKnobs, out string) {
-	rep, err := simbench.Run(sc, k)
-	if err != nil {
-		fatalf("selfbench: %v", err)
-	}
-	if err := rep.WriteJSON(os.Stdout); err != nil {
-		fatalf("selfbench: %v", err)
-	}
-	if err := cliflags.WriteFile(out, out, rep.WriteJSON); err != nil {
-		fatalf("selfbench: %v", err)
 	}
 }
 

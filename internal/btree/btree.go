@@ -3,8 +3,8 @@
 // The hdf5 substrate uses it for chunk indexes (chunk coordinate →
 // file address) and group link tables (name → object address), mirroring
 // the version-1/2 B-trees real HDF5 keeps for the same purposes. Leaves
-// are linked for cheap range scans, which the hyperslab reader relies on
-// when walking the chunks intersecting a selection.
+// are linked, so Ascend walks the entries in key order without touching
+// the inner nodes. Entries are never removed: a container only grows.
 package btree
 
 import "fmt"
@@ -158,168 +158,6 @@ func (t *Tree[K, V]) insert(n node[K, V], key K, value V) (split bool, sepKey K,
 	panic("btree: unknown node type")
 }
 
-// Delete removes key, returning its value if present.
-func (t *Tree[K, V]) Delete(key K) (V, bool) {
-	v, ok := t.delete(t.root, key)
-	if ok {
-		t.size--
-	}
-	if in, isInner := t.root.(*inner[K, V]); isInner && len(in.keys) == 0 {
-		t.root = in.kids[0]
-	}
-	return v, ok
-}
-
-func (t *Tree[K, V]) minEntries() int { return t.order / 2 }
-
-func (t *Tree[K, V]) delete(n node[K, V], key K) (V, bool) {
-	switch n := n.(type) {
-	case *leaf[K, V]:
-		i, found := t.leafIndex(n, key)
-		if !found {
-			var zero V
-			return zero, false
-		}
-		v := n.vals[i]
-		n.keys = removeAt(n.keys, i)
-		n.vals = removeAt(n.vals, i)
-		return v, true
-	case *inner[K, V]:
-		ci := t.childIndex(n, key)
-		v, ok := t.delete(n.kids[ci], key)
-		if ok {
-			t.rebalance(n, ci)
-		}
-		return v, ok
-	}
-	panic("btree: unknown node type")
-}
-
-// rebalance restores the occupancy invariant for n.kids[ci] after a
-// deletion, borrowing from or merging with a sibling.
-func (t *Tree[K, V]) rebalance(n *inner[K, V], ci int) {
-	minE := t.minEntries()
-	switch child := n.kids[ci].(type) {
-	case *leaf[K, V]:
-		if len(child.keys) >= minE {
-			return
-		}
-		if ci > 0 {
-			left := n.kids[ci-1].(*leaf[K, V])
-			if len(left.keys) > minE { // borrow from left
-				last := len(left.keys) - 1
-				child.keys = insertAt(child.keys, 0, left.keys[last])
-				child.vals = insertAt(child.vals, 0, left.vals[last])
-				left.keys = left.keys[:last]
-				left.vals = left.vals[:last]
-				n.keys[ci-1] = child.keys[0]
-				return
-			}
-		}
-		if ci < len(n.kids)-1 {
-			rightSib := n.kids[ci+1].(*leaf[K, V])
-			if len(rightSib.keys) > minE { // borrow from right
-				child.keys = append(child.keys, rightSib.keys[0])
-				child.vals = append(child.vals, rightSib.vals[0])
-				rightSib.keys = removeAt(rightSib.keys, 0)
-				rightSib.vals = removeAt(rightSib.vals, 0)
-				n.keys[ci] = rightSib.keys[0]
-				return
-			}
-		}
-		// Merge with a sibling.
-		if ci > 0 {
-			left := n.kids[ci-1].(*leaf[K, V])
-			left.keys = append(left.keys, child.keys...)
-			left.vals = append(left.vals, child.vals...)
-			left.next = child.next
-			n.keys = removeAt(n.keys, ci-1)
-			n.kids = removeAt(n.kids, ci)
-		} else {
-			rightSib := n.kids[ci+1].(*leaf[K, V])
-			child.keys = append(child.keys, rightSib.keys...)
-			child.vals = append(child.vals, rightSib.vals...)
-			child.next = rightSib.next
-			n.keys = removeAt(n.keys, ci)
-			n.kids = removeAt(n.kids, ci+1)
-		}
-	case *inner[K, V]:
-		if len(child.keys) >= minE {
-			return
-		}
-		if ci > 0 {
-			left := n.kids[ci-1].(*inner[K, V])
-			if len(left.keys) > minE { // rotate right through parent
-				child.keys = insertAt(child.keys, 0, n.keys[ci-1])
-				child.kids = insertAt(child.kids, 0, left.kids[len(left.kids)-1])
-				n.keys[ci-1] = left.keys[len(left.keys)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				left.kids = left.kids[:len(left.kids)-1]
-				return
-			}
-		}
-		if ci < len(n.kids)-1 {
-			rightSib := n.kids[ci+1].(*inner[K, V])
-			if len(rightSib.keys) > minE { // rotate left through parent
-				child.keys = append(child.keys, n.keys[ci])
-				child.kids = append(child.kids, rightSib.kids[0])
-				n.keys[ci] = rightSib.keys[0]
-				rightSib.keys = removeAt(rightSib.keys, 0)
-				rightSib.kids = removeAt(rightSib.kids, 0)
-				return
-			}
-		}
-		if ci > 0 { // merge into left sibling
-			left := n.kids[ci-1].(*inner[K, V])
-			left.keys = append(left.keys, n.keys[ci-1])
-			left.keys = append(left.keys, child.keys...)
-			left.kids = append(left.kids, child.kids...)
-			n.keys = removeAt(n.keys, ci-1)
-			n.kids = removeAt(n.kids, ci)
-		} else { // merge right sibling into child
-			rightSib := n.kids[ci+1].(*inner[K, V])
-			child.keys = append(child.keys, n.keys[ci])
-			child.keys = append(child.keys, rightSib.keys...)
-			child.kids = append(child.kids, rightSib.kids...)
-			n.keys = removeAt(n.keys, ci)
-			n.kids = removeAt(n.kids, ci+1)
-		}
-	}
-}
-
-// Min returns the smallest key and its value.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	l := t.first
-	for l != nil && len(l.keys) == 0 {
-		l = l.next
-	}
-	if l == nil {
-		var k K
-		var v V
-		return k, v, false
-	}
-	return l.keys[0], l.vals[0], true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	n := t.root
-	for {
-		switch nn := n.(type) {
-		case *inner[K, V]:
-			n = nn.kids[len(nn.kids)-1]
-		case *leaf[K, V]:
-			if len(nn.keys) == 0 {
-				var k K
-				var v V
-				return k, v, false
-			}
-			i := len(nn.keys) - 1
-			return nn.keys[i], nn.vals[i], true
-		}
-	}
-}
-
 // Ascend calls fn for every entry in key order until fn returns false.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
 	for l := t.first; l != nil; l = l.next {
@@ -331,34 +169,10 @@ func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
 	}
 }
 
-// AscendRange calls fn for entries with lo <= key < hi in order, until fn
-// returns false.
-func (t *Tree[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
-	l := t.root.findLeaf(t, lo)
-	i, _ := t.leafIndex(l, lo)
-	for l != nil {
-		for ; i < len(l.keys); i++ {
-			if !t.less(l.keys[i], hi) {
-				return
-			}
-			if !fn(l.keys[i], l.vals[i]) {
-				return
-			}
-		}
-		l = l.next
-		i = 0
-	}
-}
-
 func insertAt[T any](s []T, i int, v T) []T {
 	var zero T
 	s = append(s, zero)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-func removeAt[T any](s []T, i int) []T {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
 }

@@ -19,15 +19,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(1); ok {
 		t.Fatal("Get on empty tree found a value")
 	}
-	if _, ok := tr.Delete(1); ok {
-		t.Fatal("Delete on empty tree reported success")
-	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree")
-	}
 	count := 0
 	tr.Ascend(func(int, string) bool { count++; return true })
 	if count != 0 {
@@ -75,49 +66,6 @@ func TestOrderedIterationAfterRandomInserts(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := intTree(3)
-	for _, k := range []int{50, 10, 90, 30, 70} {
-		tr.Put(k, "")
-	}
-	if k, _, _ := tr.Min(); k != 10 {
-		t.Fatalf("Min = %d", k)
-	}
-	if k, _, _ := tr.Max(); k != 90 {
-		t.Fatalf("Max = %d", k)
-	}
-}
-
-func TestAscendRange(t *testing.T) {
-	tr := intTree(4)
-	for i := 0; i < 100; i += 2 {
-		tr.Put(i, "")
-	}
-	var got []int
-	tr.AscendRange(10, 20, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int{10, 12, 14, 16, 18}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// Range with lo not present.
-	got = got[:0]
-	tr.AscendRange(11, 15, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 2 || got[0] != 12 || got[1] != 14 {
-		t.Fatalf("got %v, want [12 14]", got)
-	}
-}
-
 func TestAscendEarlyStop(t *testing.T) {
 	tr := intTree(4)
 	for i := 0; i < 50; i++ {
@@ -130,58 +78,19 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDeleteAllRandomOrder(t *testing.T) {
-	tr := intTree(4)
-	rng := rand.New(rand.NewSource(7))
-	const n = 500
-	for _, k := range rng.Perm(n) {
-		tr.Put(k, "v")
-	}
-	for _, k := range rng.Perm(n) {
-		v, ok := tr.Delete(k)
-		if !ok || v != "v" {
-			t.Fatalf("Delete(%d) = %q %v", k, v, ok)
-		}
-		if _, ok := tr.Get(k); ok {
-			t.Fatalf("key %d still present after delete", k)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after deleting all", tr.Len())
-	}
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr := intTree(3)
-	tr.Put(1, "a")
-	if _, ok := tr.Delete(2); ok {
-		t.Fatal("Delete(2) succeeded")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
 func TestSmallOrderStress(t *testing.T) {
-	// Order 3 maximizes splits/merges.
+	// Order 3 maximizes splits.
 	tr := intTree(3)
 	ref := map[int]string{}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 5000; i++ {
 		k := rng.Intn(300)
-		switch rng.Intn(3) {
-		case 0, 1:
-			v := string(rune('a' + k%26))
-			tr.Put(k, v)
-			ref[k] = v
-		case 2:
-			_, treeOK := tr.Delete(k)
-			_, refOK := ref[k]
-			if treeOK != refOK {
-				t.Fatalf("step %d: Delete(%d) = %v, ref %v", i, k, treeOK, refOK)
-			}
-			delete(ref, k)
+		v := string(rune('a' + (k+i)%26))
+		old, replaced := tr.Put(k, v)
+		if refOld, refOK := ref[k]; replaced != refOK || old != refOld {
+			t.Fatalf("step %d: Put(%d) replaced %q %v, ref %q %v", i, k, old, replaced, refOld, refOK)
 		}
+		ref[k] = v
 		if tr.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, ref %d", i, tr.Len(), len(ref))
 		}
@@ -228,24 +137,18 @@ func TestStringKeys(t *testing.T) {
 }
 
 // TestQuickModelEquivalence is a property test: after an arbitrary
-// sequence of puts and deletes, the tree matches a reference map and
+// sequence of puts, the tree matches a reference map, key by key, and
 // iterates in sorted order.
 func TestQuickModelEquivalence(t *testing.T) {
 	f := func(ops []int16, seed int64) bool {
 		tr := New[int16, int16](3+int(seed%6+5)%6+3, func(a, b int16) bool { return a < b })
 		ref := map[int16]int16{}
 		for i, k := range ops {
-			if i%3 == 2 {
-				_, treeOK := tr.Delete(k)
-				_, refOK := ref[k]
-				if treeOK != refOK {
-					return false
-				}
-				delete(ref, k)
-			} else {
-				tr.Put(k, int16(i))
-				ref[k] = int16(i)
+			if v, ok := tr.Get(k); ok != (ref[k] != 0) || v != ref[k] {
+				return false
 			}
+			tr.Put(k, int16(i+1))
+			ref[k] = int16(i + 1)
 		}
 		if tr.Len() != len(ref) {
 			return false

@@ -1,13 +1,13 @@
-package campaign
+package sched
 
 import (
 	"container/list"
 	"sync"
 )
 
-// Cache is a bounded LRU mapping point cache keys (Spec.PointKey) to
-// their encoded results. Values are immutable once stored: the runner
-// encodes each point deterministically, so a hit is byte-identical to
+// Cache is a bounded LRU mapping point cache keys (Job.PointKey) to
+// their encoded results. Values are immutable once stored: points are
+// encoded deterministically, so a hit is byte-identical to
 // recomputation by construction.
 type Cache struct {
 	mu       sync.Mutex
@@ -80,11 +80,4 @@ func (c *Cache) Put(key string, val []byte) {
 		c.ll.Remove(last)
 		delete(c.m, last.Value.(*cacheEntry).key)
 	}
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

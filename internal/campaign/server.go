@@ -2,15 +2,9 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
+	"asyncio/internal/campaign/sched"
 	"asyncio/internal/campaign/store"
 	"asyncio/internal/metrics"
 )
@@ -65,216 +59,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one progress record of a campaign, streamed as NDJSON from
-// the events endpoint.
-// A stream always ends with exactly one terminal record (Final true,
-// State complete/failed/aborted) — its absence means the stream was cut
-// off mid-campaign, not that the campaign ended.
-type Event struct {
-	Seq   int    `json:"seq"`
-	Point int    `json:"point"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	Err   string `json:"err,omitempty"`
-	Final bool   `json:"final,omitempty"`
-	State string `json:"state,omitempty"`
-}
+// Cache is the scheduler's point LRU, under the name benchmark/
+// constructs one by.
+type Cache = sched.Cache
 
-// Campaign is one admitted scenario: a canonical spec plus the
-// per-point results as they land.
-type Campaign struct {
-	id   string
-	spec *Spec
+// NewCache returns an LRU holding at most max entries.
+func NewCache(max int) *Cache { return sched.NewCache(max) }
 
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on every event append
-	results  [][]byte   // index-ordered point payloads
-	done     int
-	firstErr error
-	events   []Event
-	finished chan struct{} // closed when done == len(results)
-	aborted  chan struct{} // closed when the server shut down first
-}
-
-func newCampaign(id string, spec *Spec, total int) *Campaign {
-	c := &Campaign{id: id, spec: spec, results: make([][]byte, total),
-		finished: make(chan struct{}), aborted: make(chan struct{})}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-func (c *Campaign) abortedNow() bool {
-	select {
-	case <-c.aborted:
-		return true
-	default:
-		return false
-	}
-}
-
-// abort marks an unfinished campaign as cut off by server shutdown:
-// result waiters get a typed 503 and event streams emit an "aborted"
-// terminal record. A finished campaign is left alone.
-func (c *Campaign) abort() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done == len(c.results) || c.abortedNow() {
-		return
-	}
-	close(c.aborted)
-	c.cond.Broadcast()
-}
-
-// deliver records point i's result. Safe to call from any worker; the
-// last point closes finished.
-func (c *Campaign) deliver(i int, val []byte, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deliverLocked(i, val, err)
-}
-
-func (c *Campaign) deliverLocked(i int, val []byte, err error) {
-	c.results[i] = val
-	c.done++
-	if err != nil && c.firstErr == nil {
-		c.firstErr = err
-	}
-	ev := Event{Seq: len(c.events), Point: i, Done: c.done, Total: len(c.results)}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	c.events = append(c.events, ev)
-	c.cond.Broadcast()
-	if c.done == len(c.results) {
-		close(c.finished)
-	}
-}
-
-func (c *Campaign) state() string {
-	select {
-	case <-c.finished:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.firstErr != nil {
-			return "failed"
-		}
-		return "complete"
-	default:
-		if c.abortedNow() {
-			return "aborted"
-		}
-		return "running"
-	}
-}
-
-// Dispatch is one scheduler decision, recorded for fairness assertions:
-// which tenant's task was handed to a worker, how many tasks that
-// tenant still had queued afterwards, and how many remained in total.
-type Dispatch struct {
-	Tenant  string
-	Pending int
-	Queued  int
-}
-
-// task is one queued simulation point.
-type task struct {
-	key    string
-	tenant string
-}
-
-// flight is the single-flight record of one point being computed: every
-// campaign wanting the same point subscribes instead of re-queueing it.
-type flight struct {
-	spec     *Spec // canonical spec the point is computed under
-	point    int
-	subs     []subscriber
-	deadline time.Time // zero = no deadline; joins extend to the max
-}
-
-type subscriber struct {
-	c     *Campaign
-	point int
-}
-
-// Server is the campaign service. Construct with NewServer, mount
-// Handler on an http.Server, and stop with Shutdown (drain) or Close
-// (abrupt).
+// Server is the campaign service: the HTTP surface (http.go) over a
+// registry of campaigns (campaign.go) whose points a sched.Scheduler
+// runs. Construct with NewServer, mount Handler on an http.Server, and
+// stop with Shutdown (drain) or Close (abrupt).
 type Server struct {
-	cfg   Config
-	reg   *metrics.Registry
-	cache *Cache
-	start time.Time
-
-	// compute and nowFn are the worker's seams: production uses
-	// ComputePoint and time.Now; supervision tests inject panicking
-	// computes and fake clocks.
-	compute func(*Spec, int) ([]byte, error)
-	nowFn   func() time.Time
-
-	admitted, rejected *metrics.Counter
-	hits, misses       *metrics.Counter
-	served             *metrics.Counter
-	storeHits          *metrics.Counter
-	panics             *metrics.Counter
-	redispatched       *metrics.Counter
-	poisonedCtr        *metrics.Counter
-	deadlineExpired    *metrics.Counter
-	queueDepth         *metrics.Gauge
-	inflight           *metrics.Gauge
-
-	mu                sync.Mutex
-	cond              *sync.Cond // dispatch wakeups: new work, resume, close
-	campaigns         map[string]*Campaign
-	tenants           map[string][]task // per-tenant FIFO
-	ring              []string          // round-robin tenant order (first-seen)
-	next              int               // ring cursor
-	flights           map[string]*flight
-	queued            int              // total queued tasks across tenants
-	running           int              // tasks currently on a worker
-	pendingRedispatch int              // panicked tasks waiting out their backoff
-	strikes           map[string]int   // consecutive panics per point key
-	poisoned          map[string]error // poison-quarantined keys → stable error
-	paused            bool
-	draining          bool
-	closed            bool
-	log               []Dispatch
-
-	wg sync.WaitGroup
+	cfg       Config
+	reg       *metrics.Registry
+	sched     *sched.Scheduler
+	campaigns registry
 }
 
 // NewServer starts the worker pool and returns the service.
 func NewServer(cfg Config) *Server {
+	return newServer(cfg, ComputePoint, time.Now)
+}
+
+// newServer is NewServer with the compute function and the deadline
+// clock injected, for tests of the supervision wire format.
+func newServer(cfg Config, compute func(*Spec, int) ([]byte, error), now func() time.Time) *Server {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	s := &Server{
 		cfg:       cfg,
 		reg:       metrics.NewRegistryWithNow(func() time.Duration { return time.Since(start) }),
-		cache:     NewCache(cfg.CacheSize),
-		start:     start,
-		compute:   ComputePoint,
-		nowFn:     time.Now,
-		campaigns: make(map[string]*Campaign),
-		tenants:   make(map[string][]task),
-		flights:   make(map[string]*flight),
-		strikes:   make(map[string]int),
-		poisoned:  make(map[string]error),
+		campaigns: registry{campaigns: make(map[string]*Campaign), compute: compute},
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.admitted = s.reg.Counter("campaign.admitted")
-	s.rejected = s.reg.Counter("campaign.rejected")
-	s.hits = s.reg.Counter("campaign.cache.hits")
-	s.misses = s.reg.Counter("campaign.cache.misses")
-	s.served = s.reg.Counter("campaign.points.served")
-	s.storeHits = s.reg.Counter("campaign.store.hits")
-	s.panics = s.reg.Counter("campaign.panics")
-	s.redispatched = s.reg.Counter("campaign.redispatches")
-	s.poisonedCtr = s.reg.Counter("campaign.poisoned")
-	s.deadlineExpired = s.reg.Counter("campaign.deadline.expired")
-	s.queueDepth = s.reg.Gauge("campaign.queue.depth")
-	s.inflight = s.reg.Gauge("campaign.workers.inflight")
+	sc := sched.Config{
+		Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, CacheSize: cfg.CacheSize,
+		PointDeadline: cfg.PointDeadline, PoisonStrikes: cfg.PoisonStrikes,
+		RedispatchBackoff: cfg.RedispatchBackoff,
+	}
+	storeHits := s.reg.Counter("campaign.store.hits")
 	if st := cfg.Store; st != nil {
 		st.Instrument(s.reg)
-		s.cache.SetFallback(func(key string) ([]byte, bool) {
+		sc.Fallback = func(key string) ([]byte, bool) {
 			val, ok, err := st.Get(key)
 			if err != nil || !ok {
 				// A read error (rot, I/O) is a miss: recompute rather
@@ -284,14 +110,15 @@ func NewServer(cfg Config) *Server {
 			if ValidatePointPayload(val) != nil {
 				return nil, false
 			}
-			s.storeHits.Add(1)
+			storeHits.Add(1)
 			return val, true
-		})
+		}
+		// Put fails only on a closed store or an oversized key; either
+		// way the point is still served from the LRU.
+		sc.WriteThrough = func(key string, val []byte) { _ = st.Put(key, val) }
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.sched = sched.New(sc, s.reg, now, func(d time.Duration, f func()) { time.AfterFunc(d, f) })
+	s.sched.Start()
 	return s
 }
 
@@ -299,51 +126,9 @@ func NewServer(cfg Config) *Server {
 // hit ratios and drain invariants against it).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Pause stops dispatching queued work to workers; already-running
-// points finish. A deterministic hook for tests and operators.
-func (s *Server) Pause() {
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
-}
-
-// Resume restarts dispatch after Pause.
-func (s *Server) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// DispatchLog returns a copy of the scheduler's dispatch decisions.
-func (s *Server) DispatchLog() []Dispatch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Dispatch(nil), s.log...)
-}
-
 // Drain stops admission (new POSTs get 503) and waits until every
 // queued and running point has completed or ctx expires.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		// A panicked task waiting out its re-dispatch backoff is neither
-		// queued nor running; pendingRedispatch keeps the drain honest.
-		idle := s.queued == 0 && s.running == 0 && s.pendingRedispatch == 0
-		s.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-}
+func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
 // Close stops the worker pool without waiting for queued work and
 // blocks until the workers exit. Campaigns with undispatched points are
@@ -351,18 +136,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // a terminal "aborted" record, so clients can tell a cut-off campaign
 // from a finished one. Use Shutdown for a clean stop.
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	camps := make([]*Campaign, 0, len(s.campaigns))
-	for _, c := range s.campaigns {
-		camps = append(camps, c)
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	for _, c := range camps {
-		c.abort()
-	}
+	s.sched.Close()
+	s.campaigns.abortAll()
 }
 
 // Shutdown drains then closes.
@@ -372,555 +147,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// worker pulls tasks round-robin across tenants and computes them under
-// supervision: a panic is isolated, re-dispatched with capped backoff,
-// and poison-quarantined after PoisonStrikes; an expired deadline gets
-// a typed error instead of a compute.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for !s.closed && (s.paused || s.queued == 0) {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		t, ok := s.nextTaskLocked()
-		if !ok {
-			s.mu.Unlock()
-			continue
-		}
-		f := s.flights[t.key]
-		deadline := f.deadline
-		s.running++
-		s.inflight.Set(float64(s.running))
-		s.mu.Unlock()
-
-		var val []byte
-		var err error
-		if !deadline.IsZero() && s.nowFn().After(deadline) {
-			s.deadlineExpired.Add(1)
-			err = &DeadlineError{Key: t.key}
-		} else {
-			val, err = s.runPoint(f.spec, f.point)
-		}
-
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			s.panics.Add(1)
-			s.mu.Lock()
-			s.strikes[t.key]++
-			strike := s.strikes[t.key]
-			retryable := strike < s.cfg.PoisonStrikes && !s.closed
-			backoff := redispatchDelay(s.cfg.RedispatchBackoff, strike)
-			if retryable && !deadline.IsZero() && s.nowFn().Add(backoff).After(deadline) {
-				// No room for another attempt before the deadline.
-				retryable = false
-				s.deadlineExpired.Add(1)
-				err = &DeadlineError{Key: t.key}
-			}
-			if retryable {
-				// Keep the flight open and return the task to its queue
-				// after the backoff — the "restart the worker" move, with
-				// the strike count standing in for supervisor state.
-				s.pendingRedispatch++
-				s.redispatched.Add(1)
-				s.running--
-				s.inflight.Set(float64(s.running))
-				s.mu.Unlock()
-				time.AfterFunc(backoff, func() { s.requeue(t) })
-				continue
-			}
-			if strike >= s.cfg.PoisonStrikes {
-				// Strikes exhausted: quarantine the key so no one ever
-				// retries it again, and fail with a stable typed error.
-				perr := &PoisonedError{Key: t.key, Strikes: strike, Cause: pe}
-				s.poisoned[t.key] = perr
-				s.poisonedCtr.Add(1)
-				err = perr
-			}
-			s.mu.Unlock()
-		}
-		if err == nil {
-			s.cache.Put(t.key, val)
-			if st := s.cfg.Store; st != nil {
-				st.Put(t.key, val)
-			}
-			s.mu.Lock()
-			delete(s.strikes, t.key)
-			s.mu.Unlock()
-		}
-
-		s.mu.Lock()
-		delete(s.flights, t.key)
-		s.running--
-		s.inflight.Set(float64(s.running))
-		s.served.Add(1)
-		subs := f.subs
-		s.mu.Unlock()
-		for _, sub := range subs {
-			sub.c.deliver(sub.point, val, err)
-		}
-	}
-}
-
-// nextTaskLocked pops the next task fairly: round-robin across tenants
-// in first-seen order, FIFO within a tenant. Records the decision.
-func (s *Server) nextTaskLocked() (task, bool) {
-	for j := 0; j < len(s.ring); j++ {
-		name := s.ring[(s.next+j)%len(s.ring)]
-		q := s.tenants[name]
-		if len(q) == 0 {
-			continue
-		}
-		t := q[0]
-		s.tenants[name] = q[1:]
-		s.next = (s.next + j + 1) % len(s.ring)
-		s.queued--
-		s.queueDepth.Set(float64(s.queued))
-		s.log = append(s.log, Dispatch{Tenant: name, Pending: len(q) - 1, Queued: s.queued})
-		return t, true
-	}
-	return task{}, false
-}
-
-// submitResult is what a POST resolves to before any waiting.
-type submitResult struct {
-	c      *Campaign
-	status int // http.StatusAccepted or StatusOK (already known)
-}
-
-var errDraining = errors.New("draining")
-
-// admissionError carries the 429 backpressure decision.
-type admissionError struct{ retryAfter int }
-
-func (e *admissionError) Error() string {
-	return fmt.Sprintf("queue full, retry after %ds", e.retryAfter)
-}
-
-// submit admits one canonical spec: resolves every point against the
-// cache and in-flight work, enqueues the rest (all or nothing), and
-// returns the campaign.
-func (s *Server) submit(spec *Spec) (*submitResult, error) {
+// submit admits one canonical spec and returns its campaign: the
+// registered one when the same tenant already submitted the same
+// content, otherwise a new one whose points the scheduler resolved or
+// queued, all or nothing. known reports that no new simulation work was
+// scheduled (HTTP 200 rather than 202).
+func (s *Server) submit(spec *Spec) (c *Campaign, known bool, err error) {
 	total, err := spec.PointCount()
 	if err != nil {
-		return nil, &SpecError{Field: "sweep", Msg: err.Error()}
+		return nil, false, &SpecError{Field: "sweep", Msg: err.Error()}
 	}
 	id := spec.ID()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		s.rejected.Add(1)
-		return nil, errDraining
+	r := &s.campaigns
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c := r.campaigns[id]; c != nil {
+		return c, true, s.sched.Readmit(spec.Tenant, total)
 	}
-	if c, ok := s.campaigns[id]; ok {
-		// Same tenant, same content: the identical campaign. Every
-		// point is already resolved or in flight — all hits, no work.
-		s.admitted.Add(1)
-		s.hits.Add(int64(total))
-		s.tenantServedLocked(spec.Tenant, total)
-		return &submitResult{c: c, status: http.StatusOK}, nil
-	}
-
-	c := newCampaign(id, spec, total)
-	var deadline time.Time
-	if s.cfg.PointDeadline > 0 {
-		deadline = s.nowFn().Add(s.cfg.PointDeadline)
-	}
-	type pending struct {
-		key   string
-		point int
-	}
-	var misses []pending
-	hits := 0
-	for i := 0; i < total; i++ {
-		key := spec.PointKey(i)
-		if perr, ok := s.poisoned[key]; ok {
-			// Poison-quarantined: the stable rejection, never a retry.
-			c.deliver(i, nil, perr)
-			hits++
-			continue
-		}
-		if val, ok := s.cache.Get(key); ok {
-			c.deliver(i, val, nil)
-			hits++
-			continue
-		}
-		if f, ok := s.flights[key]; ok {
-			// Another campaign is already computing this point: join
-			// its flight. Counted as a hit — no new simulation work.
-			// The flight keeps the latest deadline among its joiners.
-			f.subs = append(f.subs, subscriber{c: c, point: i})
-			if !f.deadline.IsZero() && (deadline.IsZero() || deadline.After(f.deadline)) {
-				f.deadline = deadline
-			}
-			hits++
-			continue
-		}
-		misses = append(misses, pending{key: key, point: i})
-	}
-	if s.queued+len(misses) > s.cfg.QueueDepth {
-		// All or nothing: reject before registering anything, so a 429
-		// leaves no partial campaign behind.
-		s.rejected.Add(1)
-		return nil, &admissionError{retryAfter: retryAfterFor(spec.Tenant, s.queued, s.cfg.Workers)}
-	}
-	s.campaigns[id] = c
-	if _, ok := s.tenants[spec.Tenant]; !ok {
-		s.tenants[spec.Tenant] = nil
-		s.ring = append(s.ring, spec.Tenant)
-	}
-	for _, p := range misses {
-		s.flights[p.key] = &flight{spec: spec, point: p.point,
-			subs: []subscriber{{c: c, point: p.point}}, deadline: deadline}
-		s.tenants[spec.Tenant] = append(s.tenants[spec.Tenant], task{key: p.key, tenant: spec.Tenant})
-	}
-	s.queued += len(misses)
-	s.queueDepth.Set(float64(s.queued))
-	s.admitted.Add(1)
-	s.hits.Add(int64(hits))
-	s.misses.Add(int64(len(misses)))
-	s.tenantServedLocked(spec.Tenant, total)
-	s.cond.Broadcast()
-	status := http.StatusAccepted
-	if len(misses) == 0 && hits == total {
-		status = http.StatusOK
-	}
-	return &submitResult{c: c, status: status}, nil
-}
-
-// tenantServedLocked credits points requested by a tenant (served from
-// cache or scheduled on its behalf).
-func (s *Server) tenantServedLocked(tenant string, n int) {
-	s.reg.Counter("campaign.tenant.served." + tenant).Add(int64(n))
-}
-
-// Handler returns the service's HTTP mux.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /metricz", s.handleMetricz)
-	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
-	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/campaigns/{id}/result", s.handleResult)
-	return mux
-}
-
-// handleHealth is liveness: the process is up and serving HTTP. It
-// stays 200 through a drain — kubelet-style probes must not kill a
-// daemon that is gracefully finishing its queue. Readiness (should this
-// instance receive new work?) lives at /readyz.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-// handleReady is readiness: 200 with store/recovery detail while
-// accepting work, 503 once draining or closed.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	unready := s.draining || s.closed
-	s.mu.Unlock()
-	if unready {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	resp := map[string]any{"status": "ready"}
-	if st := s.cfg.Store; st != nil {
-		stats := st.Stats()
-		resp["store"] = map[string]any{
-			"points":     stats.Points,
-			"segments":   stats.Segments,
-			"live_bytes": stats.LiveBytes,
-		}
-		if rep := s.cfg.StoreRecovery; rep != nil {
-			resp["recovery"] = rep.Summary()
-			resp["recovery_clean"] = rep.Clean()
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	s.reg.WriteCSV(w, "asyncio-serve")
-}
-
-// statusJSON is the campaign status wire form.
-type statusJSON struct {
-	ID     string `json:"id"`
-	Kind   string `json:"kind"`
-	Tenant string `json:"tenant"`
-	Total  int    `json:"total"`
-	Done   int    `json:"done"`
-	State  string `json:"state"`
-	Error  string `json:"error,omitempty"`
-}
-
-func (c *Campaign) statusJSON() statusJSON {
-	c.mu.Lock()
-	done := c.done
-	ferr := c.firstErr
-	c.mu.Unlock()
-	st := statusJSON{ID: c.id, Kind: c.spec.Kind, Tenant: c.spec.Tenant,
-		Total: len(c.results), Done: done, State: c.state()}
-	if ferr != nil {
-		st.Error = ferr.Error()
-	}
-	return st
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
+	c = newCampaign(id, spec, total, r.compute)
+	queued, err := s.sched.Admit(c, spec.Tenant, total)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, false, err
 	}
-	spec, err := DecodeSpec(body)
-	if err != nil {
-		var se *SpecError
-		if errors.As(err, &se) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": se.Msg, "field": se.Field})
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	res, err := s.submit(spec)
-	if err != nil {
-		var ae *admissionError
-		switch {
-		case errors.As(err, &ae):
-			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-			http.Error(w, ae.Error(), http.StatusTooManyRequests)
-		case errors.Is(err, errDraining):
-			http.Error(w, "server is draining", http.StatusServiceUnavailable)
-		default:
-			var se *SpecError
-			if errors.As(err, &se) {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": se.Msg, "field": se.Field})
-				return
-			}
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	if wait := r.URL.Query().Get("wait"); wait != "" {
-		select {
-		case <-res.c.finished:
-		case <-res.c.aborted:
-			writeJSON(w, http.StatusServiceUnavailable,
-				map[string]string{"error": "campaign aborted: server shut down", "kind": "aborted"})
-			return
-		case <-r.Context().Done():
-			http.Error(w, "client went away", http.StatusRequestTimeout)
-			return
-		}
-		format := wait
-		if format == "1" || format == "true" {
-			format = ""
-		}
-		s.serveResult(w, res.c, format)
-		return
-	}
-	writeJSON(w, res.status, res.c.statusJSON())
-}
-
-func (s *Server) campaignFor(w http.ResponseWriter, r *http.Request) *Campaign {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	c := s.campaigns[id]
-	s.mu.Unlock()
-	if c == nil {
-		http.Error(w, "unknown campaign", http.StatusNotFound)
-		return nil
-	}
-	return c
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c := s.campaignFor(w, r)
-	if c == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, c.statusJSON())
-}
-
-// handleEvents streams the campaign's progress as NDJSON, one event per
-// completed point, and closes when the campaign finishes.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c := s.campaignFor(w, r)
-	if c == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
-	// A cond.Wait cannot watch a context; this watcher turns client
-	// disconnect into a broadcast so the stream loop can re-check.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-r.Context().Done():
-		case <-done:
-		}
-		c.cond.Broadcast()
-	}()
-	enc := json.NewEncoder(w)
-	next := 0
-	for {
-		c.mu.Lock()
-		for next >= len(c.events) && c.done < len(c.results) && !c.abortedNow() && r.Context().Err() == nil {
-			c.cond.Wait()
-		}
-		evs := c.events[next:]
-		next = len(c.events)
-		done, total := c.done, len(c.results)
-		ferr := c.firstErr
-		c.mu.Unlock()
-		if r.Context().Err() != nil {
-			return
-		}
-		for _, ev := range evs {
-			enc.Encode(ev)
-		}
-		if done == total || c.abortedNow() {
-			// Exactly one terminal record ends every stream the server
-			// finishes on purpose; a stream without one was cut off.
-			state := "complete"
-			switch {
-			case done < total:
-				state = "aborted"
-			case ferr != nil:
-				state = "failed"
-			}
-			enc.Encode(Event{Seq: next, Point: -1, Done: done, Total: total, Final: true, State: state})
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// handleResult blocks until the campaign finishes, then serves its
-// result in the requested format.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	c := s.campaignFor(w, r)
-	if c == nil {
-		return
-	}
-	select {
-	case <-c.finished:
-	case <-c.aborted:
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"error": "campaign aborted: server shut down", "kind": "aborted"})
-		return
-	case <-r.Context().Done():
-		http.Error(w, "client went away", http.StatusRequestTimeout)
-		return
-	}
-	s.serveResult(w, c, r.URL.Query().Get("format"))
-}
-
-func (s *Server) serveResult(w http.ResponseWriter, c *Campaign, format string) {
-	c.mu.Lock()
-	ferr := c.firstErr
-	payloads := c.results
-	c.mu.Unlock()
-	if ferr != nil {
-		// Supervision failures are typed on the wire: clients (and the
-		// chaos harness) distinguish a poisoned spec from a transient
-		// panic or a missed deadline without parsing prose.
-		if errors.Is(ferr, ErrSupervised) {
-			kind := "panic"
-			var poe *PoisonedError
-			var dle *DeadlineError
-			switch {
-			case errors.As(ferr, &poe):
-				kind = "poisoned"
-			case errors.As(ferr, &dle):
-				kind = "deadline"
-			}
-			writeJSON(w, http.StatusInternalServerError,
-				map[string]string{"error": ferr.Error(), "kind": kind})
-			return
-		}
-		http.Error(w, "campaign failed: "+ferr.Error(), http.StatusInternalServerError)
-		return
-	}
-	body, ctype, err := renderResult(c.spec, payloads, format)
-	if err != nil {
-		var se *SpecError
-		if errors.As(err, &se) {
-			http.Error(w, se.Error(), http.StatusBadRequest)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
-}
-
-// renderResult assembles a finished campaign's payloads into the
-// requested format. Pure: same payloads and format, same bytes.
-func renderResult(spec *Spec, payloads [][]byte, format string) ([]byte, string, error) {
-	const (
-		textType = "text/plain; charset=utf-8"
-		jsonType = "application/json; charset=utf-8"
-		csvType  = "text/csv; charset=utf-8"
-	)
-	if spec.Kind == "sweep" {
-		switch format {
-		case "", "table":
-			b, err := AssembleSweepTable(spec, payloads)
-			return b, textType, err
-		case "json":
-			b, err := sweepPointsJSON(spec, payloads)
-			return b, jsonType, err
-		case "csv":
-			b, err := sweepPointsCSV(payloads)
-			return b, csvType, err
-		}
-		return nil, "", specErrf("format", "unknown sweep format %q (want table, json, or csv)", format)
-	}
-	bundle, err := DecodeBundle(payloads[0])
-	if err != nil {
-		return nil, "", err
-	}
-	switch format {
-	case "", "summary":
-		return bundle[ArtifactSummary], textType, nil
-	case "trace":
-		return bundle[ArtifactTrace], csvType, nil
-	case "metrics":
-		return bundle[ArtifactMetrics], csvType, nil
-	case "perfetto":
-		return bundle[ArtifactPerfetto], jsonType, nil
-	case "critpath":
-		if b, ok := bundle[ArtifactCritPath]; ok {
-			return b, jsonType, nil
-		}
-		return nil, "", errors.New("campaign: run carried no critical-path profile")
-	case "bundle":
-		return payloads[0], jsonType, nil
-	}
-	return nil, "", specErrf("format", "unknown run format %q (want summary, trace, metrics, perfetto, critpath, or bundle)", format)
+	r.campaigns[id] = c
+	return c, queued == 0, nil
 }

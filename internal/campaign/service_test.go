@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"asyncio/internal/experiments"
 )
@@ -17,7 +18,14 @@ import (
 // startService spins up an in-process server over a loopback listener.
 func startService(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	svc := NewServer(cfg)
+	return startServiceWith(t, cfg, ComputePoint, time.Now)
+}
+
+// startServiceWith is startService with the compute function and the
+// deadline clock injected, for the supervision wire tests.
+func startServiceWith(t *testing.T, cfg Config, compute func(*Spec, int) ([]byte, error), now func() time.Time) (*Server, *httptest.Server) {
+	t.Helper()
+	svc := newServer(cfg, compute, now)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -273,7 +281,7 @@ func TestServiceTypedErrors(t *testing.T) {
 
 	// Backpressure, deterministically: pause dispatch so nothing
 	// drains, fill the queue past its depth with distinct cheap specs.
-	svc.Pause()
+	svc.sched.Pause()
 	fill := func(i int) (int, http.Header) {
 		spec := fmt.Sprintf(`{"kind":"run","workload":"vpic","nodes":1,"steps":1,"compute_seconds":%d}`, i+1)
 		code, hdr, _ := post(t, ts, "/v1/campaigns", spec)
@@ -296,7 +304,7 @@ func TestServiceTypedErrors(t *testing.T) {
 	if rejected == 0 {
 		t.Error("429 not accounted in campaign.rejected")
 	}
-	svc.Resume()
+	svc.sched.Resume()
 
 	// Drain: stops admission with 503. Readiness agrees; liveness does
 	// not flinch — a draining daemon is still alive.
@@ -311,44 +319,5 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
 		t.Errorf("healthz while draining: status %d, want 200 (liveness)", code)
-	}
-}
-
-// TestServiceFairDispatch pins the round-robin scheduler: with two
-// tenants' work queued while dispatch is paused, the dispatch log
-// alternates between them for as long as both have pending tasks.
-func TestServiceFairDispatch(t *testing.T) {
-	svc, ts := startService(t, Config{Workers: 1, QueueDepth: 64})
-	svc.Pause()
-	const perTenant = 3
-	for i := 0; i < perTenant; i++ {
-		for _, tenant := range []string{"alice", "bob"} {
-			spec := fmt.Sprintf(`{"kind":"run","tenant":%q,"workload":"vpic","nodes":1,"steps":1,"compute_seconds":%d}`, tenant, 10*i+len(tenant))
-			code, _, body := post(t, ts, "/v1/campaigns", spec)
-			if code != http.StatusAccepted {
-				t.Fatalf("POST %s/%d: status %d: %s", tenant, i, code, body)
-			}
-		}
-	}
-	svc.Resume()
-	if err := svc.Drain(t.Context()); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	log := svc.DispatchLog()
-	if len(log) != 2*perTenant {
-		t.Fatalf("dispatch log has %d entries, want %d", len(log), 2*perTenant)
-	}
-	// All work was queued before dispatch resumed and there is one
-	// worker, so the round-robin order is fully deterministic: strict
-	// alternation in first-seen tenant order.
-	for i, d := range log {
-		want := "alice"
-		if i%2 == 1 {
-			want = "bob"
-		}
-		if d.Tenant != want {
-			t.Errorf("dispatch %d went to %s, want %s (log: %+v)", i, d.Tenant, want, log)
-			break
-		}
 	}
 }

@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// TestServiceSoak hammers the service with 64 concurrent clients across
-// mixed tenants (run with -race in CI) and then audits the books:
-// every POST is accounted as admitted or rejected — a 429 is never
-// dropped silently — per-tenant served counters add up, the scheduler
-// never starves a tenant that had queued work, and after a drain both
-// the queue-depth and in-flight gauges are back to zero.
+// TestServiceSoak hammers the HTTP surface with 64 concurrent clients
+// across mixed tenants (run with -race in CI) and checks what crosses
+// the wire: every POST is answered 202, 200 or 429, a 429 always
+// carries an integer Retry-After, and /metricz's admitted and rejected
+// counters are exactly what the clients saw — backpressure is never
+// dropped silently. The scheduling audit of the same traffic (fairness,
+// per-tenant credit, gauges back to zero) is sched.TestServiceSoak.
 func TestServiceSoak(t *testing.T) {
 	const (
 		clients    = 64
@@ -34,8 +35,6 @@ func TestServiceSoak(t *testing.T) {
 	}
 
 	var posts, accepted, throttled atomic.Int64
-	var retryMu sync.Mutex
-	retryByTenant := make(map[string][]int) // observed Retry-After values
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -56,16 +55,9 @@ func TestServiceSoak(t *testing.T) {
 				case http.StatusAccepted, http.StatusOK:
 					accepted.Add(1)
 				case http.StatusTooManyRequests:
-					// Backpressure is a first-class answer; count it,
-					// never swallow it.
-					ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-					if err != nil {
-						t.Errorf("client %d: 429 with unparseable Retry-After %q",
+					if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+						t.Errorf("client %d: 429 with Retry-After %q, want a positive integer",
 							i, resp.Header.Get("Retry-After"))
-					} else {
-						retryMu.Lock()
-						retryByTenant[tenant] = append(retryByTenant[tenant], ra)
-						retryMu.Unlock()
 					}
 					throttled.Add(1)
 				default:
@@ -75,42 +67,10 @@ func TestServiceSoak(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-
-	// Retry-After carries deterministic per-tenant jitter so a burst of
-	// rejected tenants does not return in one synchronized wave. Every
-	// observed value must sit in the tenant's [base, base+maxLoad] band,
-	// and tenants with different jitter must actually see different
-	// values when the load component is equal.
-	const workers = 4
-	maxLoad := queueDepth / (workers * 4)
-	for tenant, vals := range retryByTenant {
-		base := retryAfterFor(tenant, 0, workers)
-		for _, ra := range vals {
-			if ra < base || ra > base+maxLoad {
-				t.Errorf("tenant %s: Retry-After %d outside jittered band [%d, %d]",
-					tenant, ra, base, base+maxLoad)
-			}
-		}
-	}
-	if len(retryByTenant) >= 2 {
-		bases := make(map[int]bool)
-		observed := make(map[int]bool)
-		for tenant, vals := range retryByTenant {
-			bases[retryAfterFor(tenant, 0, workers)] = true
-			for _, ra := range vals {
-				observed[ra] = true
-			}
-		}
-		if len(bases) >= 2 && len(observed) < 2 {
-			t.Errorf("tenants with distinct jitter bases all saw the same Retry-After %v", observed)
-		}
-	}
-
 	if err := svc.Drain(t.Context()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 
-	reg := svc.Metrics()
 	admitted := counter(t, svc, "campaign.admitted")
 	rejected := counter(t, svc, "campaign.rejected")
 	if admitted != accepted.Load() {
@@ -121,40 +81,5 @@ func TestServiceSoak(t *testing.T) {
 	}
 	if admitted+rejected != posts.Load() {
 		t.Errorf("admitted %d + rejected %d != POSTs %d", admitted, rejected, posts.Load())
-	}
-
-	// Every admitted POST here is a single-point run campaign, and the
-	// tenant is credited at admission — so the per-tenant counters must
-	// sum to the admitted count.
-	var tenantSum int64
-	for i := 0; i < tenantMod; i++ {
-		tenantSum += counter(t, svc, fmt.Sprintf("campaign.tenant.served.t%d", i))
-	}
-	if tenantSum != admitted {
-		t.Errorf("per-tenant served sum %d != admitted %d", tenantSum, admitted)
-	}
-
-	// Drained means idle: both gauges back to zero.
-	if g := reg.FindGauge("campaign.queue.depth"); g == nil || g.Value() != 0 {
-		t.Errorf("queue depth gauge not zero after drain: %v", g)
-	}
-	if g := reg.FindGauge("campaign.workers.inflight"); g == nil || g.Value() != 0 {
-		t.Errorf("in-flight gauge not zero after drain: %v", g)
-	}
-
-	// Fair-share bound: round-robin means a tenant never gets two
-	// consecutive dispatches while another tenant had queued work
-	// (Queued counts everyone's remaining tasks, Pending only the
-	// dispatched tenant's — a gap between them is other tenants' work).
-	log := svc.DispatchLog()
-	if len(log) == 0 {
-		t.Fatal("empty dispatch log after soak")
-	}
-	for i := 1; i < len(log); i++ {
-		prev := log[i-1]
-		if log[i].Tenant == prev.Tenant && prev.Queued > prev.Pending {
-			t.Errorf("dispatch %d: tenant %s served twice in a row while others had %d queued tasks",
-				i, prev.Tenant, prev.Queued-prev.Pending)
-		}
 	}
 }

@@ -24,6 +24,8 @@ type CorruptRangeError struct {
 	Len     int64  // damaged byte count
 	Reason  string // why decoding failed
 	Tail    bool   // damage runs to end of file (the torn-write shape)
+
+	seg int // the segment's id
 }
 
 func (e *CorruptRangeError) Error() string {
@@ -42,7 +44,6 @@ type RecoveryReport struct {
 	Records    int // checksum-valid records replayed
 	Points     int // live keys after last-write-wins replay
 	Superseded int // records shadowed by a later write of the same key
-	LiveBytes  int64
 
 	// Quarantined lists every damaged byte range, one typed error per
 	// range. The raw bytes are preserved under <dir>/quarantine/ for
@@ -123,7 +124,6 @@ func (s *Store) recover() (*RecoveryReport, error) {
 		return nil, err
 	}
 	rep := &RecoveryReport{Segments: len(ids)}
-	damaged := make(map[int]bool)
 	for _, id := range ids {
 		if err := s.openSegmentLocked(id); err != nil {
 			return nil, err
@@ -134,12 +134,8 @@ func (s *Store) recover() (*RecoveryReport, error) {
 			return nil, fmt.Errorf("store: reading %s: %w", segName(id), err)
 		}
 		s.scanSegment(id, buf, rep)
-		if tail := tailDamage(rep, id); tail != nil || segDamaged(rep, id) {
-			damaged[id] = true
-		}
 	}
 	rep.Points = len(s.index)
-	rep.LiveBytes = s.liveB
 	// The scan runs before any Instrument call can have registered the
 	// counters; Instrument backfills scan totals from this report.
 	s.lastRep = rep
@@ -148,22 +144,14 @@ func (s *Store) recover() (*RecoveryReport, error) {
 		if err := s.saveQuarantine(rep); err != nil {
 			return nil, err
 		}
-		if err := s.heal(rep, damaged); err != nil {
+		if err := s.heal(rep); err != nil {
 			return nil, err
 		}
 	}
 
 	// The active segment is the highest-numbered survivor; a fresh one
 	// is created lazily on first flush when the store is empty.
-	if len(s.segs) > 0 {
-		maxID := 0
-		for id := range s.segs {
-			if id > maxID {
-				maxID = id
-			}
-		}
-		s.active = s.segs[maxID]
-	}
+	s.active = s.segs[s.maxSegIDLocked()]
 	s.updateGaugesLocked()
 	for _, q := range rep.Quarantined {
 		s.opts.Logf("store: quarantined: %v", q)
@@ -175,27 +163,27 @@ func (s *Store) recover() (*RecoveryReport, error) {
 // scanSegment replays one segment image into the index, appending a
 // typed CorruptRangeError to rep for every undecodable byte range.
 func (s *Store) scanSegment(id int, buf []byte, rep *RecoveryReport) {
-	name := segName(id)
-	off := 0
-	for off < len(buf) {
+	quarantine := func(off, end int, tail bool, reason string) {
+		q := &CorruptRangeError{Segment: segName(id), Off: int64(off), Len: int64(end - off),
+			Reason: reason, Tail: tail, seg: id}
+		rep.Quarantined = append(rep.Quarantined, q)
+		rep.QuarantinedBytes += q.Len
+	}
+	for off := 0; off < len(buf); {
 		payload, n, err := recovery.DecodeFrame(buf[off:])
 		if err != nil {
 			// Resync past the damage: a later record that still
 			// checksums is good data, everything skipped is quarantined.
-			next := recovery.ResyncFrame(buf, off+1)
-			end := len(buf)
-			if next >= 0 {
-				end = next
+			end := recovery.ResyncFrame(buf, off+1)
+			if end < 0 {
+				end = len(buf)
 			}
-			var fe *recovery.FrameError
 			reason := err.Error()
+			var fe *recovery.FrameError
 			if errors.As(err, &fe) {
 				reason = fe.Reason
 			}
-			q := &CorruptRangeError{Segment: name, Off: int64(off), Len: int64(end - off),
-				Reason: reason, Tail: end == len(buf)}
-			rep.Quarantined = append(rep.Quarantined, q)
-			rep.QuarantinedBytes += q.Len
+			quarantine(off, end, end == len(buf), reason)
 			off = end
 			continue
 		}
@@ -203,10 +191,7 @@ func (s *Store) scanSegment(id int, buf []byte, rep *RecoveryReport) {
 		if rerr != nil {
 			// The frame checksums but its payload is not a record —
 			// quarantine just this frame and keep scanning.
-			q := &CorruptRangeError{Segment: name, Off: int64(off), Len: int64(n),
-				Reason: "valid frame, malformed record: " + rerr.Error()}
-			rep.Quarantined = append(rep.Quarantined, q)
-			rep.QuarantinedBytes += q.Len
+			quarantine(off, off+n, false, "valid frame, malformed record: "+rerr.Error())
 			off += n
 			continue
 		}
@@ -224,27 +209,6 @@ func (s *Store) scanSegment(id int, buf []byte, rep *RecoveryReport) {
 	}
 }
 
-// tailDamage returns the quarantined range that runs to segment id's
-// EOF, if any.
-func tailDamage(rep *RecoveryReport, id int) *CorruptRangeError {
-	for _, q := range rep.Quarantined {
-		if q.Segment == segName(id) && q.Tail {
-			return q
-		}
-	}
-	return nil
-}
-
-// segDamaged reports whether segment id has any mid-file damage.
-func segDamaged(rep *RecoveryReport, id int) bool {
-	for _, q := range rep.Quarantined {
-		if q.Segment == segName(id) && !q.Tail {
-			return true
-		}
-	}
-	return false
-}
-
 // saveQuarantine copies every damaged byte range into
 // <dir>/quarantine/<segment>.<off>.bin before healing destroys it, so
 // no corrupt record ever disappears unaccounted.
@@ -254,14 +218,8 @@ func (s *Store) saveQuarantine(rep *RecoveryReport) error {
 		return fmt.Errorf("store: creating quarantine dir: %w", err)
 	}
 	for _, q := range rep.Quarantined {
-		var id int
-		fmt.Sscanf(q.Segment, "points-%06d.seg", &id)
-		seg := s.segs[id]
-		if seg == nil {
-			continue
-		}
 		buf := make([]byte, q.Len)
-		if _, err := seg.f.ReadAt(buf, q.Off); err != nil {
+		if _, err := s.segs[q.seg].f.ReadAt(buf, q.Off); err != nil {
 			return fmt.Errorf("store: reading quarantine range: %w", err)
 		}
 		name := fmt.Sprintf("%s.%d.bin", strings.TrimSuffix(q.Segment, ".seg"), q.Off)
@@ -277,35 +235,26 @@ func (s *Store) saveQuarantine(rep *RecoveryReport) error {
 // what a real WAL does. Mid-segment damage triggers a compaction, which
 // rewrites the live set into a fresh segment and deletes the damaged
 // files under the atomic-rename protocol.
-func (s *Store) heal(rep *RecoveryReport, damaged map[int]bool) error {
-	tailOnly := true
+func (s *Store) heal(rep *RecoveryReport) error {
 	for _, q := range rep.Quarantined {
 		if !q.Tail {
-			tailOnly = false
-			break
+			if err := s.compactLocked(); err != nil {
+				return fmt.Errorf("store: healing compaction: %w", err)
+			}
+			rep.Healed = "compacted damaged segments"
+			return nil
 		}
 	}
-	if tailOnly {
-		for id := range damaged {
-			q := tailDamage(rep, id)
-			if q == nil {
-				continue
-			}
-			seg := s.segs[id]
-			if err := seg.f.Truncate(q.Off); err != nil {
-				return fmt.Errorf("store: truncating torn tail of %s: %w", segName(id), err)
-			}
-			if err := seg.f.Sync(); err != nil {
-				return fmt.Errorf("store: fsync after truncate: %w", err)
-			}
-			seg.size = q.Off
+	for _, q := range rep.Quarantined {
+		seg := s.segs[q.seg]
+		if err := seg.f.Truncate(q.Off); err != nil {
+			return fmt.Errorf("store: truncating torn tail of %s: %w", q.Segment, err)
 		}
-		rep.Healed = "truncated torn tail"
-		return nil
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("store: fsync after truncate: %w", err)
+		}
+		seg.size = q.Off
 	}
-	if err := s.compactLocked(); err != nil {
-		return fmt.Errorf("store: healing compaction: %w", err)
-	}
-	rep.Healed = "compacted damaged segments"
+	rep.Healed = "truncated torn tail"
 	return nil
 }

@@ -1,11 +1,7 @@
 // Differential profiles: where did the time move between two runs?
 package critpath
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // DiffEntry is one category's movement between two profiles.
 type DiffEntry struct {
@@ -75,17 +71,6 @@ func (d *DiffReport) Entry(c Cause) DiffEntry {
 		}
 	}
 	return DiffEntry{Cause: c}
-}
-
-// Render writes the human diff table.
-func (d *DiffReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "critpath diff: %s (%.6fs) -> %s (%.6fs)\n",
-		d.ALabel, d.AMakespanSeconds, d.BLabel, d.BMakespanSeconds)
-	fmt.Fprintf(w, "  %-16s %14s %14s %14s %9s\n", "category", d.ALabel, d.BLabel, "delta", "dshare")
-	for _, e := range d.Entries {
-		fmt.Fprintf(w, "  %-16s %14.6f %14.6f %+14.6f %+8.1f%%\n",
-			e.Cause, e.ASeconds, e.BSeconds, e.DeltaSeconds, e.DeltaShare*100)
-	}
 }
 
 func abs(f float64) float64 {

@@ -208,20 +208,3 @@ func appendMsg(buf []byte, field int, msg []byte) []byte {
 	e.bytesField(field, msg)
 	return e.buf
 }
-
-// PprofBytes returns the gzipped pprof encoding (convenience for
-// tests and diff tooling).
-func (p *Profile) PprofBytes() ([]byte, error) {
-	var sb writerBuf
-	if err := p.WritePprof(&sb); err != nil {
-		return nil, err
-	}
-	return sb.b, nil
-}
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package asyncio_test
+package experiments
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package asyncio_test
+package experiments
 
 // raceEnabled reports whether the race detector is compiled in; its
 // ~10× slowdown makes wall-clock regression limits meaningless.

@@ -216,6 +216,9 @@ func TestStaggeredArrivalsConserveWork(t *testing.T) {
 	var mu sync.Mutex
 	var totalBusy time.Duration
 	var lastEnd time.Duration
+	// Held while spawning: a proc registered after the clock has already
+	// advanced would start late and stretch the busy period.
+	release := clk.Hold()
 	for i := 0; i < n; i++ {
 		start := time.Duration(i) * 10 * time.Millisecond
 		clk.Go("x", func(p *vclock.Proc) {
@@ -228,6 +231,7 @@ func TestStaggeredArrivalsConserveWork(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release()
 	run(t, clk)
 	_ = totalBusy
 	// Server is busy continuously from t=0: total work = 128 MiB at 64

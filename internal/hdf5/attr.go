@@ -3,7 +3,6 @@ package hdf5
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Attribute is a small named, typed value attached to a group or
@@ -154,25 +153,6 @@ func attrInt64(o *object, tp *TransferProps, name string) (int64, error) {
 		return 0, fmt.Errorf("hdf5: attribute %q is %v, not int64", name, a.Dtype)
 	}
 	return int64(binary.LittleEndian.Uint64(a.Data)), nil
-}
-
-// SetAttrFloat64 stores a scalar float64 attribute.
-func (g *Group) SetAttrFloat64(tp *TransferProps, name string, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return g.SetAttr(tp, name, F64, NewScalar(), b[:])
-}
-
-// AttrFloat64 reads a scalar float64 attribute.
-func (g *Group) AttrFloat64(tp *TransferProps, name string) (float64, error) {
-	a, err := g.o.attr(tp, name)
-	if err != nil {
-		return 0, err
-	}
-	if a.Dtype != F64 {
-		return 0, fmt.Errorf("hdf5: attribute %q is %v, not float64", name, a.Dtype)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(a.Data)), nil
 }
 
 // SetAttrString stores a fixed-length string attribute. Empty strings

@@ -184,15 +184,6 @@ func (g *Group) OpenDataset(tp *TransferProps, path string) (*Dataset, error) {
 	return &Dataset{o: o, path: joinPath(g.path, path)}, nil
 }
 
-// Exists reports whether a direct child with the given name exists.
-func (g *Group) Exists(name string) bool {
-	f := g.o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := g.o.links.Get(name)
-	return ok
-}
-
 // List returns the names of direct children in lexicographic order.
 func (g *Group) List() []string {
 	f := g.o.f

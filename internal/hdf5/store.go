@@ -112,9 +112,6 @@ type FileStore struct {
 	f *os.File
 }
 
-// NewFileStore wraps an already-open file.
-func NewFileStore(f *os.File) *FileStore { return &FileStore{f: f} }
-
 // CreateFileStore creates (truncating) the named file.
 func CreateFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

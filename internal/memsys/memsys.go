@@ -38,10 +38,10 @@ type NodeConfig struct {
 	GPUPinnedSetup    time.Duration
 	GPUUnpinnedSetup  time.Duration
 	GPUUnpinnedFactor float64
-	// SSDWritePeak / SSDReadPeak describe the node-local SSD (bytes/s).
-	// Zero means no node-local SSD.
+	// SSDWritePeak is the node-local SSD's write bandwidth (bytes/s).
+	// Zero means no node-local SSD. Nothing reads the SSD back, so its
+	// read side is not modelled.
 	SSDWritePeak float64
-	SSDReadPeak  float64
 }
 
 // Node is one compute node's memory system.
@@ -50,7 +50,6 @@ type Node struct {
 	mem      *flow.Server
 	gpu      *flow.Server
 	ssdWrite *flow.Server
-	ssdRead  *flow.Server
 }
 
 // NewNode builds a node on clk.
@@ -64,9 +63,6 @@ func NewNode(clk *vclock.Clock, cfg NodeConfig) *Node {
 	}
 	if cfg.SSDWritePeak > 0 {
 		n.ssdWrite = flow.NewServer(clk, flow.ConstCapacity(cfg.SSDWritePeak))
-	}
-	if cfg.SSDReadPeak > 0 {
-		n.ssdRead = flow.NewServer(clk, flow.ConstCapacity(cfg.SSDReadPeak))
 	}
 	return n
 }
@@ -151,14 +147,6 @@ func (n *Node) SSDWrite(p *vclock.Proc, b int64) time.Duration {
 		panic("memsys: SSDWrite on node without SSD")
 	}
 	return n.ssdWrite.Transfer(p, b)
-}
-
-// SSDRead charges a read of b bytes from the node-local SSD.
-func (n *Node) SSDRead(p *vclock.Proc, b int64) time.Duration {
-	if n.ssdRead == nil {
-		panic("memsys: SSDRead on node without SSD")
-	}
-	return n.ssdRead.Transfer(p, b)
 }
 
 // HasGPU reports whether the node has a GPU link configured.

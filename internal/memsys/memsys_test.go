@@ -22,7 +22,6 @@ func testConfig() NodeConfig {
 		GPUUnpinnedSetup:  100 * time.Microsecond,
 		GPUUnpinnedFactor: 0.5,
 		SSDWritePeak:      2 * GiB,
-		SSDReadPeak:       5 * GiB,
 	}
 }
 
@@ -142,22 +141,21 @@ func TestGPUWithoutGPUPanics(t *testing.T) {
 	n.GPUTransfer(nil, 1, true)
 }
 
-func TestSSDReadWriteRates(t *testing.T) {
+func TestSSDWriteRate(t *testing.T) {
 	clk := vclock.New()
 	n := NewNode(clk, testConfig())
 	if !n.HasSSD() {
 		t.Fatal("HasSSD = false")
 	}
-	var w, r time.Duration
+	var w time.Duration
 	clk.Go("x", func(p *vclock.Proc) {
 		w = n.SSDWrite(p, 2*GiB)
-		r = n.SSDRead(p, 5*GiB)
 	})
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(w.Seconds()-1) > 0.01 || math.Abs(r.Seconds()-1) > 0.01 {
-		t.Fatalf("ssd write %vs read %vs, want ~1s each", w.Seconds(), r.Seconds())
+	if math.Abs(w.Seconds()-1) > 0.01 {
+		t.Fatalf("ssd write %vs, want ~1s", w.Seconds())
 	}
 }
 

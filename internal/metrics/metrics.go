@@ -262,14 +262,6 @@ type Counter struct {
 	ser series
 }
 
-// Name returns the counter's registered name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Add increments the counter by n (n < 0 is ignored — counters are
 // monotone). No-op on nil.
 func (c *Counter) Add(n int64) {
@@ -325,14 +317,6 @@ type Gauge struct {
 	area    float64
 	lastAt  time.Duration
 	maxHeld float64
-}
-
-// Name returns the gauge's registered name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // OnChange registers fn to run after every update, under the gauge's
@@ -448,14 +432,6 @@ type Histogram struct {
 
 	mu      sync.Mutex
 	samples []float64
-}
-
-// Name returns the histogram's registered name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Observe records one value. NaN observations are dropped — they would

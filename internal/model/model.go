@@ -197,21 +197,6 @@ func (m RateModel) EstimateIOTime(bytes int64, ranksN int) time.Duration {
 // R2 is the fit's coefficient of determination (Eq. 5).
 func (m RateModel) R2() float64 { return m.Fit.R2 }
 
-// Score applies Eq. 5 to an arbitrary observation set: the coefficient
-// of determination between the model's predicted and the observed
-// aggregate rates. Scoring against a history the model was not fitted
-// on measures generalization; tests use it to hold fitted accuracy to
-// the paper's §V-C thresholds on fresh run histories.
-func (m RateModel) Score(obs []Observation) float64 {
-	pred := make([]float64, len(obs))
-	meas := make([]float64, len(obs))
-	for i, o := range obs {
-		pred[i] = m.EstimateRate(o.Bytes, o.Ranks)
-		meas[i] = o.Rate
-	}
-	return stats.R2(pred, meas)
-}
-
 // Estimator is the full feedback-loop state of Fig. 2: computation-time
 // EWMA plus separate rate histories for synchronous I/O and the
 // asynchronous transactional overhead.
@@ -240,14 +225,6 @@ func WithFitKinds(syncKind, asyncKind FitKind) EstimatorOption {
 	return func(e *Estimator) {
 		e.syncKind = syncKind
 		e.asyncKind = asyncKind
-	}
-}
-
-// WithHistoryBound bounds both histories.
-func WithHistoryBound(n int) EstimatorOption {
-	return func(e *Estimator) {
-		e.syncHist = NewHistory(n)
-		e.asyncHist = NewHistory(n)
 	}
 }
 
@@ -338,12 +315,6 @@ func (e *Estimator) AsyncModel() (RateModel, bool) {
 	e.refitLocked()
 	return e.asyncModel, e.asyncOK
 }
-
-// SyncHistory returns a snapshot of the synchronous-rate observations.
-func (e *Estimator) SyncHistory() []Observation { return e.syncHist.Snapshot() }
-
-// AsyncHistory returns a snapshot of the overhead-rate observations.
-func (e *Estimator) AsyncHistory() []Observation { return e.asyncHist.Snapshot() }
 
 // EpochEstimate holds the model's prediction for one future epoch.
 type EpochEstimate struct {

@@ -271,13 +271,10 @@ func TestSingleRunHistoryFallsBackToMeanRate(t *testing.T) {
 	}
 }
 
-func TestWithFitKindsAndHistoryBound(t *testing.T) {
-	e := NewEstimator(WithFitKinds(FitLinearRanks, FitLinearRanks), WithHistoryBound(4))
+func TestWithFitKinds(t *testing.T) {
+	e := NewEstimator(WithFitKinds(FitLinearRanks, FitLinearRanks))
 	for i := 1; i <= 10; i++ {
 		e.ObserveSyncIO(1<<20, i, time.Second)
-	}
-	if e.syncHist.Len() != 4 {
-		t.Fatalf("bounded history Len = %d", e.syncHist.Len())
 	}
 	m, ok := e.SyncModel()
 	if !ok {

@@ -33,15 +33,12 @@ type Costs struct {
 	// observes its own blocking time per collective into
 	// "mpi.collective_wait_seconds" (the last-arriving rank observes
 	// zero, so the distribution captures the skew barriers absorb), and
-	// "mpi.collectives" counts rank-entries. Sub-communicators from
-	// Split inherit the registry.
+	// "mpi.collectives" counts rank-entries.
 	Metrics *metrics.Registry
 	// Crit, when non-nil, records every collective rendezvous and
-	// point-to-point receive wait as a causal edge. Root-world
-	// collectives carry a global sequence detail ("coll:%08d") that the
-	// critical-path analysis uses as segment boundaries; Split
-	// sub-communicators record plain "collective" edges (their sequence
-	// is not a global sync point). Inherited by Split.
+	// point-to-point receive wait as a causal edge. Collectives carry
+	// their sequence number as detail ("coll:%08d"), which the
+	// critical-path analysis uses as segment boundaries.
 	Crit *critpath.Recorder
 }
 
@@ -60,10 +57,8 @@ type World struct {
 	clk     *vclock.Clock
 	size    int
 	costs   Costs
-	segRoot bool // root world: its collective sequence bounds critical-path segments
 	colls   map[int64]*collSlot
 	boxes   map[msgKey]*mailbox
-	subs    map[subKey]*World
 	procs   []*vclock.Proc // rank → process, for Kill; nil until the rank starts
 	done    int            // ranks whose goroutine has returned
 	abort   error
@@ -122,13 +117,12 @@ func Run(clk *vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
 	w := &World{
-		clk:     clk,
-		size:    size,
-		costs:   costs,
-		segRoot: true,
-		colls:   make(map[int64]*collSlot),
-		boxes:   make(map[msgKey]*mailbox),
-		procs:   make([]*vclock.Proc, size),
+		clk:   clk,
+		size:  size,
+		costs: costs,
+		colls: make(map[int64]*collSlot),
+		boxes: make(map[msgKey]*mailbox),
+		procs: make([]*vclock.Proc, size),
 	}
 	// Holding the clock pins virtual time, so the spawn loop cannot race
 	// the first ranks into a false deadlock.
@@ -326,14 +320,10 @@ func collective[R any](c *Comm, contrib any, compute func(data []any) R) R {
 		m.Histogram("mpi.collective_wait_seconds").Observe((c.p.Now() - enter).Seconds())
 	}
 	if w.costs.Crit != nil {
-		detail := "collective"
-		if w.segRoot {
-			// Zero-padded so lexicographic order equals sequence order.
-			detail = fmt.Sprintf("coll:%08d", key)
-		}
 		w.costs.Crit.Record(critpath.Edge{
 			Track: c.p.Name(), Cause: critpath.CollectiveWait, Subsystem: "mpi",
-			Detail: detail, Start: enter, End: c.p.Now(),
+			// Zero-padded so lexicographic order equals sequence order.
+			Detail: fmt.Sprintf("coll:%08d", key), Start: enter, End: c.p.Now(),
 		})
 	}
 	c.p.Sleep(w.collLatency())
@@ -348,23 +338,6 @@ func (c *Comm) Barrier() {
 // Bcast distributes root's value to every rank.
 func Bcast[T any](c *Comm, v T, root int) T {
 	return collective(c, v, func(data []any) T { return data[root].(T) })
-}
-
-// Reduce combines all contributions with op; only root receives the
-// result (other ranks get the zero value), mirroring MPI_Reduce.
-func Reduce[T any](c *Comm, v T, op func(a, b T) T, root int) T {
-	res := collective(c, v, func(data []any) T {
-		acc := data[0].(T)
-		for _, d := range data[1:] {
-			acc = op(acc, d.(T))
-		}
-		return acc
-	})
-	if c.rank != root {
-		var zero T
-		return zero
-	}
-	return res
 }
 
 // Allreduce combines all contributions with op; every rank receives the
@@ -393,17 +366,6 @@ func Gather[T any](c *Comm, v T, root int) []T {
 		return nil
 	}
 	return res
-}
-
-// Allgather collects one value per rank, ordered by rank, on every rank.
-func Allgather[T any](c *Comm, v T) []T {
-	return collective(c, v, func(data []any) []T {
-		out := make([]T, len(data))
-		for i, d := range data {
-			out[i] = d.(T)
-		}
-		return out
-	})
 }
 
 // Send delivers v to rank dst with the given tag. Sends are buffered and
@@ -474,85 +436,4 @@ func Recv[T any](c *Comm, src, tag int) T {
 	}
 	c.p.Sleep(w.costs.PointToPointLatency)
 	return msg.(T)
-}
-
-// Scatter distributes root's slice, one element per rank, mirroring
-// MPI_Scatter. Root must supply exactly Size elements; other ranks pass
-// nil.
-func Scatter[T any](c *Comm, values []T, root int) T {
-	return collective(c, values, func(data []any) []T {
-		vs := data[root].([]T)
-		if len(vs) != c.w.size {
-			panic(fmt.Sprintf("mpi: Scatter with %d values for %d ranks", len(vs), c.w.size))
-		}
-		return vs
-	})[c.rank]
-}
-
-// Scan computes the inclusive prefix reduction over ranks: rank r
-// receives op(v0, v1, ..., vr), mirroring MPI_Scan.
-func Scan[T any](c *Comm, v T, op func(a, b T) T) T {
-	return collective(c, v, func(data []any) []T {
-		out := make([]T, len(data))
-		acc := data[0].(T)
-		out[0] = acc
-		for i := 1; i < len(data); i++ {
-			acc = op(acc, data[i].(T))
-			out[i] = acc
-		}
-		return out
-	})[c.rank]
-}
-
-// Split partitions the world into sub-communicators by color, mirroring
-// MPI_Comm_split with key = existing rank order. Every rank must call
-// it; the returned Comm spans the ranks that passed the same color and
-// shares the parent's clock, costs, and abort state.
-func (c *Comm) Split(color int) *Comm {
-	type member struct {
-		rank, color int
-	}
-	members := collective(c, member{rank: c.rank, color: color}, func(data []any) []member {
-		out := make([]member, len(data))
-		for i, d := range data {
-			out[i] = d.(member)
-		}
-		return out
-	})
-	// Sub-communicator worlds are memoized per (collective instance,
-	// color) on the parent so all members share state.
-	key := subKey{seq: c.seq, color: color}
-	var newRank, newSize int
-	for _, m := range members {
-		if m.color != color {
-			continue
-		}
-		if m.rank < c.rank {
-			newRank++
-		}
-		newSize++
-	}
-	w := c.w
-	w.mu.Lock()
-	if w.subs == nil {
-		w.subs = make(map[subKey]*World)
-	}
-	sub, ok := w.subs[key]
-	if !ok {
-		sub = &World{
-			clk:   w.clk,
-			size:  newSize,
-			costs: w.costs,
-			colls: make(map[int64]*collSlot),
-			boxes: make(map[msgKey]*mailbox),
-		}
-		w.subs[key] = sub
-	}
-	w.mu.Unlock()
-	return &Comm{w: sub, rank: newRank, p: c.p}
-}
-
-type subKey struct {
-	seq   int64
-	color int
 }

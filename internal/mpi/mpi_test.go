@@ -72,19 +72,6 @@ func TestBcast(t *testing.T) {
 	})
 }
 
-func TestReduceSumAtRootOnly(t *testing.T) {
-	runWorld(t, 8, func(c *Comm) {
-		got := Reduce(c, c.Rank()+1, func(a, b int) int { return a + b }, 0)
-		if c.Rank() == 0 {
-			if got != 36 {
-				t.Errorf("Reduce at root = %d, want 36", got)
-			}
-		} else if got != 0 {
-			t.Errorf("Reduce at rank %d = %d, want zero value", c.Rank(), got)
-		}
-	})
-}
-
 func TestAllreduceMax(t *testing.T) {
 	runWorld(t, 7, func(c *Comm) {
 		got := Allreduce(c, float64(c.Rank()), func(a, b float64) float64 {
@@ -111,20 +98,6 @@ func TestGatherOrdering(t *testing.T) {
 		for i, v := range got {
 			if v != i*10 {
 				t.Errorf("Gather[%d] = %d, want %d", i, v, i*10)
-			}
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	runWorld(t, 4, func(c *Comm) {
-		got := Allgather(c, c.Rank())
-		if len(got) != 4 {
-			t.Fatalf("len = %d, want 4", len(got))
-		}
-		for i, v := range got {
-			if v != i {
-				t.Errorf("Allgather[%d] = %d, want %d", i, v, i)
 			}
 		}
 	})
@@ -256,71 +229,4 @@ func TestLargeWorldBarrierScales(t *testing.T) {
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestScatter(t *testing.T) {
-	runWorld(t, 4, func(c *Comm) {
-		var vals []int
-		if c.Rank() == 1 {
-			vals = []int{10, 11, 12, 13}
-		}
-		got := Scatter(c, vals, 1)
-		if got != 10+c.Rank() {
-			t.Errorf("rank %d: Scatter = %d", c.Rank(), got)
-		}
-	})
-}
-
-func TestScanInclusivePrefix(t *testing.T) {
-	runWorld(t, 5, func(c *Comm) {
-		got := Scan(c, c.Rank()+1, func(a, b int) int { return a + b })
-		want := (c.Rank() + 1) * (c.Rank() + 2) / 2
-		if got != want {
-			t.Errorf("rank %d: Scan = %d, want %d", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestSplitByParity(t *testing.T) {
-	runWorld(t, 6, func(c *Comm) {
-		sub := c.Split(c.Rank() % 2)
-		if sub.Size() != 3 {
-			t.Errorf("rank %d: sub size = %d", c.Rank(), sub.Size())
-		}
-		if want := c.Rank() / 2; sub.Rank() != want {
-			t.Errorf("rank %d: sub rank = %d, want %d", c.Rank(), sub.Rank(), want)
-		}
-		// Collectives work within the sub-communicator: sum of parent
-		// ranks sharing this parity.
-		sum := Allreduce(sub, c.Rank(), func(a, b int) int { return a + b })
-		want := 0 + 2 + 4
-		if c.Rank()%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum != want {
-			t.Errorf("rank %d: sub Allreduce = %d, want %d", c.Rank(), sum, want)
-		}
-	})
-}
-
-func TestSplitSingletonColors(t *testing.T) {
-	runWorld(t, 3, func(c *Comm) {
-		sub := c.Split(c.Rank()) // every rank its own color
-		if sub.Size() != 1 || sub.Rank() != 0 {
-			t.Errorf("rank %d: singleton sub = %d/%d", c.Rank(), sub.Rank(), sub.Size())
-		}
-		sub.Barrier()
-	})
-}
-
-func TestSequentialSplitsIndependent(t *testing.T) {
-	runWorld(t, 4, func(c *Comm) {
-		a := c.Split(c.Rank() % 2)
-		b := c.Split(c.Rank() / 2)
-		if a == b {
-			t.Error("distinct Split calls returned the same communicator")
-		}
-		a.Barrier()
-		b.Barrier()
-	})
 }

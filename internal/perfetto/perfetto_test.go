@@ -34,7 +34,7 @@ func twoRankFixture(t *testing.T) ([]*trace.Span, *metrics.Registry) {
 		off := time.Duration(r) * ms
 		ep.EventOn("asyncvol:stage", 1<<20, off, name)
 		ep.EventDurOn("pfs:alpine:write", 1<<20, 10*ms+off, 5*ms, "stream:asyncvol:"+name)
-		ep.Event("epoch-commit", 0, 20*ms+off) // no track: lands on the root's row
+		ep.EventOn("epoch-commit", 0, 20*ms+off, "") // no track: lands on the root's row
 		spans[r] = sp
 	}
 

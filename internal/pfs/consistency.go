@@ -34,7 +34,6 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -442,11 +441,4 @@ func (s *consistencyStage) Process(req *ioreq.Request, next func(*ioreq.Request)
 // Flush implements ioreq.Stage; the stage buffers nothing.
 func (s *consistencyStage) Flush(p *vclock.Proc, next func(*ioreq.Request) error) error {
 	return nil
-}
-
-// SortModels returns the spectrum strongest-first; used by experiments
-// and docs so orderings stay canonical.
-func SortModels(ms []Model) {
-	rank := map[Model]int{ModelPOSIX: 0, ModelSession: 1, ModelMPIIO: 2, ModelCommit: 3}
-	sort.Slice(ms, func(i, j int) bool { return rank[ms[i]] < rank[ms[j]] })
 }

@@ -7,22 +7,19 @@ import (
 	"hash/crc32"
 )
 
-// Exported record framing.
-//
-// The write-ahead journal above frames every record as magic + body +
-// CRC32; this file exports that discipline as a generic container any
-// append-only log in the tree can reuse (the campaign point store's
-// segment files are the first external user). A frame is:
+// Record framing — the one checksummed-record codec in the tree: the
+// write-ahead journal (journal.go) frames each record body with it, and
+// so does the campaign point store for its segment files. A frame is:
 //
 //	magic    u32  little-endian FrameMagic
 //	length   u32  payload byte count
 //	payload  length bytes, caller-defined
 //	crc      u32  CRC32-IEEE over magic, length, and payload
 //
-// The guarantees mirror the journal's: a decoder either returns the
-// exact payload that was appended or a typed *FrameError — a torn tail,
-// a flipped bit, and hostile garbage all surface as errors, never as
-// wrong bytes, and decoding never panics.
+// A decoder either returns the exact payload that was appended or a
+// typed *FrameError — a torn tail, a flipped bit, and hostile garbage
+// all surface as errors, never as wrong bytes, and decoding never
+// panics.
 
 // FrameMagic opens every frame ("FRM1" little-endian).
 const FrameMagic uint32 = 0x314D5246
@@ -34,9 +31,6 @@ const MaxFramePayload = 1 << 30
 // frameOverhead is the fixed cost of framing a payload: magic, length,
 // and trailing CRC.
 const frameOverhead = 4 + 4 + 4
-
-// FrameLen returns the encoded size of a frame holding n payload bytes.
-func FrameLen(n int) int { return n + frameOverhead }
 
 // ErrCorruptFrame is wrapped by every frame decode failure, so callers
 // can errors.Is against a single sentinel.
@@ -71,25 +65,34 @@ func AppendFrame(dst, payload []byte) []byte {
 // frame length. On failure it returns a *FrameError with Off 0; callers
 // scanning a larger buffer add their own base offset.
 func DecodeFrame(b []byte) (payload []byte, n int, err error) {
+	payload, n, reason := decodeFrame(b)
+	if reason != "" {
+		return nil, 0, &FrameError{Reason: reason}
+	}
+	return payload, n, nil
+}
+
+// decodeFrame is DecodeFrame with the failure as its bare reason.
+func decodeFrame(b []byte) (payload []byte, n int, reason string) {
 	if len(b) < 8 {
-		return nil, 0, &FrameError{Reason: "truncated header"}
+		return nil, 0, "truncated header"
 	}
 	if binary.LittleEndian.Uint32(b) != FrameMagic {
-		return nil, 0, &FrameError{Reason: "bad frame magic"}
+		return nil, 0, "bad frame magic"
 	}
 	plen := binary.LittleEndian.Uint32(b[4:])
 	if plen > MaxFramePayload {
-		return nil, 0, &FrameError{Reason: fmt.Sprintf("implausible payload size %d", plen)}
+		return nil, 0, fmt.Sprintf("implausible payload size %d", plen)
 	}
 	total := int(plen) + frameOverhead
 	if len(b) < total {
-		return nil, 0, &FrameError{Reason: fmt.Sprintf("truncated frame: have %d of %d bytes", len(b), total)}
+		return nil, 0, fmt.Sprintf("truncated frame: have %d of %d bytes", len(b), total)
 	}
 	want := binary.LittleEndian.Uint32(b[total-4:])
 	if crc := crc32.ChecksumIEEE(b[:total-4]); crc != want {
-		return nil, 0, &FrameError{Reason: fmt.Sprintf("checksum mismatch: have %#x want %#x", crc, want)}
+		return nil, 0, fmt.Sprintf("checksum mismatch: have %#x want %#x", crc, want)
 	}
-	return b[8 : total-4], total, nil
+	return b[8 : total-4], total, ""
 }
 
 // ResyncFrame scans b for the next offset >= from at which a complete,
@@ -106,7 +109,7 @@ func ResyncFrame(b []byte, from int) int {
 		if binary.LittleEndian.Uint32(b[off:]) != FrameMagic {
 			continue
 		}
-		if _, _, err := DecodeFrame(b[off:]); err == nil {
+		if _, _, reason := decodeFrame(b[off:]); reason == "" {
 			return off
 		}
 	}

@@ -24,8 +24,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if n != FrameLen(len(p)) {
-			t.Fatalf("frame %d: length %d, want %d", i, n, FrameLen(len(p)))
+		if n != len(p)+frameOverhead {
+			t.Fatalf("frame %d: length %d, want %d", i, n, len(p)+frameOverhead)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame %d: payload mismatch", i)

@@ -21,10 +21,16 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte{})
-	f.Add([]byte("WJAL"))
+	f.Add([]byte("FRM1"))
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/2] ^= 0xFF
 	f.Add(mut)
+	// Frames that checksum but whose bodies are not records: the body
+	// parser, not the CRC, has to reject these.
+	f.Add(AppendFrame(nil, []byte("not a journal record")))
+	f.Add(AppendFrame(nil, append(appendBody(nil, &Record{Path: "/g/d", ElemSize: 4, Runs: []Run{{0, 1}}}), 0)))
+	f.Add(AppendFrame(nil, appendBody(nil, &Record{Path: "/g/d", ElemSize: 4, Runs: []Run{{0, 1 << 63}, {0, 1 << 63}}})))
+	f.Add(append(AppendFrame(nil, appendBody(nil, &Record{Seq: 1, Path: "/ok", ElemSize: 1, Runs: []Run{{0, 2}}, Payload: []byte{1, 2}})), valid...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeJournal(data)
@@ -55,6 +61,41 @@ func FuzzDecodeJournal(f *testing.F) {
 			if recs[i].Path != recs2[i].Path || recs[i].ElemSize != recs2[i].ElemSize ||
 				len(recs[i].Runs) != len(recs2[i].Runs) || !bytes.Equal(recs[i].Payload, recs2[i].Payload) {
 				t.Fatalf("record %d changed across round trip", i)
+			}
+		}
+	})
+}
+
+// FuzzFrame fuzzes the one record codec both the journal and the point
+// store sit on: decoding arbitrary bytes never panics and fails only
+// with a typed *FrameError; whatever is appended decodes back exactly;
+// and ResyncFrame only ever names an offset that decodes.
+func FuzzFrame(f *testing.F) {
+	f.Add([]byte{}, 0)
+	f.Add([]byte("FRM1"), 0)
+	f.Add(AppendFrame(nil, []byte("payload")), 1)
+	f.Add(append([]byte("junk FRM1 junk"), AppendFrame(nil, nil)...), 3)
+	torn := AppendFrame(AppendFrame(nil, []byte("first")), []byte("second"))
+	f.Add(torn[:len(torn)-2], 0)
+
+	f.Fuzz(func(t *testing.T, data []byte, from int) {
+		if _, _, err := DecodeFrame(data); err != nil {
+			var fe *FrameError
+			if !errors.As(err, &fe) || !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("decode error %T is not a typed *FrameError: %v", err, err)
+			}
+		}
+		framed := AppendFrame(nil, data)
+		got, n, err := DecodeFrame(framed)
+		if err != nil || n != len(framed) || !bytes.Equal(got, data) {
+			t.Fatalf("round trip: %d of %d bytes, err %v", n, len(framed), err)
+		}
+		if at := ResyncFrame(data, from); at >= 0 {
+			if at < from || at >= len(data) {
+				t.Fatalf("resync from %d returned %d (len %d)", from, at, len(data))
+			}
+			if _, _, err := DecodeFrame(data[at:]); err != nil {
+				t.Fatalf("resync offset %d does not decode: %v", at, err)
 			}
 		}
 	})

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 	"time"
@@ -28,15 +27,10 @@ import (
 	"asyncio/internal/vclock"
 )
 
-// recordMagic opens every journal record ("WJAL" little-endian).
-const recordMagic uint32 = 0x4C414A57
-
-// Decode limits: a record that claims more than this is corrupt, not
-// merely large. Paths are already capped at 64 KiB by the u16 length.
-const (
-	maxRuns        = 1 << 20
-	maxPayloadSize = 1 << 31
-)
+// maxRuns is a decode limit: a record that claims more is corrupt, not
+// merely large. Paths are already capped at 64 KiB by the u16 length,
+// and a payload by MaxFramePayload — the body has to fit one frame.
+const maxRuns = 1 << 20
 
 // Run is one maximal contiguous run of journaled elements in the
 // dataset's row-major linear element space (the same coordinates
@@ -57,17 +51,14 @@ type Record struct {
 	Payload  []byte // nil when payload capture is off
 }
 
-// Elems returns the total journaled element count.
-func (r *Record) Elems() uint64 {
-	var n uint64
-	for _, run := range r.Runs {
-		n += run.N
-	}
-	return n
-}
-
 // NBytes returns the total journaled byte count.
-func (r *Record) NBytes() int64 { return int64(r.Elems()) * int64(r.ElemSize) }
+func (r *Record) NBytes() int64 {
+	var elems uint64
+	for _, run := range r.Runs {
+		elems += run.N
+	}
+	return int64(elems) * int64(r.ElemSize)
+}
 
 // flag bits in the record header.
 const flagPayload = 1 << 0
@@ -107,9 +98,10 @@ func DefaultCost() Cost {
 type Journal struct {
 	cost Cost
 
-	mu  sync.Mutex
-	buf []byte
-	seq uint64
+	mu   sync.Mutex
+	buf  []byte
+	body []byte // encode scratch, reused across appends
+	seq  uint64
 
 	// Pay-for-use instruments; nil-safe when never registered.
 	mRecords *metrics.Counter
@@ -147,10 +139,10 @@ func (j *Journal) Append(p *vclock.Proc, rec *Record) error {
 	if len(rec.Runs) > maxRuns {
 		return fmt.Errorf("recovery: journal record has %d runs, limit %d", len(rec.Runs), maxRuns)
 	}
-	if len(rec.Payload) > maxPayloadSize {
-		return fmt.Errorf("recovery: journal payload %d bytes exceeds limit %d", len(rec.Payload), maxPayloadSize)
-	}
 	size := recordSize(rec)
+	if body := size - 8; body > MaxFramePayload {
+		return fmt.Errorf("recovery: journal record body %d bytes exceeds frame limit %d", body, MaxFramePayload)
+	}
 	// Charge before taking the lock: a virtual-time sleep under a real
 	// mutex would stall every other appending rank for wall-clock time.
 	if p != nil {
@@ -170,7 +162,8 @@ func (j *Journal) Append(p *vclock.Proc, rec *Record) error {
 	j.mu.Lock()
 	j.seq++
 	rec.Seq = j.seq
-	j.buf = appendRecord(j.buf, rec)
+	j.body = appendBody(j.body[:0], rec)
+	j.buf = AppendFrame(j.buf, j.body)
 	j.mu.Unlock()
 	j.mRecords.Add(1)
 	j.mBytes.Add(int64(size))
@@ -184,20 +177,6 @@ func (j *Journal) Bytes() []byte {
 	return append([]byte(nil), j.buf...)
 }
 
-// Len returns the log size in bytes.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.buf)
-}
-
-// Records returns how many records have been appended.
-func (j *Journal) Records() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
 // Reset truncates the log, e.g. after a durable checkpoint makes all
 // journaled writes redundant.
 func (j *Journal) Reset() {
@@ -206,7 +185,10 @@ func (j *Journal) Reset() {
 	j.buf = j.buf[:0]
 }
 
-// recordSize returns the encoded size of rec in bytes.
+// recordSize is the size the modelled log device stores for rec — what
+// an append is charged for and what recovery.<name>.journal.bytes
+// counts. It is the model's own record (a 4-byte magic, the body, a
+// 4-byte checksum), not the in-memory frame around the body.
 func recordSize(rec *Record) int {
 	// magic u32, seq u64, flags u8, pathLen u16, path, elemSize u32,
 	// nRuns u32, runs 16B each, [payloadLen u64, payload], crc u32.
@@ -217,12 +199,11 @@ func recordSize(rec *Record) int {
 	return n
 }
 
-// appendRecord encodes rec onto buf. Layout is little-endian with a
-// trailing CRC32 (IEEE) over everything from the magic through the
-// payload.
-func appendRecord(buf []byte, rec *Record) []byte {
-	start := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, recordMagic)
+// appendBody encodes rec onto buf, little-endian: seq u64, flags u8,
+// pathLen u16, path, elemSize u32, nRuns u32, runs, then with
+// flagPayload payloadLen u64 and the payload. The frame around it
+// (frame.go) supplies magic, length and checksum.
+func appendBody(buf []byte, rec *Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
 	var flags byte
 	if rec.Payload != nil {
@@ -241,20 +222,24 @@ func appendRecord(buf []byte, rec *Record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rec.Payload)))
 		buf = append(buf, rec.Payload...)
 	}
-	crc := crc32.ChecksumIEEE(buf[start:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	return buf
 }
 
-// DecodeJournal parses a journal image. It returns every record up to
-// the first corruption; err is nil for a clean log and a *JournalError
-// (wrapping ErrCorruptJournal) when the tail is torn, truncated, or
-// fails its checksum. Decoding never panics on hostile input.
+// DecodeJournal parses a journal image: one frame per record. It
+// returns every record up to the first corruption; err is nil for a
+// clean log and a *JournalError (wrapping ErrCorruptJournal) when the
+// tail is torn, truncated, fails its checksum, or frames a malformed
+// body — decoding stops there, it does not resync. Decoding never
+// panics on hostile input.
 func DecodeJournal(b []byte) (recs []Record, err error) {
-	off := 0
-	for off < len(b) {
-		rec, n, derr := decodeRecord(b[off:])
-		if derr != "" {
-			return recs, &JournalError{Off: int64(off), Reason: derr}
+	for off := 0; off < len(b); {
+		body, n, reason := decodeFrame(b[off:])
+		var rec Record
+		if reason == "" {
+			rec, reason = decodeBody(body)
+		}
+		if reason != "" {
+			return recs, &JournalError{Off: int64(off), Reason: reason}
 		}
 		recs = append(recs, rec)
 		off += n
@@ -262,25 +247,23 @@ func DecodeJournal(b []byte) (recs []Record, err error) {
 	return recs, nil
 }
 
-// decodeRecord parses one record from the front of b, returning the
-// record, its encoded length, and a non-empty reason on failure.
-func decodeRecord(b []byte) (rec Record, n int, reason string) {
-	const fixedHead = 4 + 8 + 1 + 2 // magic, seq, flags, pathLen
+// decodeBody parses one record body (a frame payload, so its checksum
+// already verified — but a valid frame can still carry hostile bytes),
+// returning a non-empty reason on failure.
+func decodeBody(b []byte) (rec Record, reason string) {
+	const fixedHead = 8 + 1 + 2 // seq, flags, pathLen
 	if len(b) < fixedHead {
-		return rec, 0, "truncated header"
+		return rec, "truncated header"
 	}
-	if binary.LittleEndian.Uint32(b) != recordMagic {
-		return rec, 0, "bad record magic"
-	}
-	rec.Seq = binary.LittleEndian.Uint64(b[4:])
-	flags := b[12]
+	rec.Seq = binary.LittleEndian.Uint64(b)
+	flags := b[8]
 	if flags&^byte(flagPayload) != 0 {
-		return rec, 0, fmt.Sprintf("unknown flag bits %#x", flags)
+		return rec, fmt.Sprintf("unknown flag bits %#x", flags)
 	}
-	pathLen := int(binary.LittleEndian.Uint16(b[13:]))
+	pathLen := int(binary.LittleEndian.Uint16(b[9:]))
 	off := fixedHead
 	if len(b) < off+pathLen+8 {
-		return rec, 0, "truncated path"
+		return rec, "truncated path"
 	}
 	rec.Path = string(b[off : off+pathLen])
 	off += pathLen
@@ -288,10 +271,10 @@ func decodeRecord(b []byte) (rec Record, n int, reason string) {
 	nRuns := int(binary.LittleEndian.Uint32(b[off+4:]))
 	off += 8
 	if nRuns > maxRuns {
-		return rec, 0, fmt.Sprintf("implausible run count %d", nRuns)
+		return rec, fmt.Sprintf("implausible run count %d", nRuns)
 	}
 	if len(b)-off < 16*nRuns {
-		return rec, 0, "truncated run list"
+		return rec, "truncated run list"
 	}
 	var totalElems uint64
 	rec.Runs = make([]Run, nRuns)
@@ -302,38 +285,34 @@ func decodeRecord(b []byte) (rec Record, n int, reason string) {
 		}
 		off += 16
 		if rec.Runs[i].N > math.MaxUint64-totalElems {
-			return rec, 0, "element count overflow"
+			return rec, "element count overflow"
 		}
 		totalElems += rec.Runs[i].N
 	}
 	if flags&flagPayload != 0 {
 		if len(b) < off+8 {
-			return rec, 0, "truncated payload length"
+			return rec, "truncated payload length"
 		}
 		payloadLen := binary.LittleEndian.Uint64(b[off:])
 		off += 8
-		if payloadLen > maxPayloadSize {
-			return rec, 0, fmt.Sprintf("implausible payload size %d", payloadLen)
+		if payloadLen > MaxFramePayload {
+			return rec, fmt.Sprintf("implausible payload size %d", payloadLen)
 		}
 		want := totalElems * uint64(rec.ElemSize)
 		if totalElems != 0 && want/totalElems != uint64(rec.ElemSize) {
-			return rec, 0, "payload size overflow"
+			return rec, "payload size overflow"
 		}
 		if payloadLen != want {
-			return rec, 0, fmt.Sprintf("payload %d bytes, runs describe %d", payloadLen, want)
+			return rec, fmt.Sprintf("payload %d bytes, runs describe %d", payloadLen, want)
 		}
 		if uint64(len(b)-off) < payloadLen {
-			return rec, 0, "truncated payload"
+			return rec, "truncated payload"
 		}
 		rec.Payload = append([]byte(nil), b[off:off+int(payloadLen)]...)
 		off += int(payloadLen)
 	}
-	if len(b) < off+4 {
-		return rec, 0, "truncated checksum"
+	if off != len(b) {
+		return rec, fmt.Sprintf("%d trailing bytes after record", len(b)-off)
 	}
-	want := binary.LittleEndian.Uint32(b[off:])
-	if crc := crc32.ChecksumIEEE(b[:off]); crc != want {
-		return rec, 0, fmt.Sprintf("checksum mismatch: have %#x want %#x", crc, want)
-	}
-	return rec, off + 4, ""
+	return rec, ""
 }

@@ -58,9 +58,6 @@ type Report struct {
 	Committed, Torn, Lost, Unverified int
 	Replayed                          int
 
-	BytesCommitted, BytesTorn, BytesLost int64
-	BytesReplayed                        int64
-
 	// JournalError is non-empty when the log itself was torn; records
 	// before the tear are still scanned.
 	JournalError string
@@ -86,17 +83,13 @@ func (r *Report) add(o RecordOutcome) {
 	switch o.Class {
 	case ClassCommitted:
 		r.Committed++
-		r.BytesCommitted += o.Bytes
 	case ClassTorn:
 		r.Torn++
-		r.BytesTorn += o.Bytes
 		if o.Replayed {
 			r.Replayed++
-			r.BytesReplayed += o.Bytes
 		}
 	case ClassLost:
 		r.Lost++
-		r.BytesLost += o.Bytes
 	case ClassUnverified:
 		r.Unverified++
 	}
@@ -162,16 +155,16 @@ func Scan(journal []byte, store hdf5.Store, opts ScanOptions) *Report {
 // scanRecord classifies one record against the open image.
 func scanRecord(f *hdf5.File, rec *Record, replay bool) RecordOutcome {
 	o := RecordOutcome{Seq: rec.Seq, Path: rec.Path, Bytes: rec.NBytes()}
-	ds, err := f.Root().OpenDataset(nil, rec.Path)
-	if err != nil {
-		o.Class = ClassLost
-		o.Detail = fmt.Sprintf("opening dataset: %v", err)
+	verdict := func(c Class, format string, args ...any) RecordOutcome {
+		o.Class, o.Detail = c, fmt.Sprintf(format, args...)
 		return o
 	}
+	ds, err := f.Root().OpenDataset(nil, rec.Path)
+	if err != nil {
+		return verdict(ClassLost, "opening dataset: %v", err)
+	}
 	if got := ds.Dtype().Size; got != rec.ElemSize {
-		o.Class = ClassLost
-		o.Detail = fmt.Sprintf("element size %d on disk, %d journaled", got, rec.ElemSize)
-		return o
+		return verdict(ClassLost, "element size %d on disk, %d journaled", got, rec.ElemSize)
 	}
 	if rec.Payload == nil {
 		o.Class = ClassUnverified
@@ -187,14 +180,10 @@ func scanRecord(f *hdf5.File, rec *Record, replay bool) RecordOutcome {
 		got := make([]byte, runBytes)
 		sel, selErr := runSelection(ds, run)
 		if selErr != nil {
-			o.Class = ClassUnverified
-			o.Detail = selErr.Error()
-			return o
+			return verdict(ClassUnverified, "%v", selErr)
 		}
 		if err := ds.Read(nil, sel, got); err != nil {
-			o.Class = ClassLost
-			o.Detail = fmt.Sprintf("reading [%d,+%d): %v", run.Off, run.N, err)
-			return o
+			return verdict(ClassLost, "reading [%d,+%d): %v", run.Off, run.N, err)
 		}
 		if !bytes.Equal(got, want) {
 			torn = true

@@ -24,9 +24,6 @@ func NewJournalStage(j *Journal, capturePayload bool) *JournalStage {
 	return &JournalStage{j: j, capture: capturePayload}
 }
 
-// Journal returns the underlying log.
-func (s *JournalStage) Journal() *Journal { return s.j }
-
 // Name implements ioreq.Stage.
 func (s *JournalStage) Name() string { return "journal" }
 

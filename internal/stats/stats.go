@@ -234,23 +234,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// MinMax returns the extrema; zeros for an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // EWMA is an exponentially weighted moving average — the paper's
 // "weighted average over the measurements taken in previous iterations"
 // used to estimate the next computation phase (§III-B). Alpha in (0, 1]

@@ -179,10 +179,6 @@ func TestSummaryStats(t *testing.T) {
 	if cv := CV(xs); !approx(cv, 0.4, 1e-12) {
 		t.Errorf("CV = %v, want 0.4", cv)
 	}
-	lo, hi := MinMax(xs)
-	if lo != 2 || hi != 9 {
-		t.Errorf("MinMax = %v,%v, want 2,9", lo, hi)
-	}
 }
 
 func TestSummaryStatsEmptyAndDegenerate(t *testing.T) {
@@ -194,10 +190,6 @@ func TestSummaryStatsEmptyAndDegenerate(t *testing.T) {
 	}
 	if CV([]float64{0, 0}) != 0 {
 		t.Error("zero-mean CV must be zero")
-	}
-	lo, hi := MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Error("empty MinMax must be zeros")
 	}
 }
 

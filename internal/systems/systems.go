@@ -149,7 +149,6 @@ func Summit(clk *vclock.Clock, nodes int, opts ...Option) *System {
 		GPUUnpinnedSetup:  120 * time.Microsecond,
 		GPUUnpinnedFactor: 0.55,
 		SSDWritePeak:      2.1 * GB, // node-local 1.6 TB NVMe
-		SSDReadPeak:       5.5 * GB,
 	})
 	gpfs := pfs.GPFS(clk, pfs.GPFSConfig{
 		// 0.4 GB/s per rank × 768 ranks ≈ 307 GB/s achievable backend:

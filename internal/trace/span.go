@@ -29,7 +29,7 @@ type SpanEvent struct {
 // it, the connector that staged it, the background stream that executed
 // it, and the file-system target that charged it.
 //
-// Spans form a tree (Child) and collect events (Event/EventDur). All
+// Spans form a tree (Child) and collect events (EventOn/EventDurOn). All
 // methods are safe for concurrent use and safe on a nil receiver, so
 // code paths can record unconditionally: untraced requests simply carry
 // a nil span and every call is a no-op.
@@ -63,16 +63,6 @@ func (s *Span) Child(name string) *Span {
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
-}
-
-// Event records an instantaneous event at virtual time at.
-func (s *Span) Event(name string, bytes int64, at time.Duration) {
-	s.EventDurOn(name, bytes, at, 0, "")
-}
-
-// EventDur records an event covering [at, at+dur) in virtual time.
-func (s *Span) EventDur(name string, bytes int64, at, dur time.Duration) {
-	s.EventDurOn(name, bytes, at, dur, "")
 }
 
 // EventOn records an instantaneous event attributed to track.

@@ -9,9 +9,9 @@ import (
 func TestSpanRenderSortsEventsByTime(t *testing.T) {
 	sp := NewSpan("root")
 	// Appended out of order, as concurrent recorders would.
-	sp.EventDur("late", 0, 3*time.Second, time.Second)
-	sp.Event("early", 10, 1*time.Second)
-	sp.Event("middle", 0, 2*time.Second)
+	sp.EventDurOn("late", 0, 3*time.Second, time.Second, "")
+	sp.EventOn("early", 10, 1*time.Second, "")
+	sp.EventOn("middle", 0, 2*time.Second, "")
 	out := sp.String()
 	early := strings.Index(out, "early")
 	middle := strings.Index(out, "middle")
@@ -28,7 +28,7 @@ func TestSpanRenderBreaksTiesByName(t *testing.T) {
 	mk := func(order []string) string {
 		sp := NewSpan("root")
 		for _, name := range order {
-			sp.Event(name, 0, time.Second)
+			sp.EventOn(name, 0, time.Second, "")
 		}
 		return sp.String()
 	}
@@ -46,7 +46,7 @@ func TestSpanEventTracks(t *testing.T) {
 	sp := NewSpan("rank0")
 	sp.EventOn("staged", 4, time.Second, "rank0")
 	sp.EventDurOn("transfer", 4, 2*time.Second, time.Second, "stream:asyncvol:rank0")
-	sp.Event("plain", 0, 3*time.Second)
+	sp.EventOn("plain", 0, 3*time.Second, "")
 	evs := sp.Events()
 	if evs[0].Track != "rank0" || evs[1].Track != "stream:asyncvol:rank0" || evs[2].Track != "" {
 		t.Fatalf("tracks = %q, %q, %q", evs[0].Track, evs[1].Track, evs[2].Track)

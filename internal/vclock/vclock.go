@@ -257,9 +257,8 @@ func (c *Clock) Now() time.Duration {
 func (p *Proc) Now() time.Duration { return p.c.Now() }
 
 // Events returns the number of timer-queue entries fired so far — proc
-// wakeups plus timer callbacks. It is the denominator for the
-// events/second and ns/event throughput metrics the self-benchmark
-// (internal/simbench) reports.
+// wakeups plus timer callbacks: the "event" of every per-event cost the
+// benchmark (benchmark/) and the allocation budgets report.
 func (c *Clock) Events() int64 { return c.events.Load() }
 
 // totalEvents accumulates fired entries across every Clock in the
