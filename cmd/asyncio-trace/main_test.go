@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,6 +81,7 @@ func TestParityWithCampaignRunKind(t *testing.T) {
 				stderr.WriteString(runErr.Error() + "\n")
 			}
 
+			fromCLI := map[string][]byte{campaign.ArtifactSummary: served[campaign.ArtifactSummary]}
 			for name, path := range paths {
 				got, err := os.ReadFile(path)
 				if err != nil {
@@ -88,6 +90,13 @@ func TestParityWithCampaignRunKind(t *testing.T) {
 				if len(served[name]) == 0 || !bytes.Equal(got, served[name]) {
 					t.Errorf("%s differs: %d bytes from the CLI, %d bytes served", name, len(got), len(served[name]))
 				}
+				fromCLI[name] = got
+			}
+			// The bundle body itself, not only what decodes out of it:
+			// stored records and ?format=bundle clients hold the CLI's
+			// files in exactly encoding/json's bytes plus a newline.
+			if want, err := json.Marshal(fromCLI); err != nil || !bytes.Equal(payload, append(want, '\n')) {
+				t.Errorf("the served bundle is not json.Marshal of the CLI's artifacts plus a newline (%v)", err)
 			}
 			summary := string(served[campaign.ArtifactSummary])
 			table, ok := strings.CutSuffix(stderr.String(), summary)

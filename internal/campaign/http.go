@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -255,26 +256,26 @@ func renderResult(spec *Spec, payloads [][]byte, format string) ([]byte, string,
 		}
 		return nil, "", specErrf("format", "unknown sweep format %q (want table, json, or csv)", format)
 	}
-	bundle, err := DecodeBundle(payloads[0])
-	if err != nil {
-		return nil, "", err
-	}
+	var name, ctype string
 	switch format {
 	case "", "summary":
-		return bundle[ArtifactSummary], textType, nil
+		name, ctype = ArtifactSummary, textType
 	case "trace":
-		return bundle[ArtifactTrace], csvType, nil
+		name, ctype = ArtifactTrace, csvType
 	case "metrics":
-		return bundle[ArtifactMetrics], csvType, nil
+		name, ctype = ArtifactMetrics, csvType
 	case "perfetto":
-		return bundle[ArtifactPerfetto], jsonType, nil
+		name, ctype = ArtifactPerfetto, jsonType
 	case "critpath":
-		if b, ok := bundle[ArtifactCritPath]; ok {
-			return b, jsonType, nil
-		}
-		return nil, "", errors.New("campaign: run carried no critical-path profile")
+		name, ctype = ArtifactCritPath, jsonType
 	case "bundle":
 		return payloads[0], jsonType, nil
+	default:
+		return nil, "", specErrf("format", "unknown run format %q (want summary, trace, metrics, perfetto, critpath, or bundle)", format)
 	}
-	return nil, "", specErrf("format", "unknown run format %q (want summary, trace, metrics, perfetto, critpath, or bundle)", format)
+	b, ok, err := bundleArtifact(payloads[0], name)
+	if err == nil && !ok {
+		err = fmt.Errorf("campaign: run bundle carries no %s", name)
+	}
+	return b, ctype, err
 }

@@ -43,12 +43,19 @@ func encodeSweepPoint(p experiments.SweepPoint) []byte {
 		strconv.FormatFloat(p.Est, 'g', -1, 64)))
 }
 
+// maxSweepPointBytes is above anything encodeSweepPoint can emit (an int
+// and two shortest-round-trip floats: under 90 bytes).
+const maxSweepPointBytes = 256
+
 func decodeSweepPoint(b []byte) (experiments.SweepPoint, error) {
 	var p experiments.SweepPoint
+	if len(b) > maxSweepPointBytes {
+		return p, fmt.Errorf("campaign: %d-byte payload is too long for a sweep point", len(b))
+	}
 	for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
 		k, v, ok := strings.Cut(line, "=")
 		if !ok {
-			return p, fmt.Errorf("campaign: malformed point line %q", line)
+			return p, fmt.Errorf("campaign: malformed point line %q", truncate(line))
 		}
 		var err error
 		switch k {
@@ -69,18 +76,17 @@ func decodeSweepPoint(b []byte) (experiments.SweepPoint, error) {
 }
 
 // ValidatePointPayload checks that b parses as some point result — a
-// sweep point or a run bundle. The durable store's read path uses it as
-// a belt-and-braces check on top of the frame checksum: a record whose
-// frame verifies but whose payload no longer parses is treated as a
-// miss and recomputed, never served.
+// run bundle (the only payload that starts with a brace) or a sweep
+// point — in full and exactly once. The durable store's read path uses
+// it as a belt-and-braces check on top of the frame checksum: a record
+// whose frame verifies but whose payload no longer parses is treated as
+// a miss and recomputed, never served.
 func ValidatePointPayload(b []byte) error {
-	if _, err := decodeSweepPoint(b); err == nil {
-		return nil
+	if len(b) > 0 && b[0] == '{' {
+		return validateBundle(b)
 	}
-	if _, err := DecodeBundle(b); err == nil {
-		return nil
-	}
-	return fmt.Errorf("campaign: payload is neither a sweep point nor a run bundle")
+	_, err := decodeSweepPoint(b)
+	return err
 }
 
 // AssembleSweepTable reassembles index-ordered point payloads into the
@@ -155,31 +161,12 @@ func sweepPointsCSV(payloads [][]byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Bundle artifact names for run-kind results.
-const (
-	ArtifactTrace    = "trace.csv"
-	ArtifactMetrics  = "metrics.csv"
-	ArtifactPerfetto = "perfetto.json"
-	ArtifactCritPath = "critpath.json"
-	ArtifactSummary  = "summary.txt"
-)
-
-// DecodeBundle unpacks a run-kind point payload into its artifacts.
-func DecodeBundle(b []byte) (map[string][]byte, error) {
-	var m map[string][]byte
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("campaign: decoding bundle: %w", err)
-	}
-	return m, nil
-}
-
 // computeRunPoint executes one instrumented run (experiments.Run, the
 // function cmd/asyncio-trace also calls) with every export switched on,
-// and packs the artifacts into one deterministic JSON bundle (sorted
-// keys, base64 values). An injected crash still produces the bundle:
-// the partial artifacts plus the crash/tear/journal-scan classification
-// in the summary are the result of a crash campaign, not a service
-// error.
+// and packs the artifacts into one bundle (bundle.go). An injected crash
+// still produces the bundle: the partial artifacts plus the
+// crash/tear/journal-scan classification in the summary are the result
+// of a crash campaign, not a service error.
 func computeRunPoint(c *Spec, k *experiments.RunKnobs) ([]byte, error) {
 	k.CritPath, k.Series = true, true
 	res, err := experiments.Run(c.runSpec(), k)
@@ -207,12 +194,5 @@ func computeRunPoint(c *Spec, k *experiments.RunKnobs) ([]byte, error) {
 		}
 		bundle[a.name] = buf.Bytes()
 	}
-
-	// json.Marshal of map[string][]byte sorts keys and base64-encodes
-	// values: one canonical byte encoding of the whole artifact set.
-	out, err := json.Marshal(bundle)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return encodeBundle(bundle), nil
 }

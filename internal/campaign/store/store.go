@@ -247,7 +247,11 @@ func (s *Store) Put(key string, val []byte) error {
 // Get returns the stored value for key. ok is false on a clean miss;
 // err is non-nil when the record exists but can no longer be read back
 // verifiably (I/O error or checksum failure) — the caller should treat
-// that as a miss and recompute, never serve unverified bytes.
+// that as a miss and recompute, never serve unverified bytes. The value
+// is the caller's own: a copy of a pending write (whose backing array the
+// flusher still holds), or a slice of the buffer this call read the
+// frame into and hands to nobody else — one allocation of the record's
+// size per disk hit, not two.
 func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -282,7 +286,7 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 		s.mReadErrors.Add(1)
 		return nil, false, fmt.Errorf("store: record for %q decodes to key %q (%v)", key, k, perr)
 	}
-	return append([]byte(nil), v...), true, nil
+	return v, true, nil
 }
 
 // Len returns the number of live keys.
