@@ -47,6 +47,20 @@ func TestParityWithCampaignRunKind(t *testing.T) {
 				"-consistency", "commit;check=1"},
 		},
 	}
+	// One plain case per remaining run-kind workload: each reaches the
+	// run function through a different driver.
+	for _, w := range []string{"bdcats", "nyx", "castro", "eqsim"} {
+		cases = append(cases, struct {
+			name    string
+			spec    string
+			args    []string
+			aborted bool
+		}{
+			name: "plain " + w + " async",
+			spec: `{"kind":"run","workload":"` + w + `","nodes":1,"steps":2,"mode":"async"}`,
+			args: []string{"-workload", w, "-nodes", "1", "-steps", "2", "-mode", "async"},
+		})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			spec, err := campaign.DecodeSpec([]byte(c.spec))

@@ -18,7 +18,7 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden_
 // They run with every knob at its default — no faults, no consistency
 // model, serial engine — so any refactor that claims to be
 // semantics-preserving when its switch is off must keep these identical.
-var goldenFigures = []string{"fig3a", "fig3b", "fig5", "fig7"}
+var goldenFigures = []string{"fig3a", "fig3b", "fig3c", "fig4a", "fig4c", "fig5", "fig6", "fig7"}
 
 // TestDefaultModelGoldenFigures renders each pinned figure at reduced
 // scale and byte-compares it against the committed golden. The goldens
