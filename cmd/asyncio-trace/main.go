@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"asyncio/internal/cliflags"
@@ -51,11 +52,12 @@ func main() {
 // the CSV on stdout unless -o names a file, the summary on stderr.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	workloads, systems, modes := experiments.RunNames()
 	var (
-		workload = fs.String("workload", "vpic", "vpic | bdcats | nyx | castro | eqsim")
-		system   = fs.String("system", "summit", "summit | cori")
+		workload = fs.String("workload", "vpic", strings.Join(workloads, " | "))
+		system   = fs.String("system", "summit", strings.Join(systems, " | "))
 		nodes    = fs.Int("nodes", 16, "allocation size in nodes")
-		mode     = fs.String("mode", "adaptive", "sync | async | adaptive")
+		mode     = fs.String("mode", "adaptive", strings.Join(modes, " | "))
 		steps    = fs.Int("steps", 8, "epochs (checkpoints/time steps)")
 		compute  = fs.Duration("compute", 30*time.Second, "computation phase per epoch")
 		out      = fs.String("o", "", "output CSV path (default stdout)")

@@ -22,8 +22,9 @@ func TestSpanFollowsRequestToBackgroundStream(t *testing.T) {
 	clk := newHeldClock()
 	eng := taskengine.New(clk.Clock)
 	c := New(eng, "rank0", Options{Copy: fixedCopy{bw: 4 * MiB}, Materialize: true})
-	// A pfs.Target implements hdf5.SpanDriver, so the background
-	// transfer lands on the span too. 1 MiB/s, no extras.
+	// The span reaches a pfs.Target through hdf5.FallibleDriver's
+	// TryWriteData, so the background transfer lands on it too.
+	// 1 MiB/s, no extras.
 	target := pfs.NewTarget(clk.Clock, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
 	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(), hdf5.WithDriver(target))
 	if err != nil {

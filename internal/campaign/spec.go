@@ -46,15 +46,16 @@ type Spec struct {
 	Sweep string `json:"sweep,omitempty"`
 	Scale string `json:"scale,omitempty"`
 
-	// Run kind: one workload on one system, mirroring asyncio-trace.
-	Workload       string  `json:"workload,omitempty"`        // vpic | bdcats | nyx | castro | eqsim
-	System         string  `json:"system,omitempty"`          // summit | cori
-	Nodes          int     `json:"nodes,omitempty"`           // allocation size
-	Mode           string  `json:"mode,omitempty"`            // sync | async | adaptive
+	// Run kind: one workload on one system, mirroring asyncio-trace
+	// (experiments.RunNames lists the workload, system and mode names).
+	Workload       string  `json:"workload,omitempty"`
+	System         string  `json:"system,omitempty"`
+	Nodes          int     `json:"nodes,omitempty"` // allocation size
+	Mode           string  `json:"mode,omitempty"`
 	Steps          int     `json:"steps,omitempty"`           // epochs
 	ComputeSeconds float64 `json:"compute_seconds,omitempty"` // compute phase per epoch
 
-	// Crash-durability plumbing (run kind, vpic only).
+	// Crash-durability plumbing (run kind, durable workloads only).
 	CheckpointEvery int  `json:"checkpoint_every,omitempty"` // epochs, 0 = off
 	Journal         bool `json:"journal,omitempty"`
 
@@ -233,41 +234,34 @@ func (c *Spec) canonRun() error {
 	if c.Workload == "" {
 		c.Workload = "vpic"
 	}
-	switch c.Workload {
-	case "vpic", "bdcats", "nyx", "castro", "eqsim":
-	default:
-		return specErrf("workload", "unknown workload %q", c.Workload)
-	}
 	if c.System == "" {
 		c.System = "summit"
-	}
-	if c.System != "summit" && c.System != "cori" {
-		return specErrf("system", "unknown system %q (want summit or cori)", c.System)
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 2
 	}
-	if c.Nodes < 1 || c.Nodes > 2048 {
-		return specErrf("nodes", "%d outside 1..2048", c.Nodes)
-	}
 	if c.Mode == "" {
 		c.Mode = "adaptive"
-	}
-	if c.Mode != "sync" && c.Mode != "async" && c.Mode != "adaptive" {
-		return specErrf("mode", "unknown mode %q (want sync, async, or adaptive)", c.Mode)
 	}
 	if c.Steps == 0 {
 		c.Steps = 4
 	}
+	// Which workloads, systems and modes exist, and which workloads
+	// have crash-durability plumbing, is the run function's own rule.
+	if field, err := c.runSpec().Validate(); err != nil {
+		return specErrf(field, "%v", err)
+	}
+	if c.Nodes < 1 || c.Nodes > 2048 {
+		return specErrf("nodes", "%d outside 1..2048", c.Nodes)
+	}
 	if c.Steps < 1 || c.Steps > 64 {
 		return specErrf("steps", "%d outside 1..64", c.Steps)
 	}
-	switch c.Workload {
-	case "nyx", "eqsim":
-		// These workloads carry their own compute model; the knob is
-		// ignored, so it is normalized away rather than splitting hashes.
+	if experiments.OwnsCompute(c.Workload) {
+		// The knob is ignored, so it is normalized away rather than
+		// splitting hashes.
 		c.ComputeSeconds = 0
-	default:
+	} else {
 		if c.ComputeSeconds == 0 {
 			c.ComputeSeconds = 30
 		}
@@ -277,11 +271,6 @@ func (c *Spec) canonRun() error {
 	}
 	if c.CheckpointEvery < 0 || c.CheckpointEvery > 64 {
 		return specErrf("checkpoint_every", "%d outside 0..64", c.CheckpointEvery)
-	}
-	// What is left — crash-durability plumbing on a workload that has
-	// none — is the run function's own rule.
-	if err := c.runSpec().Validate(); err != nil {
-		return specErrf("checkpoint_every", "%v", err)
 	}
 	return nil
 }

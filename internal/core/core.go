@@ -289,10 +289,15 @@ func Run(sys *systems.System, cfg Config, hooks Hooks) (*Report, error) {
 	costs := mpi.DefaultCosts()
 	costs.Metrics = sys.Metrics
 	costs.Crit = sys.Crit
+	// Virtual time stays pinned until the crash timers are armed:
+	// released any earlier, a short run races the host past a crash
+	// instant — or to its end — and the crash never fires.
+	release := sys.Clk.Hold()
 	world := mpi.Run(sys.Clk, ranks, costs, func(c *mpi.Comm) {
 		runRank(c, sys, cfg, hooks, ctl, rep, ct)
 	})
 	timers := scheduleCrashes(sys, crashes, ranks, world, ct, rep)
+	release()
 	werr := sys.Clk.Wait()
 	for _, t := range timers {
 		t.Stop()

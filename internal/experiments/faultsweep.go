@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"asyncio/internal/core"
 	"asyncio/internal/faults"
 	"asyncio/internal/systems"
-	"asyncio/internal/workloads/vpicio"
 )
 
 // FaultSweep measures how injected storage faults erode the paper's
@@ -47,9 +45,7 @@ func FaultSweep(scale Scale, k *RunKnobs) (*Table, error) {
 			return err
 		}
 		sys := k.newSystem("summit", nodes, systems.WithFaults(in))
-		rep, _, err := vpicio.Run(sys, vpicio.Config{
-			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
-		})
+		rep, err := vpicRun(sys, scale.Steps, mode)
 		if err != nil {
 			return fmt.Errorf("faultsweep rate=%g %v: %w", rate, mode, err)
 		}

@@ -47,9 +47,9 @@ func Registry() map[string]Generator {
 	return reg
 }
 
-// runFn executes one workload run on a fresh system and returns its
-// report.
-type runFn func(sysName string, nodes int, mode core.Mode) (*core.Report, error)
+// runFn executes one workload run of steps epochs on sys — a fresh
+// system nothing else has run on — and returns its report.
+type runFn func(sys *systems.System, steps int, mode core.Mode) (*core.Report, error)
 
 // sweepPoint is one (scale point, mode) measurement: the peak aggregate
 // rate (what the paper plots) plus the model's per-configuration
@@ -102,7 +102,7 @@ func SimulateSweepPoint(id string, scale Scale, i int, k *RunKnobs) (SweepPoint,
 	if i%2 == 1 {
 		mode = core.ForceAsync
 	}
-	rep, err := sp.run(scale, k)(sp.sys, nodes, mode)
+	rep, err := sp.run(k.newSystem(sp.sys, nodes), scale.Steps, mode)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("%s %d nodes %v: %w", sp.sys, nodes, mode, err)
 	}
@@ -202,8 +202,8 @@ func rateTable(id, title string, pts []sweepPoint, kind estKind) *Table {
 }
 
 // sweepSpec declares a plain rate figure — a (nodes × mode) sweep of
-// one workload on one system — in two separable phases: run(scale)
-// produces the simulation runner (the expensive part), and the
+// one workload on one system — in two separable phases: run is the
+// simulation of one point (the expensive part), and the
 // title/kind/notes drive assembly into a Table (regression fits, cheap).
 // The split lets the wall-clock benchmarks time simulation without
 // re-fitting tables, and keeps every such figure on the parallel sweep
@@ -212,7 +212,7 @@ type sweepSpec struct {
 	title string
 	sys   string
 	nodes func(Scale) []int
-	run   func(Scale, *RunKnobs) runFn
+	run   runFn
 	kind  estKind
 	notes []string
 }
@@ -220,42 +220,44 @@ type sweepSpec struct {
 func summitNodes(s Scale) []int { return s.SummitNodes }
 func coriNodes(s Scale) []int   { return s.CoriNodes }
 
-func vpicRun(scale Scale, k *RunKnobs) runFn {
-	return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-		rep, _, err := vpicio.Run(k.newSystem(sn, n), vpicio.Config{
-			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
-		})
-		return rep, err
-	}
+func vpicRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	rep, _, err := vpicio.Run(sys, vpicio.Config{Steps: steps, ComputeTime: 30 * time.Second, Mode: mode})
+	return rep, err
 }
 
-func bdcatsRun(scale Scale, k *RunKnobs) runFn {
-	return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-		return bdcats.Run(k.newSystem(sn, n), bdcats.Config{
-			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
-		}, nil)
-	}
+func bdcatsRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return bdcats.Run(sys, bdcats.Config{Steps: steps, ComputeTime: 30 * time.Second, Mode: mode}, nil)
 }
 
-func nyxRun(scale Scale, k *RunKnobs, large bool) runFn {
-	return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-		cfg := nyx.SmallConfig()
-		if large {
-			cfg = nyx.LargeConfig()
-		}
-		cfg.Plotfiles = scale.Steps
-		cfg.TimePerStep = 2 * time.Second
-		cfg.Mode = mode
-		return nyx.Run(k.newSystem(sn, n), cfg)
-	}
+// nyxRun runs Nyx from the given starting configuration (the paper's
+// small or large domain).
+func nyxRun(cfg nyx.Config, sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	cfg.Plotfiles = steps
+	cfg.TimePerStep = 2 * time.Second
+	cfg.Mode = mode
+	return nyx.Run(sys, cfg)
 }
 
-func castroRun(scale Scale, k *RunKnobs) runFn {
-	return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-		return castro.Run(k.newSystem(sn, n), castro.Config{
-			Checkpoints: scale.Steps, ComputeTime: 25 * time.Second, Mode: mode,
-		})
-	}
+func nyxLargeRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return nyxRun(nyx.LargeConfig(), sys, steps, mode)
+}
+
+func nyxSmallRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return nyxRun(nyx.SmallConfig(), sys, steps, mode)
+}
+
+func castroRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return castro.Run(sys, castro.Config{Checkpoints: steps, ComputeTime: 25 * time.Second, Mode: mode})
+}
+
+func cosmoflowRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return cosmoflow.Run(sys, cosmoflow.Config{
+		Epochs: 1, StepsPerEpoch: steps + 1, TrainTime: 60 * time.Second, Mode: mode,
+	})
+}
+
+func eqsimRun(sys *systems.System, steps int, mode core.Mode) (*core.Report, error) {
+	return eqsim.Run(sys, eqsim.Config{Checkpoints: steps, Mode: mode})
 }
 
 func sweepSpecs() map[string]sweepSpec {
@@ -282,16 +284,12 @@ func sweepSpecs() map[string]sweepSpec {
 		},
 		"fig4a": {
 			title: "Nyx (large, 2048³) plotfile aggregate bandwidth, Summit (strong scaling)",
-			sys:   "summit", nodes: summitNodes,
-			run:   func(s Scale, k *RunKnobs) runFn { return nyxRun(s, k, true) },
-			kind:  estHistory,
+			sys:   "summit", nodes: summitNodes, run: nyxLargeRun, kind: estHistory,
 			notes: []string{"plotfile every 50 steps; per-rank data shrinks with rank count"},
 		},
 		"fig4b": {
 			title: "Nyx (small, 256³) plotfile aggregate bandwidth, Cori-Haswell (strong scaling)",
-			sys:   "cori", nodes: coriNodes,
-			run:   func(s Scale, k *RunKnobs) runFn { return nyxRun(s, k, false) },
-			kind:  estHistory,
+			sys:   "cori", nodes: coriNodes, run: nyxSmallRun, kind: estHistory,
 			notes: []string{"small per-rank requests keep sync poor and cap the async staging rate (§V-A3)"},
 		},
 		"fig4c": {
@@ -306,29 +304,12 @@ func sweepSpecs() map[string]sweepSpec {
 		},
 		"fig5": {
 			title: "Cosmoflow batch-read aggregate bandwidth, Summit",
-			sys:   "summit", nodes: summitNodes,
-			run: func(scale Scale, k *RunKnobs) runFn {
-				return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-					return cosmoflow.Run(k.newSystem(sn, n), cosmoflow.Config{
-						Epochs: 1, StepsPerEpoch: scale.Steps + 1,
-						TrainTime: 60 * time.Second, Mode: mode,
-					})
-				}
-			},
-			kind:  estHistory,
+			sys:   "summit", nodes: summitNodes, run: cosmoflowRun, kind: estHistory,
 			notes: []string{"128³ voxel samples, batch size 8; async = double-buffered DataLoader"},
 		},
 		"fig6": {
 			title: "EQSIM checkpoint aggregate bandwidth, Summit (strong scaling)",
-			sys:   "summit", nodes: summitNodes,
-			run: func(scale Scale, k *RunKnobs) runFn {
-				return func(sn string, n int, mode core.Mode) (*core.Report, error) {
-					return eqsim.Run(k.newSystem(sn, n), eqsim.Config{
-						Checkpoints: scale.Steps, Mode: mode,
-					})
-				}
-			},
-			kind:  estHistory,
+			sys:   "summit", nodes: summitNodes, run: eqsimRun, kind: estHistory,
 			notes: []string{"grid 600×600×340 (h=50), checkpoint every 100 steps"},
 		},
 	}
@@ -499,9 +480,7 @@ func Fig8VPICVariability(scale Scale, k *RunKnobs) (*Table, error) {
 			mode = core.ForceAsync
 		}
 		sys := k.newSystem("summit", nodes, systems.WithContention(seed, int64(day)))
-		rep, _, err := vpicio.Run(sys, vpicio.Config{
-			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: mode,
-		})
+		rep, err := vpicRun(sys, scale.Steps, mode)
 		if err != nil {
 			return fmt.Errorf("fig8 day %d %v: %w", day, mode, err)
 		}
@@ -757,9 +736,7 @@ func AblationFitKinds(scale Scale, k *RunKnobs) (*Table, error) {
 	ranks := make([]float64, len(scale.SummitNodes))
 	rates := make([]float64, len(scale.SummitNodes))
 	err := RunParallel(k, len(scale.SummitNodes), func(i int) error {
-		rep, _, err := vpicio.Run(k.newSystem("summit", scale.SummitNodes[i]), vpicio.Config{
-			Steps: scale.Steps, ComputeTime: 30 * time.Second, Mode: core.ForceSync,
-		})
+		rep, err := vpicRun(k.newSystem("summit", scale.SummitNodes[i]), scale.Steps, core.ForceSync)
 		if err != nil {
 			return err
 		}

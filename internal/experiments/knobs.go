@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 
 	"asyncio/internal/core"
@@ -106,13 +107,15 @@ func (k *RunKnobs) sysOpts() []systems.Option {
 }
 
 // newSystem builds a fresh clock+system for one run under these knobs.
-// Caller extras come last, so an experiment that pins its own injector,
-// recorder or consistency model overrides the knob's.
+// name is a runSystems name; anything else is a caller's bug (outside
+// input goes through RunSpec.Validate first). Caller extras come last,
+// so an experiment that pins its own injector, recorder or consistency
+// model overrides the knob's.
 func (k *RunKnobs) newSystem(name string, nodes int, opts ...systems.Option) *systems.System {
-	clk := vclock.New()
-	opts = append(k.sysOpts(), opts...)
-	if name == "summit" {
-		return systems.Summit(clk, nodes, opts...)
+	build, ok := runSystems.find(name)
+	if !ok {
+		panic(fmt.Sprintf("experiments: no system named %q", name))
 	}
-	return systems.CoriHaswell(clk, nodes, opts...)
+	opts = append(k.sysOpts(), opts...)
+	return build(vclock.New(), nodes, opts...)
 }

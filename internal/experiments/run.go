@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"asyncio/internal/core"
@@ -11,6 +12,7 @@ import (
 	"asyncio/internal/recovery"
 	"asyncio/internal/systems"
 	"asyncio/internal/trace"
+	"asyncio/internal/vclock"
 	"asyncio/internal/workloads/bdcats"
 	"asyncio/internal/workloads/castro"
 	"asyncio/internal/workloads/eqsim"
@@ -23,46 +25,150 @@ import (
 // what cmd/asyncio-trace's own flags and a campaign run spec's fields
 // both reduce to; everything else about the run travels in RunKnobs.
 type RunSpec struct {
-	Workload string // vpic | bdcats | nyx | castro | eqsim
-	System   string // summit | cori
+	// Workload, System and Mode are names from the run-kind tables
+	// (see RunNames).
+	Workload string
+	System   string
 	Nodes    int
-	Mode     string // sync | async | adaptive
-	Steps    int    // epochs (checkpoints / time steps)
-	// Compute is the computation phase per epoch (nyx and eqsim carry
-	// their own compute model and ignore it).
+	Mode     string
+	Steps    int // epochs (checkpoints / time steps)
+	// Compute is the computation phase per epoch (a workload that owns
+	// its compute model ignores it; see OwnsCompute).
 	Compute time.Duration
 	// CheckpointEvery commits a durable checkpoint every N epochs and
 	// Journal captures a write-ahead journal of asynchronous writes
-	// (vpic only); either one puts the run on a write-back durable
-	// store that an injected crash tears.
+	// (durable workloads only); either one puts the run on a write-back
+	// durable store that an injected crash tears.
 	CheckpointEvery int
 	Journal         bool
 }
 
-// Validate rejects what Run cannot execute: an unknown workload, system
-// or mode, and crash-durability plumbing on a workload that has none.
-func (s RunSpec) Validate() error {
-	switch s.Workload {
-	case "vpic", "bdcats", "nyx", "castro", "eqsim":
-	default:
-		return fmt.Errorf("unknown workload %q", s.Workload)
-	}
-	if s.System != "summit" && s.System != "cori" {
-		return fmt.Errorf("unknown system %q", s.System)
-	}
-	if _, ok := runModes[s.Mode]; !ok {
-		return fmt.Errorf("unknown mode %q", s.Mode)
-	}
-	if (s.CheckpointEvery > 0 || s.Journal) && s.Workload != "vpic" {
-		return fmt.Errorf("checkpoint-every/journal are only wired into the vpic workload")
-	}
-	return nil
+// The run-kind tables are the one place that names the workloads,
+// systems and modes an instrumented run accepts; Validate, Run,
+// RunKnobs.newSystem, the campaign spec and asyncio-trace's flag help
+// all read them. Help strings and "want …" lists follow their order.
+type table[T any] []struct {
+	name string
+	v    T
 }
 
-var runModes = map[string]core.Mode{
-	"sync":     core.ForceSync,
-	"async":    core.ForceAsync,
-	"adaptive": core.Adaptive,
+func (t table[T]) find(name string) (v T, ok bool) {
+	for _, e := range t {
+		if e.name == name {
+			return e.v, true
+		}
+	}
+	return v, false
+}
+
+func (t table[T]) names() []string {
+	ns := make([]string, len(t))
+	for i, e := range t {
+		ns[i] = e.name
+	}
+	return ns
+}
+
+// runState is one instrumented run in flight — what Run resolved from
+// the spec and built for it — as the workload's runner receives it. kit
+// and ck are nil unless the spec asks for checkpoints or a journal.
+type runState struct {
+	RunSpec
+	sys  *systems.System
+	mode core.Mode
+	kit  *harness.CrashKit
+	ck   *harness.Checkpointer
+}
+
+// runWorkload is one workload of the run kind: a new one is a row in
+// runWorkloads and nothing else.
+type runWorkload struct {
+	run        func(r *runState) (*core.Report, error)
+	ownCompute bool // carries its own compute model and ignores RunSpec.Compute
+	durable    bool // wired for CheckpointEvery and Journal
+}
+
+var runWorkloads = table[runWorkload]{
+	{"vpic", runWorkload{durable: true, run: func(r *runState) (*core.Report, error) {
+		cfg := vpicio.Config{Steps: r.Steps, ComputeTime: r.Compute, Mode: r.mode}
+		if r.kit != nil {
+			cfg.Store = r.kit.Durable
+			cfg.Checkpoint = r.ck
+			if r.Journal {
+				cfg.Env.AsyncInlineStages = r.kit.InlineStages()
+			}
+		}
+		rep, _, err := vpicio.Run(r.sys, cfg)
+		return rep, err
+	}}},
+	{"bdcats", runWorkload{run: func(r *runState) (*core.Report, error) {
+		return bdcats.Run(r.sys, bdcats.Config{Steps: r.Steps, ComputeTime: r.Compute, Mode: r.mode}, nil)
+	}}},
+	{"nyx", runWorkload{ownCompute: true, run: func(r *runState) (*core.Report, error) {
+		cfg := nyx.SmallConfig()
+		cfg.Plotfiles = r.Steps
+		cfg.Mode = r.mode
+		return nyx.Run(r.sys, cfg)
+	}}},
+	{"castro", runWorkload{run: func(r *runState) (*core.Report, error) {
+		return castro.Run(r.sys, castro.Config{Checkpoints: r.Steps, ComputeTime: r.Compute, Mode: r.mode})
+	}}},
+	{"eqsim", runWorkload{ownCompute: true, run: func(r *runState) (*core.Report, error) {
+		return eqsim.Run(r.sys, eqsim.Config{Checkpoints: r.Steps, Mode: r.mode})
+	}}},
+}
+
+var runSystems = table[func(*vclock.Clock, int, ...systems.Option) *systems.System]{
+	{"summit", systems.Summit},
+	{"cori", systems.CoriHaswell},
+}
+
+var runModes = table[core.Mode]{
+	{"sync", core.ForceSync},
+	{"async", core.ForceAsync},
+	{"adaptive", core.Adaptive},
+}
+
+// RunNames lists the workload, system and mode names a RunSpec may
+// carry, in table order — for flag help.
+func RunNames() (workloads, systems, modes []string) {
+	return runWorkloads.names(), runSystems.names(), runModes.names()
+}
+
+// OwnsCompute reports whether the named workload carries its own
+// compute model, so that RunSpec.Compute does not reach it.
+func OwnsCompute(workload string) bool {
+	w, _ := runWorkloads.find(workload)
+	return w.ownCompute
+}
+
+// wantList renders names as "a or b" or "a, b, or c".
+func wantList(names []string) string {
+	last := len(names) - 1
+	if last < 2 {
+		return strings.Join(names, " or ")
+	}
+	return strings.Join(names[:last], ", ") + ", or " + names[last]
+}
+
+// Validate rejects what Run cannot execute — an unknown workload, system
+// or mode, and crash-durability plumbing on a workload that has none —
+// and names the offending field as a campaign spec spells it.
+func (s RunSpec) Validate() (field string, err error) {
+	w, ok := runWorkloads.find(s.Workload)
+	if !ok {
+		return "workload", fmt.Errorf("unknown workload %q", s.Workload)
+	}
+	if _, ok := runSystems.find(s.System); !ok {
+		return "system", fmt.Errorf("unknown system %q (want %s)", s.System, wantList(runSystems.names()))
+	}
+	if _, ok := runModes.find(s.Mode); !ok {
+		return "mode", fmt.Errorf("unknown mode %q (want %s)", s.Mode, wantList(runModes.names()))
+	}
+	if (s.CheckpointEvery > 0 || s.Journal) && !w.durable {
+		return "checkpoint_every", fmt.Errorf("checkpoint-every/journal are only wired into the vpic workload")
+	}
+	return "", nil
 }
 
 // RunOutput is what one instrumented run produced: the report, the
@@ -103,10 +209,11 @@ func (o *RunOutput) WritePerfetto(w io.Writer) error {
 // artifact still valid) or "consistency check: …" (the run completed
 // and the oracle found a violation).
 func Run(s RunSpec, k *RunKnobs) (*RunOutput, error) {
-	if err := s.Validate(); err != nil {
+	if _, err := s.Validate(); err != nil {
 		return nil, err
 	}
-	mode := runModes[s.Mode]
+	w, _ := runWorkloads.find(s.Workload)
+	mode, _ := runModes.find(s.Mode)
 	// A single run's exports have never carried the storage targets'
 	// setup-time gauge writes (the generators' observed runs do): its
 	// series start once the system is assembled.
@@ -128,31 +235,7 @@ func Run(s RunSpec, k *RunKnobs) (*RunOutput, error) {
 		kit.SetCrit(sys.Crit)
 	}
 
-	var rep *core.Report
-	var err error
-	switch s.Workload {
-	case "vpic":
-		cfg := vpicio.Config{Steps: s.Steps, ComputeTime: s.Compute, Mode: mode}
-		if kit != nil {
-			cfg.Store = kit.Durable
-			cfg.Checkpoint = ck
-			if s.Journal {
-				cfg.Env.AsyncInlineStages = kit.InlineStages()
-			}
-		}
-		rep, _, err = vpicio.Run(sys, cfg)
-	case "bdcats":
-		rep, err = bdcats.Run(sys, bdcats.Config{Steps: s.Steps, ComputeTime: s.Compute, Mode: mode}, nil)
-	case "nyx":
-		cfg := nyx.SmallConfig()
-		cfg.Plotfiles = s.Steps
-		cfg.Mode = mode
-		rep, err = nyx.Run(sys, cfg)
-	case "castro":
-		rep, err = castro.Run(sys, castro.Config{Checkpoints: s.Steps, ComputeTime: s.Compute, Mode: mode})
-	case "eqsim":
-		rep, err = eqsim.Run(sys, eqsim.Config{Checkpoints: s.Steps, Mode: mode})
-	}
+	rep, err := w.run(&runState{s, sys, mode, kit, ck})
 	// An aborted run (injected crash, mid-run failure) still carries a
 	// partial report; anything else that failed has nothing to export.
 	aborted := err != nil && rep != nil && rep.Aborted

@@ -23,22 +23,13 @@ type Driver interface {
 	MetaOp(p *vclock.Proc)
 }
 
-// SpanDriver is optionally implemented by drivers that record transfer
-// timing onto a request's trace span (internal/pfs does). When a
-// transfer carries a span and the file's driver implements SpanDriver,
-// the library routes the charge through these entry points instead of
-// WriteData/ReadData; the time charged must be identical either way.
-type SpanDriver interface {
-	WriteDataSpan(p *vclock.Proc, nbytes int64, sp *trace.Span)
-	ReadDataSpan(p *vclock.Proc, nbytes int64, sp *trace.Span)
-}
-
 // FallibleDriver is optionally implemented by drivers whose charges can
 // fail — fault injection makes internal/pfs targets return transient
 // errors and outages. When the file's driver implements it, the library
 // routes data charges through these entry points and propagates the
-// error to the caller; sp may be nil. The time charged on success must
-// be identical to the plain Driver path.
+// error to the caller; sp, when non-nil, receives the transfer's trace
+// events. The time charged on success must be identical to the plain
+// Driver path.
 type FallibleDriver interface {
 	TryWriteData(p *vclock.Proc, nbytes int64, sp *trace.Span) error
 	TryReadData(p *vclock.Proc, nbytes int64, sp *trace.Span) error
@@ -60,7 +51,7 @@ func (NopDriver) MetaOp(*vclock.Proc) {}
 // dataset-transfer property list (DXPL). Proc identifies the acting
 // virtual-clock process; nil performs the operation untimed. Span, when
 // non-nil, receives trace events for the transfer and is forwarded to
-// span-aware drivers.
+// fallible drivers.
 type TransferProps struct {
 	Proc *vclock.Proc
 	Span *trace.Span
@@ -83,17 +74,10 @@ func (tp *TransferProps) span() *trace.Span {
 }
 
 // chargeWrite charges a data write on d, preferring the fallible entry
-// point when the driver has one, and otherwise routing through the
-// span-aware entry point when both a span and a SpanDriver are present.
+// point — the only one that takes the span — when the driver has one.
 func chargeWrite(d Driver, tp *TransferProps, nbytes int64) error {
 	if fd, ok := d.(FallibleDriver); ok {
 		return fd.TryWriteData(tp.proc(), nbytes, tp.span())
-	}
-	if sp := tp.span(); sp != nil {
-		if sd, ok := d.(SpanDriver); ok {
-			sd.WriteDataSpan(tp.proc(), nbytes, sp)
-			return nil
-		}
 	}
 	d.WriteData(tp.proc(), nbytes)
 	return nil
@@ -103,12 +87,6 @@ func chargeWrite(d Driver, tp *TransferProps, nbytes int64) error {
 func chargeRead(d Driver, tp *TransferProps, nbytes int64) error {
 	if fd, ok := d.(FallibleDriver); ok {
 		return fd.TryReadData(tp.proc(), nbytes, tp.span())
-	}
-	if sp := tp.span(); sp != nil {
-		if sd, ok := d.(SpanDriver); ok {
-			sd.ReadDataSpan(tp.proc(), nbytes, sp)
-			return nil
-		}
 	}
 	d.ReadData(tp.proc(), nbytes)
 	return nil

@@ -50,7 +50,7 @@ type TargetConfig struct {
 }
 
 // Target is a storage tier. It implements hdf5.Driver (and the
-// span-aware hdf5.SpanDriver), so a file created with
+// span-aware hdf5.FallibleDriver), so a file created with
 // hdf5.WithDriver(target) charges all its I/O here.
 type Target struct {
 	cfg        TargetConfig
@@ -333,18 +333,6 @@ func (t *Target) WriteData(p *vclock.Proc, nbytes int64) {
 // ReadData implements hdf5.Driver.
 func (t *Target) ReadData(p *vclock.Proc, nbytes int64) {
 	_ = t.TryReadData(p, nbytes, nil)
-}
-
-// WriteDataSpan implements hdf5.SpanDriver: identical charge to
-// WriteData, plus a span event covering the transfer in virtual time,
-// attributed to the acting process's track.
-func (t *Target) WriteDataSpan(p *vclock.Proc, nbytes int64, sp *trace.Span) {
-	_ = t.TryWriteData(p, nbytes, sp)
-}
-
-// ReadDataSpan implements hdf5.SpanDriver.
-func (t *Target) ReadDataSpan(p *vclock.Proc, nbytes int64, sp *trace.Span) {
-	_ = t.TryReadData(p, nbytes, sp)
 }
 
 // MetaOp implements hdf5.Driver.

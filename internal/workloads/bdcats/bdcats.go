@@ -9,14 +9,12 @@ package bdcats
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/core"
 	"asyncio/internal/hdf5"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/vol"
 	"asyncio/internal/workloads/harness"
@@ -78,10 +76,7 @@ func Run(sys *systems.System, cfg Config, input *hdf5.File) (*core.Report, error
 		cfg.ComputeTime = 30 * time.Second
 	}
 	cfg.Env.Materialize = cfg.Materialize
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
+	ranks := harness.Ranks(sys, cfg.Ranks)
 	if input == nil {
 		var err error
 		input, err = PopulateInput(sys, cfg.Steps, cfg.ParticlesPerRank, ranks, cfg.Materialize)
@@ -97,44 +92,24 @@ func Run(sys *systems.System, cfg Config, input *hdf5.File) (*core.Report, error
 			return nil, fmt.Errorf("bdcats: reopening input: %w", err)
 		}
 	}
-	eng := taskengine.New(sys.Clk)
-	perPropBytes := int64(cfg.ParticlesPerRank) * 4
-	pool := harness.NewBufferPool(perPropBytes)
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, input, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(cfg.ComputeTime)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			env := envs[ctx.Rank]
-			return readStep(ctx, env, pool, cfg, iter, mode)
-		},
-		Drain: func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:  func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-	}
-	return core.Run(sys, core.Config{
-		Workload:   "bd-cats-io",
+	return harness.Run(sys, input, harness.App{
+		Name:       "bd-cats-io",
 		Iterations: cfg.Steps,
+		Compute:    cfg.ComputeTime,
 		Mode:       cfg.Mode,
 		Ranks:      ranks,
+		Env:        cfg.Env,
 		Estimator:  cfg.Estimator,
-	}, hooks)
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
+			return readStep(ctx, env, cfg, iter, mode)
+		},
+	})
 }
 
 // readStep reads this rank's slab of every property for the step, then —
 // in asynchronous mode — schedules prefetches for the next step so they
 // overlap the following computation phase.
-func readStep(ctx *core.RankCtx, env *harness.Env, pool *harness.BufferPool, cfg Config, step int, mode trace.Mode) (int64, error) {
+func readStep(ctx *core.RankCtx, env *harness.Env, cfg Config, step int, mode trace.Mode) (int64, error) {
 	c := ctx.Comm
 	pr := env.Props(ctx.P, mode)
 	file := env.File(mode)
@@ -155,12 +130,7 @@ func readStep(ctx *core.RankCtx, env *harness.Env, pool *harness.BufferPool, cfg
 		if err != nil {
 			return 0, err
 		}
-		if cfg.Materialize {
-			buf := pool.Get(perPropBytes, true)
-			if err := ds.Read(pr, slab, buf); err != nil {
-				return 0, err
-			}
-		} else if err := ds.ReadDiscard(pr, slab); err != nil {
+		if _, err := env.Read(pr, ds, slab, perPropBytes); err != nil {
 			return 0, err
 		}
 		read += perPropBytes

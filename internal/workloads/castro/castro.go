@@ -7,7 +7,6 @@ package castro
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/amrex"
@@ -15,7 +14,6 @@ import (
 	"asyncio/internal/hdf5"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/workloads/harness"
 )
@@ -63,10 +61,7 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 		cfg.ComputeTime = 25 * time.Second
 	}
 	cfg.Env.Materialize = cfg.Materialize
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
+	ranks := harness.Ranks(sys, cfg.Ranks)
 	if cfg.MaxGrid == 0 {
 		cfg.MaxGrid = amrex.AutoMaxGrid(cfg.Dim, ranks)
 	}
@@ -75,27 +70,18 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := taskengine.New(sys.Clk)
 	ba := amrex.ChopDomain(amrex.DomainBox(cfg.Dim), cfg.MaxGrid)
 	mf := amrex.NewMultiFab(ba, cfg.NComp, ranks)
 	totalParticles := uint64(amrex.DomainBox(cfg.Dim).NumCells()) * uint64(cfg.ParticlesPerCell)
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, raw, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(cfg.ComputeTime)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			env := envs[ctx.Rank]
+	return harness.Run(sys, raw, harness.App{
+		Name:       "castro",
+		Iterations: cfg.Checkpoints,
+		Compute:    cfg.ComputeTime,
+		Mode:       cfg.Mode,
+		Ranks:      ranks,
+		Env:        cfg.Env,
+		Estimator:  cfg.Estimator,
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
 			pr := env.Props(ctx.P, mode)
 			file := env.File(mode)
 			n, err := amrex.WritePlotfile(pr, file, iter, ctx.Rank, mf,
@@ -103,36 +89,23 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 			if err != nil {
 				return 0, err
 			}
-			pn, err := writeParticles(ctx, env, mode, iter, totalParticles, cfg.Materialize)
+			pn, err := writeParticles(ctx, env, mode, iter, totalParticles)
 			if err != nil {
 				return 0, err
 			}
 			return n + pn, nil
 		},
-		Drain: func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:  func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-	}
-	return core.Run(sys, core.Config{
-		Workload:   "castro",
-		Iterations: cfg.Checkpoints,
-		Mode:       cfg.Mode,
-		Ranks:      ranks,
-		Estimator:  cfg.Estimator,
-	}, hooks)
+	})
 }
 
 // writeParticles writes this rank's share of the checkpoint's particle
 // dataset: total particles × 4 float64 fields, block-distributed.
-func writeParticles(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step int, totalParticles uint64, materialize bool) (int64, error) {
+func writeParticles(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step int, totalParticles uint64) (int64, error) {
 	c := ctx.Comm
 	pr := env.Props(ctx.P, mode)
 	file := env.File(mode)
 	name := fmt.Sprintf("particles%05d", step)
 	totalElems := totalParticles * particleFields
-	per := totalElems / uint64(c.Size())
-	if per == 0 {
-		per = 1
-	}
 	if c.Rank() == 0 {
 		if _, err := file.Root().CreateDataset(pr, name, hdf5.F64,
 			hdf5.MustSimple(totalElems), nil); err != nil {
@@ -144,25 +117,12 @@ func writeParticles(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step i
 	if err != nil {
 		return 0, err
 	}
-	// The last rank absorbs the remainder.
-	start := uint64(c.Rank()) * per
-	count := per
-	if c.Rank() == c.Size()-1 {
-		count = totalElems - start
-	}
-	if start >= totalElems {
-		return 0, nil
-	}
-	sel := hdf5.MustSimple(totalElems)
-	if err := sel.SelectHyperslab([]uint64{start}, nil, []uint64{1}, []uint64{count}); err != nil {
+	sel, count, err := harness.Block1D(totalElems, c.Rank(), c.Size())
+	if err != nil || sel == nil { // nil selection: past the end, nothing to move
 		return 0, err
 	}
 	nbytes := int64(count) * 8
-	if materialize {
-		if err := ds.Write(pr, sel, make([]byte, nbytes)); err != nil {
-			return 0, err
-		}
-	} else if err := ds.WriteDiscard(pr, sel); err != nil {
+	if err := env.Write(pr, ds, sel, nbytes, nil); err != nil {
 		return 0, err
 	}
 	return nbytes, nil

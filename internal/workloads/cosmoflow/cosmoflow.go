@@ -10,14 +10,12 @@ package cosmoflow
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/core"
 	"asyncio/internal/hdf5"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/vol"
 	"asyncio/internal/workloads/harness"
@@ -62,10 +60,7 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 	cfg.Env.Materialize = cfg.Materialize
 	// GPU training: samples staged through the GPU link by default on
 	// machines that have one.
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
+	ranks := harness.Ranks(sys, cfg.Ranks)
 	sampleElems := uint64(cfg.VoxelsPerSide) * uint64(cfg.VoxelsPerSide) * uint64(cfg.VoxelsPerSide)
 	stepElems := sampleElems * uint64(cfg.BatchSize) * uint64(ranks)
 	totalElems := stepElems * uint64(cfg.StepsPerEpoch)
@@ -83,10 +78,6 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 		return nil, fmt.Errorf("cosmoflow: creating dataset: %w", err)
 	}
 
-	eng := taskengine.New(sys.Clk)
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-
 	batchSel := func(iter, rank int) (*hdf5.Dataspace, int64, error) {
 		step := iter % cfg.StepsPerEpoch
 		start := uint64(step)*stepElems + uint64(rank)*sampleElems*uint64(cfg.BatchSize)
@@ -98,20 +89,15 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 		return sel, int64(count) * 4, nil
 	}
 
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, raw, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(cfg.TrainTime)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			env := envs[ctx.Rank]
+	return harness.Run(sys, raw, harness.App{
+		Name:       "cosmoflow",
+		Iterations: iterations,
+		Compute:    cfg.TrainTime,
+		Mode:       cfg.Mode,
+		Ranks:      ranks,
+		Env:        cfg.Env,
+		Estimator:  cfg.Estimator,
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
 			pr := env.Props(ctx.P, mode)
 			ds, err := env.File(mode).Root().OpenDataset(pr, "universe")
 			if err != nil {
@@ -121,11 +107,7 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 			if err != nil {
 				return 0, err
 			}
-			if cfg.Materialize {
-				if err := ds.Read(pr, sel, make([]byte, nbytes)); err != nil {
-					return 0, err
-				}
-			} else if err := ds.ReadDiscard(pr, sel); err != nil {
+			if _, err := env.Read(pr, ds, sel, nbytes); err != nil {
 				return 0, err
 			}
 			// Double-buffered loader: stage the next batch during the
@@ -141,14 +123,5 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 			}
 			return nbytes, nil
 		},
-		Drain: func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:  func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-	}
-	return core.Run(sys, core.Config{
-		Workload:   "cosmoflow",
-		Iterations: iterations,
-		Mode:       cfg.Mode,
-		Ranks:      ranks,
-		Estimator:  cfg.Estimator,
-	}, hooks)
+	})
 }

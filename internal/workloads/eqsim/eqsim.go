@@ -9,14 +9,12 @@ package eqsim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/core"
 	"asyncio/internal/hdf5"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/workloads/harness"
 )
@@ -60,10 +58,7 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 		cfg.TimePerStep = 250 * time.Millisecond
 	}
 	cfg.Env.Materialize = cfg.Materialize
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
+	ranks := harness.Ranks(sys, cfg.Ranks)
 	totalElems := uint64(cfg.Grid[0]) * uint64(cfg.Grid[1]) * uint64(cfg.Grid[2]) * uint64(cfg.NComp)
 	if totalElems < uint64(ranks) {
 		return nil, fmt.Errorf("eqsim: grid %v too small for %d ranks", cfg.Grid, ranks)
@@ -73,40 +68,22 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := taskengine.New(sys.Clk)
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-	compute := time.Duration(cfg.CheckpointEvery) * cfg.TimePerStep
-
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, raw, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(compute)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			return writeCheckpoint(ctx, envs[ctx.Rank], mode, iter, totalElems, cfg.Materialize)
-		},
-		Drain: func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:  func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-	}
-	return core.Run(sys, core.Config{
-		Workload:   "eqsim",
+	return harness.Run(sys, raw, harness.App{
+		Name:       "eqsim",
 		Iterations: cfg.Checkpoints,
+		Compute:    time.Duration(cfg.CheckpointEvery) * cfg.TimePerStep,
 		Mode:       cfg.Mode,
 		Ranks:      ranks,
+		Env:        cfg.Env,
 		Estimator:  cfg.Estimator,
-	}, hooks)
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
+			return writeCheckpoint(ctx, env, mode, iter, totalElems)
+		},
+	})
 }
 
 // writeCheckpoint writes this rank's slab of the full wavefield volume.
-func writeCheckpoint(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step int, totalElems uint64, materialize bool) (int64, error) {
+func writeCheckpoint(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step int, totalElems uint64) (int64, error) {
 	c := ctx.Comm
 	pr := env.Props(ctx.P, mode)
 	file := env.File(mode)
@@ -129,22 +106,12 @@ func writeCheckpoint(ctx *core.RankCtx, env *harness.Env, mode trace.Mode, step 
 	if err != nil {
 		return 0, err
 	}
-	per := totalElems / uint64(c.Size())
-	start := uint64(c.Rank()) * per
-	count := per
-	if c.Rank() == c.Size()-1 {
-		count = totalElems - start
-	}
-	sel := hdf5.MustSimple(totalElems)
-	if err := sel.SelectHyperslab([]uint64{start}, nil, []uint64{1}, []uint64{count}); err != nil {
+	sel, count, err := harness.Block1D(totalElems, c.Rank(), c.Size())
+	if err != nil || sel == nil { // nil selection: past the end, nothing to move
 		return 0, err
 	}
 	nbytes := int64(count) * 4
-	if materialize {
-		if err := ds.Write(pr, sel, make([]byte, nbytes)); err != nil {
-			return 0, err
-		}
-	} else if err := ds.WriteDiscard(pr, sel); err != nil {
+	if err := env.Write(pr, ds, sel, nbytes, nil); err != nil {
 		return 0, err
 	}
 	return nbytes, nil

@@ -1,24 +1,93 @@
-// Package harness carries the plumbing every workload shares: per-rank
-// VOL connector setup (a native synchronous connector plus an asyncvol
-// connector with the system's transactional-copy model), mode-keyed file
-// handles over one shared container, and teardown. Workloads compose it
-// with core.Hooks.
+// Package harness carries what every workload shares. Run is the one
+// application skeleton — the paper's t_app = t_init + Σ t_epoch + t_term
+// loop (Eq. 1), computation replaced by a sleep — around a workload's
+// I/O function. Env is one rank's I/O environment: a native synchronous
+// connector plus an asyncvol connector with the system's
+// transactional-copy model, mode-keyed file handles over one shared
+// container, the materialize-or-discard choice, and teardown.
 package harness
 
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"asyncio/internal/asyncvol"
 	"asyncio/internal/core"
 	"asyncio/internal/hdf5"
 	"asyncio/internal/ioreq"
+	"asyncio/internal/model"
 	"asyncio/internal/systems"
 	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/vclock"
 	"asyncio/internal/vol"
 )
+
+// App is one workload as the shared skeleton sees it: how many epochs,
+// how long each computation phase sleeps, and the one function that
+// differs between workloads — a rank's I/O phase.
+type App struct {
+	Name       string // workload name in the report and trace records
+	Iterations int
+	Compute    time.Duration // simulated computation phase per epoch
+	Mode       core.Mode
+	Ranks      int              // 0 = the full allocation (see Ranks)
+	Env        Options          // each rank's connector configuration
+	Estimator  *model.Estimator // optional: model history across runs
+	// Observe, when non-nil, runs on rank 0 after each epoch's record
+	// commits (see core.Hooks.Observe).
+	Observe func(ctx *core.RankCtx, iter int, rec trace.Record)
+	// IO runs one rank's I/O phase of epoch iter in the given mode
+	// against that rank's Env and returns the bytes the rank moved.
+	IO func(ctx *core.RankCtx, env *Env, iter int, mode trace.Mode) (int64, error)
+}
+
+// Ranks resolves a workload's rank count: n, or the full allocation
+// when n is zero. Drivers that size their data by it call it before Run.
+func Ranks(sys *systems.System, n int) int {
+	if n == 0 {
+		return sys.Size()
+	}
+	return n
+}
+
+// Run executes app on sys against the shared container raw: every rank
+// builds its Env at init, sleeps through each computation phase, runs
+// app.IO, and drains and closes at the end. One task engine serves all
+// ranks (one background stream per rank, matching vol-async). On an
+// aborted run the partial report comes back with the error.
+func Run(sys *systems.System, raw *hdf5.File, app App) (*core.Report, error) {
+	ranks := Ranks(sys, app.Ranks)
+	eng := taskengine.New(sys.Clk)
+	envs := make([]*Env, ranks)
+	var mu sync.Mutex
+	return core.Run(sys, core.Config{
+		Workload:   app.Name,
+		Iterations: app.Iterations,
+		Mode:       app.Mode,
+		Ranks:      ranks,
+		Estimator:  app.Estimator,
+	}, core.Hooks{
+		Init: func(ctx *core.RankCtx) error {
+			env := NewEnv(ctx, eng, raw, app.Env)
+			mu.Lock()
+			envs[ctx.Rank] = env
+			mu.Unlock()
+			return nil
+		},
+		Compute: func(ctx *core.RankCtx, iter int) error {
+			ctx.P.Sleep(app.Compute)
+			return nil
+		},
+		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
+			return app.IO(ctx, envs[ctx.Rank], iter, mode)
+		},
+		Drain:   func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
+		Term:    func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
+		Observe: app.Observe,
+	})
+}
 
 // Env is one rank's I/O environment.
 type Env struct {
@@ -28,7 +97,8 @@ type Env struct {
 	SyncFile  vol.File
 	ES        *asyncvol.EventSet
 
-	syncPL *ioreq.Pipeline // non-nil when Options.SyncPipeline was set
+	materialize bool            // Options.Materialize: Write/Read move real bytes
+	syncPL      *ioreq.Pipeline // non-nil when Options.SyncPipeline was set
 }
 
 // Options configures environment construction.
@@ -50,9 +120,6 @@ type Options struct {
 	// ioreq.New(ioreq.NewAgg(cfg))) to aggregate adjacent writes across
 	// ranks; Term flushes it before closing the file.
 	SyncPipeline *ioreq.Pipeline
-	// AsyncAggregate enables the aggregation stage inside each rank's
-	// asynchronous connector. The zero value leaves it off.
-	AsyncAggregate ioreq.AggConfig
 	// AsyncInlineStages are extra caller-side stages for each rank's
 	// asynchronous connector, run before the staging copy (e.g. the
 	// write-ahead journal stage). Shared across ranks; must be
@@ -80,7 +147,6 @@ func NewEnv(ctx *core.RankCtx, eng *taskengine.Engine, raw *hdf5.File, opts Opti
 	avOpts := asyncvol.Options{
 		Copy:         copyModel,
 		Materialize:  opts.Materialize,
-		Aggregate:    opts.AsyncAggregate,
 		Metrics:      ctx.Sys.Metrics,
 		Crit:         ctx.Sys.Crit,
 		InlineStages: opts.AsyncInlineStages,
@@ -126,12 +192,13 @@ func NewEnv(ctx *core.RankCtx, eng *taskengine.Engine, raw *hdf5.File, opts Opti
 	es := asyncvol.NewEventSet()
 	es.SetCrit(ctx.Sys.Crit)
 	return &Env{
-		Rank:      ctx.Rank,
-		Conn:      conn,
-		AsyncFile: conn.Wrap(raw),
-		SyncFile:  vol.Native{Pipeline: syncPL}.Wrap(raw),
-		ES:        es,
-		syncPL:    syncPL,
+		Rank:        ctx.Rank,
+		Conn:        conn,
+		AsyncFile:   conn.Wrap(raw),
+		SyncFile:    vol.Native{Pipeline: syncPL}.Wrap(raw),
+		ES:          es,
+		materialize: opts.Materialize,
+		syncPL:      syncPL,
 	}
 }
 
@@ -150,6 +217,35 @@ func (e *Env) Props(p *vclock.Proc, mode trace.Mode) vol.Props {
 		return vol.Props{Proc: p, Set: e.ES}
 	}
 	return vol.Props{Proc: p}
+}
+
+// Write writes nbytes to the selection of ds: real bytes — a zeroed
+// buffer, passed through fill when fill is non-nil — from a
+// materializing env, a timing-only charge otherwise (full-scale runs
+// cannot hold every rank's buffer). fill is called, never kept, so a
+// closure passed here stays on the caller's stack.
+func (e *Env) Write(pr vol.Props, ds vol.Dataset, sel *hdf5.Dataspace, nbytes int64, fill func([]byte)) error {
+	if !e.materialize {
+		return ds.WriteDiscard(pr, sel)
+	}
+	buf := make([]byte, nbytes)
+	if fill != nil {
+		fill(buf)
+	}
+	return ds.Write(pr, sel, buf)
+}
+
+// Read reads the selection's nbytes of ds and returns them; an env that
+// does not materialize charges the read and returns nil.
+func (e *Env) Read(pr vol.Props, ds vol.Dataset, sel *hdf5.Dataspace, nbytes int64) ([]byte, error) {
+	if !e.materialize {
+		return nil, ds.ReadDiscard(pr, sel)
+	}
+	buf := make([]byte, nbytes)
+	if err := ds.Read(pr, sel, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Drain waits for all outstanding asynchronous work of this rank.
@@ -186,16 +282,10 @@ func NewStore(materialize bool) hdf5.Store {
 }
 
 // CreateSharedFile creates the run's container on the system's PFS
-// driver. Call from the host before core.Run; creation cost is part of
+// driver. Call from the host before Run; creation cost is part of
 // t_init and charged when ranks open objects.
 func CreateSharedFile(sys *systems.System, materialize bool) (*hdf5.File, error) {
-	return CreateSharedFileOn(sys.PFS, materialize)
-}
-
-// CreateSharedFileOn creates the run's container on a specific timing
-// driver — e.g. a burst-buffer tier instead of the scratch file system.
-func CreateSharedFileOn(target hdf5.Driver, materialize bool) (*hdf5.File, error) {
-	return hdf5.Create(NewStore(materialize), hdf5.WithDriver(target))
+	return hdf5.Create(NewStore(materialize), hdf5.WithDriver(sys.PFS))
 }
 
 // Slab1D selects rank's contiguous share of a 1-D dataset of total
@@ -212,34 +302,29 @@ func Slab1D(total, per uint64, rank int) (*hdf5.Dataspace, error) {
 	return sp, nil
 }
 
-// Buffer returns a zeroed buffer of n bytes when materializing, or a
-// shared dummy buffer otherwise (the NullStore discards contents, so
-// sharing is safe and avoids allocating gigabytes across ranks). The
-// shared buffer is allocated on first use: discard-mode runs — every
-// figure sweep — never request it, and eagerly zeroing tens of
-// megabytes per run dominated whole-simulation allocation profiles.
-type BufferPool struct {
-	max    int64
-	once   sync.Once
-	shared []byte
-}
-
-// NewBufferPool caps the shared dummy buffer at the largest per-rank
-// request.
-func NewBufferPool(maxBytes int64) *BufferPool {
-	return &BufferPool{max: maxBytes}
-}
-
-// Get returns a buffer of exactly n bytes. Requests beyond the pool's
-// capacity panic: the pool is shared by concurrent ranks and must not
-// reallocate.
-func (bp *BufferPool) Get(n int64, materialize bool) []byte {
-	if materialize {
-		return make([]byte, n)
+// Block1D selects rank's block of a 1-D dataset of total elements split
+// evenly over size ranks, and returns it with its element count. The
+// last rank absorbs the remainder; a rank past the end of a dataset
+// shorter than the rank count gets a nil selection: it moves nothing.
+func Block1D(total uint64, rank, size int) (*hdf5.Dataspace, uint64, error) {
+	per := total / uint64(size)
+	if per == 0 {
+		per = 1
 	}
-	if n > bp.max {
-		panic(fmt.Sprintf("harness: buffer request %d exceeds pool %d", n, bp.max))
+	start := uint64(rank) * per
+	if start >= total {
+		return nil, 0, nil
 	}
-	bp.once.Do(func() { bp.shared = make([]byte, bp.max) })
-	return bp.shared[:n]
+	count := per
+	if rank == size-1 {
+		count = total - start
+	}
+	sel, err := hdf5.NewSimple(total)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := sel.SelectHyperslab([]uint64{start}, nil, []uint64{1}, []uint64{count}); err != nil {
+		return nil, 0, err
+	}
+	return sel, count, nil
 }

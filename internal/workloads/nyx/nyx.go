@@ -10,14 +10,12 @@
 package nyx
 
 import (
-	"sync"
 	"time"
 
 	"asyncio/internal/amrex"
 	"asyncio/internal/core"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/workloads/harness"
 )
@@ -76,10 +74,7 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 		cfg.TimePerStep = time.Second
 	}
 	cfg.Env.Materialize = cfg.Materialize
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
+	ranks := harness.Ranks(sys, cfg.Ranks)
 	if cfg.MaxGrid == 0 {
 		cfg.MaxGrid = amrex.AutoMaxGrid(cfg.Dim, ranks)
 	}
@@ -88,39 +83,20 @@ func Run(sys *systems.System, cfg Config) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := taskengine.New(sys.Clk)
 	ba := amrex.ChopDomain(amrex.DomainBox(cfg.Dim), cfg.MaxGrid)
 	mf := amrex.NewMultiFab(ba, cfg.NComp, ranks)
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-
-	compute := time.Duration(cfg.StepsPerPlot) * cfg.TimePerStep
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, raw, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(compute)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			env := envs[ctx.Rank]
+	return harness.Run(sys, raw, harness.App{
+		Name:       "nyx",
+		Iterations: cfg.Plotfiles,
+		Compute:    time.Duration(cfg.StepsPerPlot) * cfg.TimePerStep,
+		Mode:       cfg.Mode,
+		Ranks:      ranks,
+		Env:        cfg.Env,
+		Estimator:  cfg.Estimator,
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
 			pr := env.Props(ctx.P, mode)
 			return amrex.WritePlotfile(pr, env.File(mode), iter, ctx.Rank, mf,
 				cfg.Materialize, ctx.Comm.Barrier)
 		},
-		Drain: func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:  func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-	}
-	return core.Run(sys, core.Config{
-		Workload:   "nyx",
-		Iterations: cfg.Plotfiles,
-		Mode:       cfg.Mode,
-		Ranks:      ranks,
-		Estimator:  cfg.Estimator,
-	}, hooks)
+	})
 }

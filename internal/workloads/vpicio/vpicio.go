@@ -9,7 +9,6 @@ package vpicio
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/core"
@@ -17,7 +16,6 @@ import (
 	"asyncio/internal/ioreq"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
-	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
 	"asyncio/internal/workloads/harness"
 )
@@ -114,54 +112,26 @@ func Run(sys *systems.System, cfg Config) (*core.Report, *hdf5.File, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := taskengine.New(sys.Clk)
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = sys.Size()
-	}
-	perPropBytes := int64(cfg.ParticlesPerRank) * 4
-	pool := harness.NewBufferPool(perPropBytes)
-
-	envs := make([]*harness.Env, ranks)
-	var mu sync.Mutex
-
-	hooks := core.Hooks{
-		Init: func(ctx *core.RankCtx) error {
-			env := harness.NewEnv(ctx, eng, raw, cfg.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
-			return nil
-		},
-		Compute: func(ctx *core.RankCtx, iter int) error {
-			ctx.P.Sleep(cfg.ComputeTime)
-			return nil
-		},
-		IO: func(ctx *core.RankCtx, iter int, mode trace.Mode) (int64, error) {
-			env := envs[ctx.Rank]
+	rep, err := harness.Run(sys, raw, harness.App{
+		Name:       "vpic-io",
+		Iterations: cfg.Steps - cfg.StartStep,
+		Compute:    cfg.ComputeTime,
+		Mode:       cfg.Mode,
+		Ranks:      cfg.Ranks,
+		Env:        cfg.Env,
+		Estimator:  cfg.Estimator,
+		Observe:    cfg.Observe,
+		IO: func(ctx *core.RankCtx, env *harness.Env, iter int, mode trace.Mode) (int64, error) {
 			step := cfg.StartStep + iter
-			n, err := writeStep(ctx, env, pool, cfg, step, mode)
+			n, err := writeStep(ctx, env, cfg.ParticlesPerRank, step, mode)
 			if err != nil {
 				return n, err
 			}
 			// The checkpoint's drain+flush time lands in the epoch's I/O
 			// time: the cost side of the interval tradeoff.
-			if err := cfg.Checkpoint.Checkpoint(ctx, env, step); err != nil {
-				return n, err
-			}
-			return n, nil
+			return n, cfg.Checkpoint.Checkpoint(ctx, env, step)
 		},
-		Drain:   func(ctx *core.RankCtx) error { return envs[ctx.Rank].Drain(ctx.P) },
-		Term:    func(ctx *core.RankCtx) error { return envs[ctx.Rank].Term(ctx.P) },
-		Observe: cfg.Observe,
-	}
-	rep, err := core.Run(sys, core.Config{
-		Workload:   "vpic-io",
-		Iterations: cfg.Steps - cfg.StartStep,
-		Mode:       cfg.Mode,
-		Ranks:      ranks,
-		Estimator:  cfg.Estimator,
-	}, hooks)
+	})
 	// On an aborted run rep is the partial report (epochs committed
 	// before the crash plus the crash records); pass it through with the
 	// file so chaos harnesses can still export and recover.
@@ -175,12 +145,12 @@ func StepGroup(step int) string { return fmt.Sprintf("Step#%d", step) }
 // writeStep runs one rank's share of a checkpoint: rank 0 creates the
 // step group and the eight property datasets, then every rank writes its
 // particle slab to each.
-func writeStep(ctx *core.RankCtx, env *harness.Env, pool *harness.BufferPool, cfg Config, step int, mode trace.Mode) (int64, error) {
+func writeStep(ctx *core.RankCtx, env *harness.Env, particlesPerRank uint64, step int, mode trace.Mode) (int64, error) {
 	c := ctx.Comm
 	pr := env.Props(ctx.P, mode)
 	pr.Span = ctx.IOSpan
 	file := env.File(mode)
-	total := cfg.ParticlesPerRank * uint64(c.Size())
+	total := particlesPerRank * uint64(c.Size())
 
 	if c.Rank() == 0 {
 		// Metadata is collective in spirit: rank 0 creates, everyone
@@ -210,24 +180,19 @@ func writeStep(ctx *core.RankCtx, env *harness.Env, pool *harness.BufferPool, cf
 	if err != nil {
 		return 0, err
 	}
-	slab, err := harness.Slab1D(total, cfg.ParticlesPerRank, c.Rank())
+	slab, err := harness.Slab1D(total, particlesPerRank, c.Rank())
 	if err != nil {
 		return 0, err
 	}
-	perPropBytes := int64(cfg.ParticlesPerRank) * 4
+	perPropBytes := int64(particlesPerRank) * 4
 	var written int64
 	for pi, prop := range Properties {
 		ds, err := g.OpenDataset(pr, prop)
 		if err != nil {
 			return 0, err
 		}
-		if cfg.Materialize {
-			buf := pool.Get(perPropBytes, true)
-			fillParticles(buf, ctx.Rank, step, pi)
-			if err := ds.Write(pr, slab, buf); err != nil {
-				return 0, err
-			}
-		} else if err := ds.WriteDiscard(pr, slab); err != nil {
+		fill := func(buf []byte) { fillParticles(buf, ctx.Rank, step, pi) }
+		if err := env.Write(pr, ds, slab, perPropBytes, fill); err != nil {
 			return 0, err
 		}
 		written += perPropBytes
