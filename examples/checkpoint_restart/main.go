@@ -24,6 +24,10 @@ func main() {
 
 	// --- First "job": run and checkpoint asynchronously. ---
 	clk := asyncio.NewClock()
+	// The connector starts its background stream at once; hold the clock
+	// so that stream, idle and alone, is not taken for a deadlock before
+	// the job that feeds it exists.
+	release := clk.Hold()
 	eng := asyncio.NewTaskEngine(clk)
 	conn := asyncio.NewAsyncConnector(eng, "job1", asyncio.AsyncOptions{Materialize: true})
 	f, err := conn.Create(asyncio.Props{}, store)
@@ -67,6 +71,7 @@ func main() {
 		}
 		conn.Shutdown()
 	})
+	release()
 	if err := clk.Wait(); err != nil {
 		log.Fatal(err)
 	}

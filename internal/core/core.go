@@ -478,7 +478,7 @@ func runRank(c *mpi.Comm, sys *systems.System, cfg Config, hooks Hooks, ctl *con
 	p := c.Proc()
 	ctx := &RankCtx{
 		Comm: c, P: p, Sys: sys, Rank: c.Rank(),
-		Span:    trace.NewSpan(fmt.Sprintf("rank%d", c.Rank())),
+		Span:    trace.NewSpan(p.Name()), // "rank<r>", as mpi.Run named the process
 		crashes: ct,
 	}
 	// Distinct indices per rank, so no lock is needed.

@@ -10,7 +10,7 @@ import (
 // TestAllocBudgetFigures is the end-to-end allocation tripwire beside
 // the per-layer budgets: a write sweep and a prefetch-read sweep at
 // reduced scale, serial, in allocations per simulated event. The tree
-// costs 4.40 and 4.75; before events were value-embedded and flow/task
+// costs 4.19 and 4.45; before events were value-embedded and flow/task
 // state recycled it cost 8.82 and 11.01, so a return to that path
 // fails. Timing is not checked here — benchmark/ -compare gates it.
 func TestAllocBudgetFigures(t *testing.T) {

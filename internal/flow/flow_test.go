@@ -52,11 +52,13 @@ func TestTwoEqualFlowsShareBandwidth(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(100*MiB))
 	var took [2]time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 2; i++ {
 		clk.Go("x", func(p *vclock.Proc) {
 			took[i] = srv.Transfer(p, 100*MiB)
 		})
 	}
+	release()
 	run(t, clk)
 	// Two flows share 100 MiB/s: each gets 50 MiB/s, both finish at 2s.
 	for i, d := range took {
@@ -70,6 +72,7 @@ func TestLateArrivalProcessorSharing(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(100*MiB))
 	var first, second time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	clk.Go("a", func(p *vclock.Proc) {
 		first = srv.Transfer(p, 100*MiB)
 	})
@@ -77,6 +80,7 @@ func TestLateArrivalProcessorSharing(t *testing.T) {
 		p.Sleep(500 * time.Millisecond)
 		second = srv.Transfer(p, 100*MiB)
 	})
+	release()
 	run(t, clk)
 	// Flow A runs alone for 0.5s (50 MiB done), then shares. Remaining 50
 	// MiB at 50 MiB/s = 1s more: A finishes at 1.5s (duration 1.5s).
@@ -96,6 +100,7 @@ func TestLinearCapacityScalesUntilCeiling(t *testing.T) {
 	srv := NewServer(clk, LinearCapacity(10*MiB, 40*MiB))
 	elapsed := make([]time.Duration, 8)
 	var wg sync.WaitGroup
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		clk.Go("x", func(p *vclock.Proc) {
@@ -103,6 +108,7 @@ func TestLinearCapacityScalesUntilCeiling(t *testing.T) {
 			elapsed[i] = srv.Transfer(p, 10*MiB)
 		})
 	}
+	release()
 	run(t, clk)
 	wg.Wait()
 	// 8 flows, aggregate capped at 40 MiB/s → each flow gets 5 MiB/s →
@@ -118,12 +124,14 @@ func TestPerFlowRateCap(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(100*MiB))
 	var capped, free time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	clk.Go("capped", func(p *vclock.Proc) {
 		capped = srv.TransferLimited(p, 10*MiB, 10*MiB)
 	})
 	clk.Go("free", func(p *vclock.Proc) {
 		free = srv.Transfer(p, 90*MiB)
 	})
+	release()
 	run(t, clk)
 	// Capped flow gets 10 MiB/s; the free flow water-fills the remaining
 	// 90 MiB/s. Both finish at t=1s.
@@ -139,11 +147,13 @@ func TestWaterFillingAllCapped(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(1000*MiB))
 	var took [3]time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 3; i++ {
 		clk.Go("x", func(p *vclock.Proc) {
 			took[i] = srv.TransferLimited(p, 10*MiB, 10*MiB)
 		})
 	}
+	release()
 	run(t, clk)
 	for i, d := range took {
 		if math.Abs(d.Seconds()-1.0) > 1e-6 {
@@ -170,6 +180,7 @@ func TestSequentialTransfersAccumulate(t *testing.T) {
 func TestActiveCount(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(MiB))
+	release := clk.Hold() // every proc exists before any runs
 	clk.Go("a", func(p *vclock.Proc) { srv.Transfer(p, MiB) })
 	clk.Go("watch", func(p *vclock.Proc) {
 		p.Sleep(100 * time.Millisecond)
@@ -181,6 +192,7 @@ func TestActiveCount(t *testing.T) {
 			t.Errorf("Active = %d after completion, want 0", n)
 		}
 	})
+	release()
 	run(t, clk)
 }
 
@@ -192,6 +204,7 @@ func TestManyFlowsConserveWork(t *testing.T) {
 	srv := NewServer(clk, ConstCapacity(100*MiB))
 	var maxEnd time.Duration
 	var mu sync.Mutex
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < n; i++ {
 		clk.Go("x", func(p *vclock.Proc) {
 			srv.Transfer(p, 2*MiB)
@@ -202,6 +215,7 @@ func TestManyFlowsConserveWork(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release()
 	run(t, clk)
 	want := float64(n) * 2 / 100
 	if math.Abs(maxEnd.Seconds()-want) > 1e-3 {
@@ -344,6 +358,7 @@ func TestEqualFlowsWakeInArrivalOrder(t *testing.T) {
 	clk := vclock.New()
 	srv := NewServer(clk, ConstCapacity(100*MiB))
 	woke := make([][]int, rounds)
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < flows; i++ {
 		clk.Go("x", func(p *vclock.Proc) {
 			for r := 0; r < rounds; r++ {
@@ -352,6 +367,7 @@ func TestEqualFlowsWakeInArrivalOrder(t *testing.T) {
 			}
 		})
 	}
+	release()
 	run(t, clk)
 	for r, order := range woke {
 		if len(order) != flows {

@@ -11,14 +11,19 @@ import (
 // buffer is packed in the selection's row-major traversal order
 // (equivalent to a contiguous memory dataspace in HDF5).
 type Dataset struct {
-	o    *object
-	path string
+	o *object
+	// The handle's path, kept as its two halves — the group it was
+	// reached through and the name relative to it — because every rank
+	// opens every dataset and only journals, the consistency checker and
+	// error text ever ask for the join.
+	in  *Group
+	rel string
 }
 
 // Path returns the absolute path the dataset was created or opened
 // under (e.g. "/Step#0/x"); recovery journals record it so a post-crash
 // scan can re-open the dataset by name.
-func (d *Dataset) Path() string { return d.path }
+func (d *Dataset) Path() string { return joinPath(d.in.path, d.rel) }
 
 // Dtype returns the element type.
 func (d *Dataset) Dtype() Datatype { return d.o.dtype }

@@ -181,7 +181,7 @@ func (g *Group) OpenDataset(tp *TransferProps, path string) (*Dataset, error) {
 	if o.kind != kindDataset {
 		return nil, fmt.Errorf("hdf5: %q is not a dataset", path)
 	}
-	return &Dataset{o: o, path: joinPath(g.path, path)}, nil
+	return &Dataset{o: o, in: g, rel: path}, nil
 }
 
 // List returns the names of direct children in lexicographic order.
@@ -259,5 +259,5 @@ func (g *Group) CreateDataset(tp *TransferProps, name string, dtype Datatype, sp
 	g.o.links.Put(name, &link{name: name, kind: kindDataset, obj: ds})
 	f.mu.Unlock()
 	f.driver.MetaOp(tp.proc())
-	return &Dataset{o: ds, path: joinPath(g.path, name)}, nil
+	return &Dataset{o: ds, in: g, rel: name}, nil
 }

@@ -202,15 +202,21 @@ func TestGroupHierarchyAndPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.CreateDataset(nil, "d", I64, MustSimple(4), nil); err != nil {
-		t.Fatal(err)
+	// However a dataset handle was reached, Path is the absolute path.
+	wantPath := func(d *Dataset, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Path(); got != "/a/b/d" {
+			t.Fatalf("Path() = %q, want /a/b/d", got)
+		}
 	}
-	if _, err := f.Root().OpenDataset(nil, "a/b/d"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Root().OpenDataset(nil, "/a/b/d"); err != nil {
-		t.Fatal(err)
-	}
+	wantPath(b.CreateDataset(nil, "d", I64, MustSimple(4), nil))
+	wantPath(f.Root().OpenDataset(nil, "a/b/d"))
+	wantPath(f.Root().OpenDataset(nil, "/a/b/d"))
+	wantPath(a.OpenDataset(nil, "b//d"))
+	wantPath(b.OpenDataset(nil, "d"))
 	if _, err := f.Root().OpenGroup(nil, "a/b"); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package ioreq
 
 import (
 	"fmt"
+	"sync"
 
 	"asyncio/internal/hdf5"
 	"asyncio/internal/metrics"
@@ -151,13 +152,16 @@ type Pipeline struct {
 	// build (nil, a no-op, on an unmetered pipeline).
 	mRequests *metrics.Counter
 	// chain[i] enters the pipeline at stage i (chain[len(stages)] is the
-	// terminal dispatch), memoized at construction so the hot Do path
-	// allocates no closures per request.
+	// terminal dispatch), memoized so the hot Do path allocates no
+	// closures per request. The first Do or Flush builds it — once, after
+	// WithMetrics has had its say, and safely for a pipeline that procs
+	// of concurrent clocks share (vol's default).
 	chain []func(*Request) error
+	built sync.Once
 }
 
 // WithMetrics instruments the pipeline on m and returns it (chainable
-// at construction; must not be called concurrently with Do/Flush).
+// at construction; it has no effect after the first Do or Flush).
 // Each stage records an inclusive latency histogram
 // "ioreq.stage.<name>.seconds" — the virtual time from entering the
 // stage to the request returning from everything downstream, measured
@@ -169,7 +173,6 @@ type Pipeline struct {
 func (pl *Pipeline) WithMetrics(m *metrics.Registry) *Pipeline {
 	if m != nil {
 		pl.metrics = m
-		pl.build()
 	}
 	return pl
 }
@@ -186,13 +189,12 @@ func New(extra ...Stage) *Pipeline {
 // inline path terminates at its queue's enqueue function instead of
 // Execute.
 func NewCustom(terminal func(*Request) error, stages ...Stage) *Pipeline {
-	pl := &Pipeline{stages: stages, terminal: terminal}
-	pl.build()
-	return pl
+	return &Pipeline{stages: stages, terminal: terminal}
 }
 
 // Do runs req through the pipeline.
 func (pl *Pipeline) Do(req *Request) error {
+	pl.built.Do(pl.build)
 	return pl.chain[0](req)
 }
 
@@ -200,6 +202,7 @@ func (pl *Pipeline) Do(req *Request) error {
 // a flushed request still traverses the stages downstream of the one
 // holding it. Time is charged to p.
 func (pl *Pipeline) Flush(p *vclock.Proc) error {
+	pl.built.Do(pl.build)
 	var first error
 	for i, st := range pl.stages {
 		if err := st.Flush(p, pl.chain[i+1]); err != nil && first == nil {
@@ -209,8 +212,7 @@ func (pl *Pipeline) Flush(p *vclock.Proc) error {
 	return first
 }
 
-// build memoizes the stage dispatch chain, back to front. Called at
-// construction and again by WithMetrics (which must not race Do/Flush).
+// build memoizes the stage dispatch chain, back to front.
 func (pl *Pipeline) build() {
 	pl.chain = make([]func(*Request) error, len(pl.stages)+1)
 	pl.chain[len(pl.stages)] = pl.dispatch

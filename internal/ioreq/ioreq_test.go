@@ -7,6 +7,7 @@ import (
 
 	"asyncio/internal/hdf5"
 	"asyncio/internal/ioreq"
+	"asyncio/internal/metrics"
 	"asyncio/internal/trace"
 	"asyncio/internal/vclock"
 )
@@ -327,5 +328,22 @@ func TestAggFlushDispatchesInChainCreationOrder(t *testing.T) {
 				t.Fatalf("round %d: dispatch order %v, want chain-creation order", r, order)
 			}
 		}
+	}
+}
+
+// TestAllocBudgetPipelineSetup: every rank builds three metered
+// pipelines, so what one costs to set up is on the per-rank path. The
+// stage chain — a closure and a histogram lookup per stage — is built
+// once, by the first Do or Flush, not once at construction and again
+// when WithMetrics attaches the registry (12 objects when it was).
+func TestAllocBudgetPipelineSetup(t *testing.T) {
+	reg := metrics.NewRegistry(vclock.New())
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ioreq.New().WithMetrics(reg).Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("a metered pipeline allocates %.0f objects up to its first use, budget 8", allocs)
 	}
 }

@@ -60,12 +60,14 @@ func TestMemcpySharedByLocalRanks(t *testing.T) {
 	clk := vclock.New()
 	n := NewNode(clk, testConfig())
 	var end [4]time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 4; i++ {
 		clk.Go("r", func(p *vclock.Proc) {
 			n.Memcpy(p, 10*GiB)
 			end[i] = p.Now()
 		})
 	}
+	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +185,14 @@ func TestRanksOnDifferentNodesDoNotContend(t *testing.T) {
 	clk := vclock.New()
 	m := NewMachine(clk, 2, 1, testConfig())
 	var end [2]time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 2; i++ {
 		clk.Go("r", func(p *vclock.Proc) {
 			m.NodeOf(i).Memcpy(p, 10*GiB)
 			end[i] = p.Now()
 		})
 	}
+	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,8 @@ type Comm struct {
 
 // Run spawns size rank processes on clk, each executing fn with its own
 // Comm, and returns the World immediately. Use clk.Wait (or World.Barrier
-// patterns inside fn) to join.
+// patterns inside fn) to join. Rank r's process is named "rank<r>"; its
+// trace span takes that name from the process.
 func Run(clk *vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))

@@ -25,8 +25,10 @@
 package perfetto
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -324,28 +326,30 @@ func WriteProfile(w io.Writer, spans []*trace.Span, reg *metrics.Registry, prof 
 // outer field (e.g. duplicate thread_name rows) still have a total
 // order and goldens never depend on emission order.
 func sortEvents(events []event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
+	slices.SortStableFunc(events, func(a, b event) int {
 		am, bm := a.Ph == "M", b.Ph == "M"
 		if am != bm {
-			return am
+			if am {
+				return -1
+			}
+			return 1
 		}
-		if a.Pid != b.Pid {
-			return a.Pid < b.Pid
+		if c := cmp.Compare(a.Pid, b.Pid); c != 0 {
+			return c
 		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
+		if c := cmp.Compare(a.Tid, b.Tid); c != 0 {
+			return c
 		}
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
+		if c := cmp.Compare(a.Ts, b.Ts); c != 0 {
+			return c
 		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
+		if c := cmp.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
 		if am {
-			return metaArgName(a) < metaArgName(b)
+			return cmp.Compare(metaArgName(a), metaArgName(b))
 		}
-		return false
+		return 0
 	})
 }
 

@@ -101,11 +101,13 @@ func TestInstrumentEffectiveBandwidthTracksInflight(t *testing.T) {
 	tg.Instrument(reg)
 
 	const flows = 4
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < flows; i++ {
 		clk.Go("r", func(p *vclock.Proc) {
 			tg.WriteData(p, 10*MB)
 		})
 	}
+	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}

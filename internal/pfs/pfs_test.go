@@ -46,6 +46,7 @@ func TestAggregateScalesUntilBackendPeak(t *testing.T) {
 	tg := basicTarget(clk)
 	var mu sync.Mutex
 	var last time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 20; i++ {
 		clk.Go("r", func(p *vclock.Proc) {
 			tg.WriteData(p, 10*MB)
@@ -56,6 +57,7 @@ func TestAggregateScalesUntilBackendPeak(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +165,7 @@ func TestContentionBindsUnderLoad(t *testing.T) {
 	tg.SetContentionFactor(0.5) // backend 50 MB/s
 	var mu sync.Mutex
 	var last time.Duration
+	release := clk.Hold() // every proc exists before any runs
 	for i := 0; i < 10; i++ {
 		clk.Go("r", func(p *vclock.Proc) {
 			tg.WriteData(p, 10*MB)
@@ -173,6 +176,7 @@ func TestContentionBindsUnderLoad(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}

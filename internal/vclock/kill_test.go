@@ -12,6 +12,7 @@ var errBoom = errors.New("boom")
 // withdrawn so time does not advance to the original deadline.
 func TestKillWakesSleeper(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	var died error
 	var diedAt time.Duration
 	var victim *Proc
@@ -37,6 +38,7 @@ func TestKillWakesSleeper(t *testing.T) {
 		p.Sleep(time.Second)
 		victim.Kill(errBoom)
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +57,7 @@ func TestKillWakesSleeper(t *testing.T) {
 // Fire of the event must not touch the dead waiter.
 func TestKillWakesEventWaiter(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	ev := NewEvent(c)
 	var died error
 	var victim *Proc
@@ -77,6 +80,7 @@ func TestKillWakesEventWaiter(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		ev.Fire() // must be safe after the waiter died
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +92,7 @@ func TestKillWakesEventWaiter(t *testing.T) {
 // A running (not blocked) process dies at its next blocking operation.
 func TestKillFlagsRunningProc(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	var died error
 	var victim *Proc
 	started := NewEvent(c)
@@ -108,6 +113,7 @@ func TestKillFlagsRunningProc(t *testing.T) {
 		victim.Kill(errBoom) // victim is blocked on resume: withdrawn immediately
 		resume.Fire()
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +125,7 @@ func TestKillFlagsRunningProc(t *testing.T) {
 // Kill is idempotent: the first reason wins.
 func TestKillIdempotent(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	other := errors.New("other")
 	var died error
 	var victim *Proc
@@ -138,6 +145,7 @@ func TestKillIdempotent(t *testing.T) {
 		victim.Kill(errBoom)
 		victim.Kill(other)
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +157,7 @@ func TestKillIdempotent(t *testing.T) {
 // Killing a proc that already exited is a harmless no-op.
 func TestKillAfterExit(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	var victim *Proc
 	done := NewEvent(c)
 	c.Go("victim", func(p *Proc) {
@@ -160,6 +169,7 @@ func TestKillAfterExit(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		victim.Kill(errBoom)
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +179,7 @@ func TestKillAfterExit(t *testing.T) {
 // process just ends — and clock accounting stays balanced.
 func TestKilledPanicAbsorbed(t *testing.T) {
 	c := New()
+	release := c.Hold() // both procs exist before either runs
 	var victim *Proc
 	started := NewEvent(c)
 	c.Go("victim", func(p *Proc) {
@@ -181,6 +192,7 @@ func TestKilledPanicAbsorbed(t *testing.T) {
 		victim.Kill(errBoom)
 		p.Sleep(time.Second) // clock must still advance normally
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}

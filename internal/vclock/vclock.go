@@ -17,30 +17,37 @@
 // may freely use the full public API; time cannot advance underneath it.
 //
 // Determinism comes from full serialization of process execution: at any
-// real moment at most one process of a Clock is running. Every wakeup —
-// a timer window's sleeper batch, an Event.Fire, a Kill, a Go spawn — is
-// parked in a FIFO run queue rather than signalled immediately, and the
-// advance loop delivers exactly one parked wakeup whenever the clock is
-// idle (no process running, no callback in flight). The woken process
-// runs to its next blocking point before the next wakeup is delivered.
-// Same-instant processes therefore interact with shared simulation state
-// (message queues, caches, FIFO servers) in one canonical order — timer
-// pops in (time, seq) order, then dynamically-triggered wakeups in the
-// order the serialized execution produced them — regardless of
-// GOMAXPROCS, async preemption, or host-machine load.
+// real moment at most one process of a Clock is running. A serial engine
+// has no use for a parallel scheduler between its processes, so a Proc is
+// a coroutine (iter.Pull) and one driver goroutine per Clock resumes them:
+// a process that blocks switches straight back to the driver, which
+// switches straight to the next — the hand-off never wakes a thread or
+// visits a Go run queue. Every wakeup — a timer window's sleeper batch,
+// an Event.Fire, a Kill, a Go spawn — is parked in a FIFO run queue
+// rather than delivered immediately, and the advance loop delivers
+// exactly one parked wakeup whenever the clock is idle (no process
+// running, no callback in flight). The woken process runs to its next
+// blocking point before the next wakeup is delivered. Same-instant
+// processes therefore interact with shared simulation state (message
+// queues, caches, FIFO servers) in one canonical order — timer pops in
+// (time, seq) order, then dynamically-triggered wakeups in the order the
+// serialized execution produced them — regardless of GOMAXPROCS, async
+// preemption, or host-machine load.
 //
 // The event engine is built for throughput: timer entries are pooled and
 // recycled (generation-tagged so a stale Timer handle can never cancel or
-// re-fire a recycled entry), every Proc owns one reusable wake channel,
-// same-instant wakeups are drained as a single batch, callbacks run
-// inline on the advancing goroutine instead of spawning one per batch,
-// and cancellation removes the heap entry in O(log n) via its maintained
-// index rather than leaving garbage for later scans. Now() is lock-free.
+// re-fire a recycled entry), a process whose own wakeup is the next to be
+// delivered keeps running without a switch, same-instant wakeups are
+// drained as a single batch, callbacks run inline on the advancing
+// goroutine instead of spawning one per batch, and cancellation removes
+// the heap entry in O(log n) via its maintained index rather than leaving
+// garbage for later scans. Now() is lock-free.
 package vclock
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
@@ -64,6 +71,17 @@ type Clock struct {
 	dead    bool       // deadlock detected; clock is poisoned
 	deadMsg string
 
+	// The processor handoff. Procs are coroutines and exactly one
+	// goroutine per clock, the driver, resumes them: deliverLocked names
+	// the proc to run in next, the blocker yields back to the driver, and
+	// the driver switches to next directly. driving is true while the
+	// driver goroutine exists (from the first Go until alive reaches
+	// zero); work wakes it when the host goroutine delivers onto a clock
+	// whose procs are all parked.
+	next    *Proc
+	driving bool
+	work    *sync.Cond
+
 	free      []*timerEntry             // recycled entries (the pool)
 	cbScratch []func(now time.Duration) // batch buffer for same-instant callbacks
 
@@ -73,7 +91,7 @@ type Clock struct {
 	// point — the order a single-CPU FIFO scheduler produces. deferHead
 	// indexes the next wake to deliver; the slice is reset when drained
 	// so the backing array is reused.
-	deferredQ []chan struct{}
+	deferredQ []*Proc
 	deferHead int
 
 	// waitObs, when non-nil, observes every blocking interval (sleeps
@@ -101,6 +119,7 @@ func (c *Clock) SetWaitObserver(o WaitObserver) { c.waitObs = o }
 func New() *Clock {
 	c := &Clock{procs: make(map[*Proc]struct{})}
 	c.idle = sync.NewCond(&c.mu)
+	c.work = sync.NewCond(&c.mu)
 	return c
 }
 
@@ -119,7 +138,8 @@ const (
 type Proc struct {
 	c       *Clock
 	name    string
-	wake    chan struct{} // reusable cap-1 wake signal; a proc blocks on one thing at a time
+	resume  func() (struct{}, bool) // the driver's side of the coroutine: run p to its next block point
+	yield   func(struct{}) bool     // p's side: give the processor back to the driver
 	state   procState
 	stateAt time.Duration // wake deadline when sleeping, for deadlock reports
 
@@ -169,7 +189,7 @@ func (p *Proc) Kill(reason error) {
 		heap.Remove(&c.queue, e.index)
 		c.recycle(e)
 		p.pending = nil
-		c.parkWakeLocked(p.wake)
+		c.parkWakeLocked(p)
 		c.mu.Unlock()
 		c.kick()
 		return
@@ -179,7 +199,7 @@ func (p *Proc) Kill(reason error) {
 		// Fire neither wakes nor keeps a dead proc, and queue it to die.
 		p.waitingOn = nil
 		removeWaiterLocked(ev, p)
-		c.parkWakeLocked(p.wake)
+		c.parkWakeLocked(p)
 		c.mu.Unlock()
 		c.kick()
 		return
@@ -202,10 +222,10 @@ func removeWaiterLocked(ev *Event, p *Proc) {
 
 // parkWakeLocked enqueues a wakeup on the serialized run queue. The
 // woken proc carries no runnable claim while parked; the delivering
-// advance loop claims running++ at the moment it signals the channel.
+// advance loop claims running++ at the moment it delivers it.
 // Caller holds c.mu and should kick() after releasing it.
-func (c *Clock) parkWakeLocked(ch chan struct{}) {
-	c.deferredQ = append(c.deferredQ, ch)
+func (c *Clock) parkWakeLocked(p *Proc) {
+	c.deferredQ = append(c.deferredQ, p)
 }
 
 // kick nudges delivery after parking wakes: a no-op while any process or
@@ -218,10 +238,12 @@ func (c *Clock) kick() {
 	c.mu.Unlock()
 }
 
-// deliverLocked delivers the head of the run queue. Caller holds c.mu
-// and has checked that the clock is idle and the queue non-empty.
+// deliverLocked delivers the head of the run queue: it claims the
+// processor for that proc and names it in c.next for the driver to
+// resume. Caller holds c.mu and has checked that the clock is idle and
+// the queue non-empty.
 func (c *Clock) deliverLocked() {
-	ch := c.deferredQ[c.deferHead]
+	c.next = c.deferredQ[c.deferHead]
 	c.deferredQ[c.deferHead] = nil
 	c.deferHead++
 	if c.deferHead == len(c.deferredQ) {
@@ -229,7 +251,50 @@ func (c *Clock) deliverLocked() {
 		c.deferHead = 0
 	}
 	c.running++
-	ch <- struct{}{}
+	c.work.Signal() // wakes the driver if this is the host delivering onto a parked clock; else nobody waits
+}
+
+// drive is the clock's driver goroutine: it resumes whichever proc the
+// advance loop claimed the processor for, and gets control back when that
+// proc blocks or exits. It sleeps on c.work while every proc is parked
+// behind a Hold, and exits when the last proc has (or the clock
+// deadlocked, whose parked coroutines are leaked as documented).
+func (c *Clock) drive() {
+	c.mu.Lock()
+	for c.alive > 0 && !c.dead {
+		p := c.next
+		if p == nil {
+			c.work.Wait()
+			continue
+		}
+		c.next = nil
+		c.mu.Unlock()
+		p.resume() // a panic in p other than Killed re-panics here, with its value
+		c.mu.Lock()
+	}
+	c.driving = false
+	c.mu.Unlock()
+}
+
+// parkLocked blocks p: it gives up p's runnable claim, which may advance
+// time and deliver the next wakeup, and yields the processor to the
+// driver until p's own wakeup is delivered. When that wakeup is the very
+// next one (a lone sleeper, the last proc through a barrier) there is
+// nobody to switch to and p just keeps running. Caller holds c.mu; it is
+// released on return.
+func (p *Proc) parkLocked() {
+	c := p.c
+	c.blockLocked()
+	self := c.next == p
+	if self {
+		c.next = nil
+	}
+	c.mu.Unlock()
+	if !self {
+		p.yield(struct{}{})
+	}
+	p.state = stateRunning
+	p.checkKilled()
 }
 
 // checkKilled panics with Killed if the proc has been killed. Safe to
@@ -274,18 +339,19 @@ func TotalEvents() int64 { return totalEvents.Load() }
 // or from within another process. The process's first run is queued like
 // any other wakeup, preserving the serialized execution order; a spawner
 // that needs several processes registered before any runs should Hold.
+// fn must return or panic: runtime.Goexit inside a process (t.FailNow,
+// say) ends the clock's driver with it.
 func (c *Clock) Go(name string, fn func(p *Proc)) {
-	p := &Proc{c: c, name: name, wake: make(chan struct{}, 1)}
+	p := &Proc{c: c, name: name}
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		panic("vclock: Go on deadlocked clock: " + c.deadMsg)
 	}
-	c.alive++
-	c.procs[p] = struct{}{}
-	c.parkWakeLocked(p.wake)
-	c.mu.Unlock()
-	go func() {
+	// The coroutine's body starts at its first resume, i.e. when the
+	// spawn's queued wakeup is delivered.
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			c.mu.Lock()
 			c.alive--
@@ -303,10 +369,17 @@ func (c *Clock) Go(name string, fn func(p *Proc)) {
 				}
 			}
 		}()
-		<-p.wake
 		p.checkKilled() // killed before first run: die without running fn
 		fn(p)
-	}()
+	})
+	c.alive++
+	c.procs[p] = struct{}{}
+	c.parkWakeLocked(p)
+	if !c.driving {
+		c.driving = true
+		go c.drive()
+	}
+	c.mu.Unlock()
 	c.kick()
 }
 
@@ -368,17 +441,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e := c.alloc()
 	e.at = c.now + d
-	e.wake = p.wake
 	e.proc = p
 	p.pending = e
 	c.push(e)
 	p.state = stateSleeping
 	p.stateAt = e.at
-	c.blockLocked()
-	c.mu.Unlock()
-	<-p.wake
-	p.state = stateRunning
-	p.checkKilled()
+	p.parkLocked()
 	if o := c.waitObs; o != nil {
 		o.ObserveWait(p.name, "sleep", "", sleepStart, c.Now())
 	}
@@ -463,7 +531,7 @@ func (e *Event) Fire() {
 	// list under this same lock, so every listed waiter is still waiting.
 	for _, p := range waiters {
 		p.waitingOn = nil
-		c.parkWakeLocked(p.wake)
+		c.parkWakeLocked(p)
 	}
 	c.mu.Unlock()
 	if len(waiters) > 0 {
@@ -498,11 +566,7 @@ func (e *Event) Wait(p *Proc) {
 	e.addWaiterLocked(p)
 	p.waitingOn = e
 	p.state = stateEventWait
-	c.blockLocked()
-	c.mu.Unlock()
-	<-p.wake
-	p.state = stateRunning
-	p.checkKilled()
+	p.parkLocked()
 	if obs != nil {
 		obs.ObserveWait(p.name, "event", e.label, start, c.Now())
 	}
@@ -551,7 +615,7 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// timerEntry is a pooled heap element: either a proc wakeup (wake != nil)
+// timerEntry is a pooled heap element: either a proc wakeup (proc != nil)
 // or a scheduled callback (fn != nil). index is its heap position,
 // maintained by timerHeap.Swap so removal needs no scan; gen increments
 // on every recycle so stale Timer handles cannot touch a reused entry.
@@ -560,8 +624,7 @@ type timerEntry struct {
 	seq   int64
 	index int
 	gen   uint64
-	wake  chan struct{}
-	proc  *Proc // owner of a sleep wakeup, so Kill can cancel it; nil for callbacks
+	proc  *Proc // the sleeper to wake (and what Kill cancels); nil for callbacks
 	fn    func(now time.Duration)
 }
 
@@ -580,7 +643,6 @@ func (c *Clock) alloc() *timerEntry {
 // handles), clears it, and returns it to the pool. Caller holds c.mu.
 func (c *Clock) recycle(e *timerEntry) {
 	e.gen++
-	e.wake = nil
 	e.proc = nil
 	e.fn = nil
 	e.index = -1
@@ -644,23 +706,20 @@ func (c *Clock) maybeAdvanceLocked() {
 			c.dead = true
 			c.deadMsg = c.describeStuckLocked()
 			c.idle.Broadcast()
+			c.work.Signal()
 			return
 		}
 		t := c.queue[0].at
 		c.now = t
 		c.nowView.Store(int64(t))
 		cbs := c.cbScratch[:0]
-		nwakes := 0
 		var fired int64
 		for c.queue.Len() > 0 && c.queue[0].at == t {
 			e := heap.Pop(&c.queue).(*timerEntry)
 			fired++
-			if e.wake != nil {
-				if e.proc != nil {
-					e.proc.pending = nil
-				}
-				c.deferredQ = append(c.deferredQ, e.wake)
-				nwakes++
+			if e.proc != nil {
+				e.proc.pending = nil
+				c.deferredQ = append(c.deferredQ, e.proc)
 			} else {
 				cbs = append(cbs, e.fn)
 			}

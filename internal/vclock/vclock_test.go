@@ -54,6 +54,7 @@ func TestNegativeSleepTreatedAsYield(t *testing.T) {
 
 func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	c := New()
+	release := c.Hold() // every proc exists before any runs
 	var mu sync.Mutex
 	var order []string
 	log := func(s string) {
@@ -73,6 +74,7 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 		p.Sleep(2 * time.Second) // wakes at 4s
 		log("b4")
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +122,7 @@ func TestManyProcsAgreeOnFinalTime(t *testing.T) {
 
 func TestEventWakesWaiters(t *testing.T) {
 	c := New()
+	release := c.Hold() // every proc exists before any runs
 	ev := NewEvent(c)
 	var woke [2]time.Duration
 	for i := 0; i < 2; i++ {
@@ -132,6 +135,7 @@ func TestEventWakesWaiters(t *testing.T) {
 		p.Sleep(7 * time.Second)
 		ev.Fire()
 	})
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +308,7 @@ func TestSameInstantOrderIsFIFO(t *testing.T) {
 	// Entries at the same timestamp wake in insertion order (seq
 	// tiebreak), giving deterministic runs.
 	c := New()
+	release := c.Hold() // every proc exists before any runs
 	var mu sync.Mutex
 	var order []int
 	for i := 0; i < 8; i++ {
@@ -314,15 +319,16 @@ func TestSameInstantOrderIsFIFO(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 8 {
 		t.Fatalf("len(order) = %d, want 8", len(order))
 	}
-	// All woke at the same instant; the wake channels are closed in seq
-	// order but goroutine scheduling may interleave bodies. We only check
-	// that every proc ran exactly once.
+	// All woke at the same instant, one at a time in seq order (pinned by
+	// TestSameInstantCallbacksThenWakesInOrder); here we only check that
+	// every proc ran exactly once.
 	seen := map[int]bool{}
 	for _, v := range order {
 		if seen[v] {
@@ -379,6 +385,7 @@ func BenchmarkSleepWake(b *testing.B) {
 func BenchmarkManyProcsPingPong(b *testing.B) {
 	c := New()
 	const procs = 64
+	release := c.Hold()
 	for i := 0; i < procs; i++ {
 		c.Go("p", func(p *Proc) {
 			for j := 0; j < b.N/procs; j++ {
@@ -386,6 +393,7 @@ func BenchmarkManyProcsPingPong(b *testing.B) {
 			}
 		})
 	}
+	release()
 	if err := c.Wait(); err != nil {
 		b.Fatal(err)
 	}
