@@ -3,11 +3,15 @@
 // Parallel I/O on HPC Systems" (IPDPS 2023) as a self-contained Go
 // system.
 //
-// The library has four layers, re-exported here:
+// The library has four layers. This file re-exports what the programs
+// under examples/ and a first downstream user need of them — nothing is
+// exported here that no example and no facade test uses
+// (TestFacadeExportsAreUsed); everything else is reached through the
+// internal packages directly, as examples/prefetch_reader does:
 //
 //   - Storage: an HDF5-like self-describing container (hdf5 types) with
-//     a VOL interception layer. The Native connector is synchronous;
-//     the AsyncConnector stages writes and prefetches reads on a
+//     a VOL interception layer. The native connector is synchronous;
+//     the asynchronous one stages writes and prefetches reads on a
 //     background stream, charging the transactional overhead the
 //     paper's model is built around.
 //   - Systems: discrete-event models of Summit (GPFS) and Cori-Haswell
@@ -25,7 +29,7 @@
 //
 //	clk := asyncio.NewClock()
 //	sys := asyncio.Summit(clk, 16) // 16 nodes, 96 ranks
-//	rep, _, err := vpicio.Run(sys, vpicio.Config{Mode: asyncio.ForceAsync})
+//	rep, _, err := vpicio.Run(sys, vpicio.Config{Mode: core.ForceAsync})
 //
 // See examples/ for runnable programs and cmd/asyncio-bench for the
 // figure regeneration harness.
@@ -36,7 +40,6 @@ import (
 	"asyncio/internal/core"
 	"asyncio/internal/experiments"
 	"asyncio/internal/hdf5"
-	"asyncio/internal/ioreq"
 	"asyncio/internal/model"
 	"asyncio/internal/systems"
 	"asyncio/internal/taskengine"
@@ -45,157 +48,73 @@ import (
 	"asyncio/internal/vol"
 )
 
-// Virtual clock and processes.
-type (
-	// Clock is the deterministic discrete-event virtual clock.
-	Clock = vclock.Clock
-	// Proc is a process registered with a Clock.
-	Proc = vclock.Proc
-)
+// Proc is a process registered with a virtual clock.
+type Proc = vclock.Proc
 
-// NewClock returns a virtual clock at time zero.
-func NewClock() *Clock { return vclock.New() }
+// NewClock returns a deterministic discrete-event virtual clock at time
+// zero.
+func NewClock() *vclock.Clock { return vclock.New() }
 
 // Storage layer.
-type (
-	// File is an open container (HDF5-like).
-	File = hdf5.File
-	// Dataspace describes dataset extents and hyperslab selections.
-	Dataspace = hdf5.Dataspace
-	// Datatype is a dataset element type.
-	Datatype = hdf5.Datatype
-	// Store is the byte-addressable backing of a File.
-	Store = hdf5.Store
-	// CreateProps configures dataset creation (chunking).
-	CreateProps = hdf5.CreateProps
-	// TransferProps parameterizes one hdf5-level transfer.
-	TransferProps = hdf5.TransferProps
-)
+
+// CreateProps configures dataset creation (chunking, compression).
+type CreateProps = hdf5.CreateProps
 
 // Predefined datatypes.
 var (
-	I8  = hdf5.I8
-	I16 = hdf5.I16
-	I32 = hdf5.I32
-	I64 = hdf5.I64
 	U8  = hdf5.U8
-	U16 = hdf5.U16
-	U32 = hdf5.U32
-	U64 = hdf5.U64
-	F32 = hdf5.F32
 	F64 = hdf5.F64
 )
 
 // Store constructors.
 var (
 	NewMemStore     = hdf5.NewMemStore
-	NewNullStore    = hdf5.NewNullStore
 	CreateFileStore = hdf5.CreateFileStore
 	OpenFileStore   = hdf5.OpenFileStore
 )
 
 // Little-endian slice conversion helpers for dataset buffers.
 var (
-	Float32sToBytes = hdf5.Float32sToBytes
-	BytesToFloat32s = hdf5.BytesToFloat32s
 	Float64sToBytes = hdf5.Float64sToBytes
 	BytesToFloat64s = hdf5.BytesToFloat64s
-	Int32sToBytes   = hdf5.Int32sToBytes
-	BytesToInt32s   = hdf5.BytesToInt32s
-	Int64sToBytes   = hdf5.Int64sToBytes
-	BytesToInt64s   = hdf5.BytesToInt64s
 )
 
 // CreateFile initializes a fresh container on store.
-func CreateFile(store Store, opts ...hdf5.FileOption) (*File, error) {
+func CreateFile(store hdf5.Store, opts ...hdf5.FileOption) (*hdf5.File, error) {
 	return hdf5.Create(store, opts...)
 }
 
 // OpenFile loads an existing container.
-func OpenFile(store Store, opts ...hdf5.FileOption) (*File, error) {
+func OpenFile(store hdf5.Store, opts ...hdf5.FileOption) (*hdf5.File, error) {
 	return hdf5.Open(store, opts...)
 }
 
 // NewSimpleSpace returns a simple dataspace.
-func NewSimpleSpace(dims ...uint64) (*Dataspace, error) { return hdf5.NewSimple(dims...) }
+func NewSimpleSpace(dims ...uint64) (*hdf5.Dataspace, error) { return hdf5.NewSimple(dims...) }
 
 // VOL layer.
 type (
-	// Connector decides how file/dataset operations execute.
-	Connector = vol.Connector
-	// VFile is a connector-mediated file handle.
-	VFile = vol.File
-	// VGroup is a connector-mediated group handle.
-	VGroup = vol.Group
-	// VDataset is a connector-mediated dataset handle.
-	VDataset = vol.Dataset
 	// Props carries per-call context through the VOL.
 	Props = vol.Props
-	// NativeConnector is the synchronous pass-through connector.
-	NativeConnector = vol.Native
-	// AsyncConnector is the asynchronous background-stream connector.
-	AsyncConnector = asyncvol.Connector
-	// AsyncOptions configures an AsyncConnector.
+	// AsyncOptions configures an asynchronous connector.
 	AsyncOptions = asyncvol.Options
-	// CopyModel charges the transactional staging overhead.
-	CopyModel = asyncvol.CopyModel
-	// CopyFunc adapts a function to CopyModel.
+	// CopyFunc adapts a function to the connector's copy model, which
+	// charges the transactional staging overhead.
 	CopyFunc = asyncvol.CopyFunc
-	// EventSet tracks in-flight asynchronous operations (H5ES analog).
-	EventSet = asyncvol.EventSet
-	// TaskEngine is the Argobots-analog background tasking engine.
-	TaskEngine = taskengine.Engine
 )
 
-// I/O request pipeline: every dataset data operation is one IORequest
-// executed by an IOPipeline of IOStages (validate → resolve → optional
-// aggregation → execute). Both connectors route through it.
-type (
-	// IORequest is one dataset read/write descriptor.
-	IORequest = ioreq.Request
-	// IOPipeline executes IORequests through its stages.
-	IOPipeline = ioreq.Pipeline
-	// IOStage is one pipeline stage.
-	IOStage = ioreq.Stage
-	// AggConfig enables and bounds the write-aggregation stage.
-	AggConfig = ioreq.AggConfig
-	// AggStage coalesces adjacent same-dataset writes (two-phase
-	// collective buffering).
-	AggStage = ioreq.AggStage
-	// Span is a hierarchical trace of an operation's path through the
-	// stack (pipeline stages, staging copies, PFS transfers).
-	Span = trace.Span
-	// SpanEvent is one recorded event on a Span.
-	SpanEvent = trace.SpanEvent
-)
-
-// Pipeline constructors.
-var (
-	// NewIOPipeline builds validate → resolve → extra stages → execute.
-	NewIOPipeline = ioreq.New
-	// NewAggStage returns a write-aggregation stage.
-	NewAggStage = ioreq.NewAgg
-	// NewSpan returns an empty root span.
-	NewSpan = trace.NewSpan
-)
-
-// NewTaskEngine returns a tasking engine on clk.
-func NewTaskEngine(clk *Clock) *TaskEngine { return taskengine.New(clk) }
+// NewTaskEngine returns the Argobots-analog background tasking engine
+// on clk.
+func NewTaskEngine(clk *vclock.Clock) *taskengine.Engine { return taskengine.New(clk) }
 
 // NewAsyncConnector returns an asynchronous connector with its own
 // background stream.
-func NewAsyncConnector(eng *TaskEngine, name string, opts AsyncOptions) *AsyncConnector {
+func NewAsyncConnector(eng *taskengine.Engine, name string, opts AsyncOptions) *asyncvol.Connector {
 	return asyncvol.New(eng, name, opts)
 }
 
-// NewEventSet returns an empty event set.
-func NewEventSet() *EventSet { return asyncvol.NewEventSet() }
-
-// Systems layer.
-type (
-	// System is an assembled machine model.
-	System = systems.System
-)
+// NewEventSet returns an empty event set (the H5ES analog).
+func NewEventSet() *asyncvol.EventSet { return asyncvol.NewEventSet() }
 
 // Machine constructors.
 var (
@@ -217,29 +136,12 @@ type (
 	Hooks = core.Hooks
 	// RankCtx is the per-rank execution context.
 	RankCtx = core.RankCtx
-	// Report is a run's outcome: records, estimates, estimator.
-	Report = core.Report
-	// Estimator is the paper's feedback-loop model state.
-	Estimator = model.Estimator
-	// EpochEstimate is a model prediction for one epoch (Eq. 2).
-	EpochEstimate = model.EpochEstimate
 	// IOMode labels an epoch's I/O strategy (Sync or Async).
 	IOMode = trace.Mode
-	// Record is one epoch's measurements.
-	Record = trace.Record
-	// RunResult summarizes a run.
-	RunResult = trace.RunResult
 )
 
-// Run policies.
-const (
-	// ForceSync runs every epoch synchronously.
-	ForceSync = core.ForceSync
-	// ForceAsync runs every epoch asynchronously.
-	ForceAsync = core.ForceAsync
-	// Adaptive lets the model pick the mode per epoch.
-	Adaptive = core.Adaptive
-)
+// Adaptive lets the model pick the mode per epoch.
+const Adaptive = core.Adaptive
 
 // I/O mode labels.
 const (
@@ -250,22 +152,15 @@ const (
 )
 
 // RunApp executes an iterative application on sys (see core.Run).
-func RunApp(sys *System, cfg RunConfig, hooks Hooks) (*Report, error) {
+func RunApp(sys *systems.System, cfg RunConfig, hooks Hooks) (*core.Report, error) {
 	return core.Run(sys, cfg, hooks)
 }
 
-// NewEstimator returns an empty model estimator.
-func NewEstimator(opts ...model.EstimatorOption) *Estimator {
+// NewEstimator returns an empty model estimator: the paper's
+// feedback-loop model state.
+func NewEstimator(opts ...model.EstimatorOption) *model.Estimator {
 	return model.NewEstimator(opts...)
 }
-
-// Experiments layer.
-type (
-	// ExperimentTable is a regenerated paper figure.
-	ExperimentTable = experiments.Table
-	// ExperimentScale bounds an experiment sweep.
-	ExperimentScale = experiments.Scale
-)
 
 // Experiment scales and registry.
 var (

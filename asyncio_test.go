@@ -3,11 +3,78 @@
 package asyncio_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"asyncio"
 )
+
+// TestFacadeExportsAreUsed keeps the facade to its measured traffic:
+// every name asyncio.go exports is mentioned as asyncio.<Name> by an
+// example or by a test in this file. A re-export nothing uses is an API
+// promise nothing checks; reach it through the internal package instead.
+func TestFacadeExportsAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	users, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(users) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	used := map[string]bool{}
+	for _, path := range append(users, "asyncio_test.go") {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "asyncio" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	facade, err := parser.ParseFile(fset, "asyncio.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := 0
+	check := func(id *ast.Ident) {
+		if !id.IsExported() {
+			return
+		}
+		exported++
+		if !used[id.Name] {
+			t.Errorf("asyncio.%s is exported and no example or facade test uses it", id.Name)
+		}
+	}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				check(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					check(spec.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						check(id)
+					}
+				}
+			}
+		}
+	}
+	if exported == 0 {
+		t.Fatal("asyncio.go exports nothing: the parse went wrong")
+	}
+}
 
 func TestFacadeStorageRoundtrip(t *testing.T) {
 	store := asyncio.NewMemStore()
@@ -19,15 +86,15 @@ func TestFacadeStorageRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := f.Root().CreateDataset(nil, "x", asyncio.F32, space, nil)
+	ds, err := f.Root().CreateDataset(nil, "x", asyncio.F64, space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]float32, 100)
+	in := make([]float64, 100)
 	for i := range in {
-		in[i] = float32(i)
+		in[i] = float64(i)
 	}
-	if err := ds.Write(nil, nil, asyncio.Float32sToBytes(in)); err != nil {
+	if err := ds.Write(nil, nil, asyncio.Float64sToBytes(in)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(nil); err != nil {
@@ -41,11 +108,11 @@ func TestFacadeStorageRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]byte, 400)
+	out := make([]byte, 800)
 	if err := ds2.Read(nil, nil, out); err != nil {
 		t.Fatal(err)
 	}
-	got := asyncio.BytesToFloat32s(out)
+	got := asyncio.BytesToFloat64s(out)
 	if got[42] != 42 {
 		t.Fatalf("roundtrip[42] = %v", got[42])
 	}

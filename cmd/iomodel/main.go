@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,20 +26,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: iomodel <trace.csv>")
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
+	if err := run(flag.Arg(0), os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "iomodel: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// run is the whole tool: the trace at path → the fitted models and the
+// next-epoch estimate on out.
+func run(path string, out io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 	records, err := trace.ReadCSV(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iomodel: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if len(records) == 0 {
-		fmt.Fprintln(os.Stderr, "iomodel: no records")
-		os.Exit(1)
+		return errors.New("no records")
 	}
 
 	est := model.NewEstimator()
@@ -53,31 +61,32 @@ func main() {
 		lastBytes, lastRanks = r.Bytes, r.Ranks
 	}
 
-	fmt.Printf("records: %d\n", len(records))
+	fmt.Fprintf(out, "records: %d\n", len(records))
 	if m, ok := est.SyncModel(); ok {
-		fmt.Printf("sync model:  %v  beta=%v  r²=%.3f  (n=%d)\n", m.Kind, m.Fit.Beta, m.R2(), m.N)
+		fmt.Fprintf(out, "sync model:  %v  beta=%v  r²=%.3f  (n=%d)\n", m.Kind, m.Fit.Beta, m.R2(), m.N)
 	} else {
-		fmt.Println("sync model:  insufficient synchronous observations")
+		fmt.Fprintln(out, "sync model:  insufficient synchronous observations")
 	}
 	if m, ok := est.AsyncModel(); ok {
-		fmt.Printf("async model: %v  beta=%v  r²=%.3f  (n=%d)\n", m.Kind, m.Fit.Beta, m.R2(), m.N)
+		fmt.Fprintf(out, "async model: %v  beta=%v  r²=%.3f  (n=%d)\n", m.Kind, m.Fit.Beta, m.R2(), m.N)
 	} else {
-		fmt.Println("async model: insufficient asynchronous observations")
+		fmt.Fprintln(out, "async model: insufficient asynchronous observations")
 	}
 	if comp, ok := est.CompEstimate(); ok {
-		fmt.Printf("compute estimate (EWMA): %v\n", comp.Round(time.Millisecond))
+		fmt.Fprintf(out, "compute estimate (EWMA): %v\n", comp.Round(time.Millisecond))
 	}
 	if ee, ok := est.EstimateEpoch(lastBytes, lastRanks); ok {
-		fmt.Printf("next epoch (bytes=%d ranks=%d):\n", lastBytes, lastRanks)
-		fmt.Printf("  sync  (Eq. 2a): %v\n", ee.Sync.Round(time.Millisecond))
-		fmt.Printf("  async (Eq. 2b): %v\n", ee.Async.Round(time.Millisecond))
-		fmt.Printf("  advisor: use %s I/O", ee.Better())
+		fmt.Fprintf(out, "next epoch (bytes=%d ranks=%d):\n", lastBytes, lastRanks)
+		fmt.Fprintf(out, "  sync  (Eq. 2a): %v\n", ee.Sync.Round(time.Millisecond))
+		fmt.Fprintf(out, "  async (Eq. 2b): %v\n", ee.Async.Round(time.Millisecond))
+		fmt.Fprintf(out, "  advisor: use %s I/O", ee.Better())
 		if ee.SlowdownRegion() {
-			fmt.Printf("  (slowdown region: overhead %v ≥ compute %v)",
+			fmt.Fprintf(out, "  (slowdown region: overhead %v ≥ compute %v)",
 				ee.Overhead.Round(time.Millisecond), ee.Comp.Round(time.Millisecond))
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	} else {
-		fmt.Println("epoch estimate: needs observations from both I/O modes")
+		fmt.Fprintln(out, "epoch estimate: needs observations from both I/O modes")
 	}
+	return nil
 }

@@ -31,12 +31,6 @@ func (b Box) NumCells() int64 {
 	return n
 }
 
-// String renders like AMReX: ((lo) (hi)).
-func (b Box) String() string {
-	return fmt.Sprintf("((%d,%d,%d) (%d,%d,%d))",
-		b.Lo[0], b.Lo[1], b.Lo[2], b.Hi[0]-1, b.Hi[1]-1, b.Hi[2]-1)
-}
-
 // DomainBox returns the box [0,n)³ for a cubic domain.
 func DomainBox(n int) Box {
 	return Box{Hi: [3]int{n, n, n}}
@@ -91,15 +85,6 @@ func ChopDomain(domain Box, maxGrid int) BoxArray {
 	return ba
 }
 
-// NumCells returns the total cells across all boxes.
-func (ba BoxArray) NumCells() int64 {
-	var n int64
-	for _, b := range ba.Boxes {
-		n += b.NumCells()
-	}
-	return n
-}
-
 // MultiFab is a distributed multi-component field over a BoxArray. The
 // distribution assigns balanced blocks of consecutive boxes to each
 // rank, matching how AMReX's HDF5 plotfile writer lays data out: every
@@ -135,13 +120,6 @@ func NewMultiFab(ba BoxArray, ncomp, nranks int) *MultiFab {
 	return mf
 }
 
-// TotalElems returns cells × components across the fab.
-func (mf *MultiFab) TotalElems() uint64 { return mf.total }
-
-// TotalBytes returns the fab's plotfile payload in bytes (float64
-// elements).
-func (mf *MultiFab) TotalBytes() int64 { return int64(mf.total) * 8 }
-
 // LocalBoxes returns the indices of boxes owned by rank.
 func (mf *MultiFab) LocalBoxes(rank int) []int {
 	var out []int
@@ -151,15 +129,6 @@ func (mf *MultiFab) LocalBoxes(rank int) []int {
 		}
 	}
 	return out
-}
-
-// LocalBytes returns the bytes rank contributes to a plotfile write.
-func (mf *MultiFab) LocalBytes(rank int) int64 {
-	var n int64
-	for _, bi := range mf.LocalBoxes(rank) {
-		n += mf.BA.Boxes[bi].NumCells() * int64(mf.NComp) * 8
-	}
-	return n
 }
 
 // BoxSelection returns the 1-D hyperslab of box bi within the flattened

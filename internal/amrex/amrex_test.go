@@ -15,9 +15,6 @@ func TestBoxBasics(t *testing.T) {
 	if (Box{Lo: [3]int{2, 0, 0}, Hi: [3]int{1, 5, 5}}).NumCells() != 0 {
 		t.Fatal("inverted box must have zero cells")
 	}
-	if b.String() == "" {
-		t.Fatal("empty String")
-	}
 	if DomainBox(8).NumCells() != 512 {
 		t.Fatal("DomainBox wrong")
 	}
@@ -30,8 +27,12 @@ func TestChopDomainCoversExactly(t *testing.T) {
 	if len(ba.Boxes) != 64 {
 		t.Fatalf("boxes = %d", len(ba.Boxes))
 	}
-	if ba.NumCells() != dom.NumCells() {
-		t.Fatalf("cells = %d, want %d", ba.NumCells(), dom.NumCells())
+	var cells int64
+	for _, b := range ba.Boxes {
+		cells += b.NumCells()
+	}
+	if cells != dom.NumCells() {
+		t.Fatalf("cells = %d, want %d", cells, dom.NumCells())
 	}
 	// Partial edge boxes are 4 cells wide in each dimension's last slot.
 	var partial int
@@ -63,8 +64,8 @@ func TestChopDomainExactFit(t *testing.T) {
 func TestMultiFabDistribution(t *testing.T) {
 	ba := ChopDomain(DomainBox(64), 16) // 64 boxes
 	mf := NewMultiFab(ba, 6, 12)
-	if mf.TotalElems() != uint64(ba.NumCells())*6 {
-		t.Fatalf("TotalElems = %d", mf.TotalElems())
+	if mf.total != 64*64*64*6 {
+		t.Fatalf("total elements = %d", mf.total)
 	}
 	// Every box owned exactly once; counts balanced within 1.
 	counts := map[int]int{}
@@ -82,20 +83,21 @@ func TestMultiFabDistribution(t *testing.T) {
 			t.Fatalf("rank %d owns %d boxes, unbalanced", r, n)
 		}
 	}
-	// Local bytes sum to total bytes.
-	var sum int64
+	// Local ranges sum to the whole fab.
+	var sum uint64
 	for r := 0; r < 12; r++ {
-		sum += mf.LocalBytes(r)
+		_, n := mf.LocalRange(r)
+		sum += n
 	}
-	if sum != mf.TotalBytes() {
-		t.Fatalf("local bytes sum %d vs total %d", sum, mf.TotalBytes())
+	if sum != mf.total {
+		t.Fatalf("local elements sum %d vs total %d", sum, mf.total)
 	}
 }
 
 func TestBoxSelectionsAreDisjointAndComplete(t *testing.T) {
 	ba := ChopDomain(DomainBox(20), 8)
 	mf := NewMultiFab(ba, 2, 3)
-	covered := make([]bool, mf.TotalElems())
+	covered := make([]bool, mf.total)
 	for bi := range ba.Boxes {
 		sel, err := mf.BoxSelection(bi)
 		if err != nil {
@@ -137,15 +139,15 @@ func TestWritePlotfileMaterialized(t *testing.T) {
 		}
 		total += n
 	}
-	if total != mf.TotalBytes() {
-		t.Fatalf("wrote %d bytes, want %d", total, mf.TotalBytes())
+	if total != int64(mf.total)*8 {
+		t.Fatalf("wrote %d bytes, want %d", total, int64(mf.total)*8)
 	}
 	// Verify pattern placement per box.
 	ds, err := f.Root().OpenDataset(pr, PlotfileName(7)+"/level_0/data:datatype=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, mf.TotalBytes())
+	buf := make([]byte, int64(mf.total)*8)
 	if err := ds.Read(pr, nil, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +166,11 @@ func TestWritePlotfileMaterialized(t *testing.T) {
 		}
 	}
 	// Metadata attributes present.
-	g, err := f.Root().OpenGroup(pr, PlotfileName(7))
+	g, err := raw.Root().OpenGroup(nil, PlotfileName(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := g.AttrInt64(pr, "nboxes"); err != nil || v != 8 {
+	if v, err := g.AttrInt64(nil, "nboxes"); err != nil || v != 8 {
 		t.Fatalf("nboxes = %d, %v", v, err)
 	}
 }

@@ -8,9 +8,8 @@
 // ioreq.Request and flows through two pipelines:
 //
 //   - the inline pipeline runs on the caller: the transactional staging
-//     copy (the overhead of the paper's Eq. 2b) is a stage, optionally
-//     followed by a write-aggregation stage, terminating at the op
-//     queue — each request becomes one background task;
+//     copy (the overhead of the paper's Eq. 2b) is a stage, terminating
+//     at the op queue — each request becomes one background task;
 //   - the background pipeline (validate → resolve → execute) runs on
 //     the background stream and performs the real transfer, charging
 //     the file's driver.
@@ -23,7 +22,6 @@ package asyncvol
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -77,22 +75,9 @@ type Options struct {
 	// gigabytes. When disabled the connector retains the caller's
 	// buffer, so callers must not mutate it before completion.
 	Materialize bool
-	// MaxPending bounds outstanding background operations: a submission
-	// beyond the bound blocks the caller until the queue drains below
-	// it. This is the backpressure that bounds staging-buffer memory on
-	// real systems (vol-async's task-queue limit). Zero means
-	// unbounded.
-	MaxPending int
-	// Aggregate enables the write-aggregation stage between staging and
-	// the op queue: adjacent staged writes to the same dataset coalesce
-	// into one background dispatch (two-phase-style collective
-	// buffering). The zero value leaves aggregation off. A buffered
-	// write's completion is observable only after its chain flushes —
-	// window trigger, Drain, Flush, or Close.
-	Aggregate ioreq.AggConfig
 	// Metrics, when non-nil, records the connector's activity under
-	// "asyncvol.*" (op-queue depth, staged bytes, drain and backpressure
-	// waits) and instruments both request pipelines. Instruments are
+	// "asyncvol.*" (op-queue depth, staged bytes, drain waits) and
+	// instruments both request pipelines. Instruments are
 	// shared by every connector on the registry, so the series aggregate
 	// across ranks.
 	Metrics *metrics.Registry
@@ -111,8 +96,8 @@ type Options struct {
 	// Stages are shared across connectors and must be concurrency-safe.
 	InlineStages []ioreq.Stage
 	// Crit, when non-nil, records the connector's blocking intervals —
-	// backpressure, drain waits, staging copies, prefetch waits, and
-	// injected background stalls — as causal critical-path edges.
+	// drain waits, staging copies, prefetch waits, and injected
+	// background stalls — as causal critical-path edges.
 	Crit *critpath.Recorder
 	// OnDrained, when non-nil, runs on the caller after every successful
 	// Drain — the connector's sync point, where MPI-IO-style consistency
@@ -125,21 +110,17 @@ type Options struct {
 
 // Connector is the asynchronous connector for one simulated process.
 type Connector struct {
-	name   string
-	eng    *taskengine.Engine
 	stream *taskengine.Stream
 	opts   Options
 
-	// inline runs on the caller: staging (+optional aggregation) →
-	// enqueue. exec runs the real transfer; background tasks and
-	// synchronous read fallbacks both use it.
+	// inline runs on the caller: staging → enqueue. exec runs the real
+	// transfer; background tasks and synchronous read fallbacks both use
+	// it.
 	inline *ioreq.Pipeline
 	exec   *ioreq.Pipeline
-	agg    *ioreq.AggStage
 
 	mu       sync.Mutex
 	last     *taskengine.Task
-	inflight []*taskengine.Task // submission order; pruned as tasks finish
 	cache    map[cacheKey]*cacheEntry
 	fetching map[cacheKey]bool // prefetch reservations (see Prefetch)
 
@@ -162,8 +143,6 @@ type Connector struct {
 	mStagedOutstanding *metrics.Gauge
 	mDrains            *metrics.Counter
 	mDrainWait         *metrics.Histogram
-	mStalls            *metrics.Counter
-	mStallWait         *metrics.Histogram
 }
 
 type releaseRec struct {
@@ -184,8 +163,6 @@ type cacheEntry struct {
 // New creates a connector with its own background stream on eng.
 func New(eng *taskengine.Engine, name string, opts Options) *Connector {
 	c := &Connector{
-		name:     name,
-		eng:      eng,
 		opts:     opts,
 		cache:    make(map[cacheKey]*cacheEntry),
 		fetching: make(map[cacheKey]bool),
@@ -198,48 +175,31 @@ func New(eng *taskengine.Engine, name string, opts Options) *Connector {
 		c.mStagedOutstanding = m.Gauge("asyncvol.staged_outstanding_bytes")
 		c.mDrains = m.Counter("asyncvol.drains")
 		c.mDrainWait = m.Histogram("asyncvol.drain_wait_seconds")
-		c.mStalls = m.Counter("asyncvol.backpressure_stalls")
-		c.mStallWait = m.Histogram("asyncvol.backpressure_wait_seconds")
+		// Nothing stalls a submission since the op-queue bound went; the
+		// two series stay registered, at zero, because every metrics CSV
+		// and run bundle lists them.
+		m.Counter("asyncvol.backpressure_stalls")
+		m.Histogram("asyncvol.backpressure_wait_seconds")
 	}
 	c.stream = eng.NewStream("asyncvol:" + name)
 	stages := append(append([]ioreq.Stage(nil), opts.InlineStages...), stagingStage{c: c})
-	if opts.Aggregate.Enabled() {
-		c.agg = ioreq.NewAgg(opts.Aggregate)
-		stages = append(stages, c.agg)
-	}
 	c.inline = ioreq.NewCustom(c.enqueue, stages...).WithMetrics(opts.Metrics)
 	c.exec = ioreq.New(opts.ExecStages...).WithMetrics(opts.Metrics)
 	return c
 }
 
-// Name implements vol.Connector.
-func (c *Connector) Name() string { return "async:" + c.name }
-
-// AggStats returns the aggregation stage's counters (zero stats when
-// aggregation is off).
-func (c *Connector) AggStats() ioreq.AggStats {
-	if c.agg == nil {
-		return ioreq.AggStats{}
-	}
-	return c.agg.Stats()
-}
-
 // Shutdown stops the background stream after draining queued work. The
-// connector is unusable afterwards. Writes still buffered in an
-// aggregation chain are NOT dispatched — call Drain (or close the file)
-// first, as harness.Env.Term does.
+// connector is unusable afterwards.
 func (c *Connector) Shutdown() { c.stream.Shutdown() }
 
 // Kill crashes the connector: the background stream's process dies at
 // the current virtual instant, queued and in-flight operations complete
-// with reason, and later submissions fail. Buffered aggregation chains
-// are abandoned un-dispatched — precisely the data-loss window that
+// with reason, and later submissions fail — the data-loss window that
 // crash-consistency experiments measure.
 func (c *Connector) Kill(reason error) { c.stream.Kill(reason) }
 
-// Drain flushes the inline pipeline (dispatching any aggregation
-// chains), then blocks p until every operation pushed so far has
-// completed.
+// Drain flushes the inline pipeline, then blocks p until every operation
+// pushed so far has completed.
 func (c *Connector) Drain(p *vclock.Proc) error {
 	start := procNow(p)
 	if err := c.inline.Flush(p); err != nil {
@@ -327,24 +287,16 @@ func (c *Connector) recordStaged(req *ioreq.Request, n int64) {
 	c.mStagedOutstanding.Add(float64(n))
 }
 
-// releaseStaged frees the staging bytes of req and its aggregation
-// sources at virtual time at, whether the dispatch succeeded or failed
-// — a dropped op must not leak its buffer accounting. Idempotent per
-// request. Capacity checks observe the release only strictly after at
-// (see stagedOutstandingAt).
+// releaseStaged frees the staging bytes of req at virtual time at,
+// whether the dispatch succeeded or failed — a dropped op must not leak
+// its buffer accounting. Idempotent per request. Capacity checks observe
+// the release only strictly after at (see stagedOutstandingAt).
 func (c *Connector) releaseStaged(at time.Duration, req *ioreq.Request) {
-	var freed int64
 	c.mu.Lock()
-	rel := func(r *ioreq.Request) {
-		if n, ok := c.staged[r]; ok {
-			delete(c.staged, r)
-			freed += n
-			c.released = append(c.released, releaseRec{at: at, n: n})
-		}
-	}
-	rel(req)
-	for _, src := range req.Sources {
-		rel(src)
+	freed, ok := c.staged[req]
+	if ok {
+		delete(c.staged, req)
+		c.released = append(c.released, releaseRec{at: at, n: freed})
 	}
 	c.mu.Unlock()
 	if freed != 0 {
@@ -418,20 +370,17 @@ func (o *bgOp) run(p *vclock.Proc) error {
 }
 
 // enqueue is the inline pipeline's terminal: one request becomes one
-// background task running the exec pipeline. The task is added to the
-// event set the request carries in Tag — and, for a merged request, to
-// every absorbed source's event set, so each contributor's ES.Wait
-// observes the coalesced dispatch.
+// background task running the exec pipeline, added to the event set the
+// request carries in Tag.
 func (c *Connector) enqueue(req *ioreq.Request) error {
-	var one [1]*EventSet // an un-merged request names at most one set
-	sets, err := eventSets(one[:0], req)
+	es, err := eventSetOf(req.Tag)
 	if err != nil {
 		// The op dies here; its staging bytes must not stay accounted.
 		c.releaseStaged(procNow(req.Proc), req)
 		return err
 	}
-	t := c.push(req.Proc, taskName(req.Op), &bgOp{r: *req, req: req})
-	for _, es := range sets {
+	t := c.push(taskName(req.Op), &bgOp{r: *req, req: req})
+	if es != nil {
 		es.add(t)
 	}
 	return nil
@@ -451,29 +400,10 @@ func taskName(op ioreq.Op) string {
 	}
 }
 
-// eventSets appends the event sets of a request and its aggregation
-// sources to out, deduplicated. A tag of the wrong concrete type is a
-// caller error reported as such — a connector mix-up is recoverable (use
-// the right connector's set), so it is not a panic.
-func eventSets(out []*EventSet, req *ioreq.Request) ([]*EventSet, error) {
-	for i := -1; i < len(req.Sources); i++ {
-		tag := req.Tag
-		if i >= 0 {
-			tag = req.Sources[i].Tag
-		}
-		es, err := eventSetOf(tag)
-		if err != nil {
-			return nil, err
-		}
-		if es != nil && !slices.Contains(out, es) {
-			out = append(out, es)
-		}
-	}
-	return out, nil
-}
-
 // eventSetOf checks that a caller-supplied event set belongs to this
-// connector type. nil (no tracking) is allowed.
+// connector type. nil (no tracking) is allowed. A tag of the wrong
+// concrete type is a caller error reported as such — a connector mix-up
+// is recoverable (use the right connector's set), so it is not a panic.
 func eventSetOf(set any) (*EventSet, error) {
 	if set == nil {
 		return nil, nil
@@ -511,12 +441,7 @@ func procName(p *vclock.Proc) string {
 }
 
 // push enqueues o as a background task and records it as the newest.
-// When MaxPending is set and p is non-nil, the caller blocks until the
-// queue has room (backpressure).
-func (c *Connector) push(p *vclock.Proc, name string, o *bgOp) *taskengine.Task {
-	if c.opts.MaxPending > 0 && p != nil {
-		c.waitForRoom(p)
-	}
+func (c *Connector) push(name string, o *bgOp) *taskengine.Task {
 	// Queue depth counts submit → complete, so the series shows how much
 	// work is riding the background stream at any virtual instant; the
 	// decrement runs on the stream at completion time.
@@ -527,48 +452,7 @@ func (c *Connector) push(p *vclock.Proc, name string, o *bgOp) *taskengine.Task 
 	defer c.mu.Unlock()
 	t := c.stream.Push(name, nil, o.run)
 	c.last = t
-	// Only buffer-holding submissions (those with a caller to block)
-	// count toward the bound; deferred metadata tasks hold nothing.
-	if c.opts.MaxPending > 0 && p != nil {
-		c.inflight = append(c.inflight, t)
-	}
 	return t
-}
-
-// waitForRoom blocks p until fewer than MaxPending tasks are
-// outstanding. The stream is FIFO, so waiting on the oldest unfinished
-// task suffices.
-func (c *Connector) waitForRoom(p *vclock.Proc) {
-	start := procNow(p)
-	stalled := false
-	for {
-		c.mu.Lock()
-		// Prune finished tasks from the front.
-		for len(c.inflight) > 0 && c.inflight[0].Done() {
-			c.inflight[0] = nil // unpin the finished task and its buffers
-			c.inflight = c.inflight[1:]
-		}
-		if len(c.inflight) < c.opts.MaxPending {
-			c.mu.Unlock()
-			if stalled {
-				c.mStallWait.Observe((procNow(p) - start).Seconds())
-				c.opts.Crit.Record(critpath.Edge{
-					Track: procName(p), Cause: critpath.QueueWait, Subsystem: "asyncvol",
-					Detail: "backpressure", Start: start, End: procNow(p),
-				})
-			}
-			return
-		}
-		oldest := c.inflight[0]
-		c.mu.Unlock()
-		if !stalled {
-			stalled = true
-			c.mStalls.Add(1)
-		}
-		// Errors are observed by the task's owner (EventSet/Drain), not
-		// the backpressure path.
-		_ = oldest.Wait(p)
-	}
 }
 
 // StagedOutstanding returns the staged write bytes currently held by
@@ -584,32 +468,9 @@ func (c *Connector) StagedOutstanding() int64 {
 	return n
 }
 
-// Pending returns the number of outstanding background operations
-// (only tracked when MaxPending is set).
-func (c *Connector) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.inflight {
-		if !t.Done() {
-			n++
-		}
-	}
-	return n
-}
-
 // Create implements vol.Connector.
 func (c *Connector) Create(pr vol.Props, store hdf5.Store, opts ...hdf5.FileOption) (vol.File, error) {
 	f, err := hdf5.Create(store, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &asyncFile{c: c, f: f, native: vol.Native{}.Wrap(f)}, nil
-}
-
-// Open implements vol.Connector.
-func (c *Connector) Open(pr vol.Props, store hdf5.Store, opts ...hdf5.FileOption) (vol.File, error) {
-	f, err := hdf5.Open(store, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -631,8 +492,7 @@ func (af *asyncFile) Root() vol.Group {
 	return &asyncGroup{c: af.c, raw: af.f, g: af.native.Root()}
 }
 
-// Flush drains pending asynchronous work (flushing aggregation chains
-// first), then flushes metadata.
+// Flush drains pending asynchronous work, then flushes metadata.
 func (af *asyncFile) Flush(pr vol.Props) error {
 	if err := af.c.Drain(pr.Proc); err != nil {
 		return err
@@ -655,8 +515,6 @@ func (af *asyncFile) Close(pr vol.Props) error {
 	return nil
 }
 
-func (af *asyncFile) Unwrap() *hdf5.File { return af.f }
-
 // asyncGroup executes metadata operations immediately (callers need the
 // resulting handles) but asynchronously with respect to their cost:
 // vol-async enqueues metadata on the background thread, so the calling
@@ -676,9 +534,7 @@ func (ag *asyncGroup) deferMeta(pr vol.Props, n int) error {
 	if err != nil {
 		return err
 	}
-	// Metadata tasks are tiny and exempt from backpressure (no staging
-	// buffer is held).
-	t := ag.c.push(nil, "H5meta:async", &bgOp{raw: ag.raw, meta: n})
+	t := ag.c.push("H5meta:async", &bgOp{raw: ag.raw, meta: n})
 	if es != nil {
 		es.add(t)
 	}
@@ -759,25 +615,6 @@ func (ag *asyncGroup) SetAttrInt64(pr vol.Props, name string, v int64) error {
 	}
 	return ag.deferMeta(pr, 1)
 }
-
-func (ag *asyncGroup) AttrInt64(pr vol.Props, name string) (int64, error) {
-	// Attribute reads return data to the caller, so they stay charged
-	// (the caller genuinely waits for the value).
-	return ag.g.AttrInt64(pr, name)
-}
-
-func (ag *asyncGroup) SetAttrString(pr vol.Props, name, v string) error {
-	if err := ag.g.SetAttrString(uncharged(), name, v); err != nil {
-		return err
-	}
-	return ag.deferMeta(pr, 1)
-}
-
-func (ag *asyncGroup) AttrString(pr vol.Props, name string) (string, error) {
-	return ag.g.AttrString(pr, name)
-}
-
-func (ag *asyncGroup) List() []string { return ag.g.List() }
 
 type asyncDataset struct {
 	c   *Connector
@@ -929,7 +766,7 @@ func (ad *asyncDataset) Prefetch(pr vol.Props, fspace *hdf5.Dataspace) error {
 	if staging != nil {
 		op.r.Op, op.r.Buf = ioreq.OpRead, staging
 	}
-	task := c.push(pr.Proc, "H5Dread:prefetch", op)
+	task := c.push("H5Dread:prefetch", op)
 	if es != nil {
 		es.add(task)
 	}
@@ -948,7 +785,6 @@ func (ad *asyncDataset) key(fspace *hdf5.Dataspace) cacheKey {
 	return cacheKey{uid: ad.raw.UID(), sel: sel}
 }
 
-func (ad *asyncDataset) Dims() []uint64        { return ad.d.Dims() }
 func (ad *asyncDataset) Dtype() hdf5.Datatype  { return ad.d.Dtype() }
 func (ad *asyncDataset) NBytes() int64         { return ad.d.NBytes() }
 func (ad *asyncDataset) Unwrap() *hdf5.Dataset { return ad.raw }
@@ -1002,19 +838,6 @@ func (es *EventSet) Wait(p *vclock.Proc) error {
 		})
 	}
 	return first
-}
-
-// Pending returns the number of tracked incomplete operations.
-func (es *EventSet) Pending() int {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	n := 0
-	for _, t := range es.tasks {
-		if !t.Done() {
-			n++
-		}
-	}
-	return n
 }
 
 // Timing-only scratch reads in Prefetch allocate nbytes transiently;

@@ -107,8 +107,8 @@ func TestAsyncWriteReturnsAfterCopyOnly(t *testing.T) {
 		if blocked != 1*time.Second {
 			t.Errorf("Write blocked caller %v, want 1s (copy only)", blocked)
 		}
-		if es.Pending() != 1 {
-			t.Errorf("Pending = %d, want 1", es.Pending())
+		if len(es.tasks) != 1 {
+			t.Errorf("event set tracks %d operations, want 1", len(es.tasks))
 		}
 		if err := es.Wait(p); err != nil {
 			t.Error(err)
@@ -446,14 +446,14 @@ func TestEventSetCollectsMultipleOps(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		if es.Pending() == 0 {
-			t.Error("Pending = 0 with writes in flight")
+		if len(es.tasks) != 4 {
+			t.Errorf("event set tracks %d operations with 4 writes in flight", len(es.tasks))
 		}
 		if err := es.Wait(p); err != nil {
 			t.Error(err)
 		}
-		if es.Pending() != 0 {
-			t.Errorf("Pending after Wait = %d", es.Pending())
+		if len(es.tasks) != 0 {
+			t.Errorf("event set still tracks %d operations after Wait", len(es.tasks))
 		}
 		// First copy finishes at 10ms; 4 writes of 1 MiB at 1 MiB/s run
 		// back-to-back on one background stream → done at 4.01s.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"asyncio/internal/hdf5"
-	"asyncio/internal/ioreq"
 	"asyncio/internal/pfs"
 	"asyncio/internal/taskengine"
 	"asyncio/internal/trace"
@@ -82,76 +81,10 @@ func TestSpanFollowsRequestToBackgroundStream(t *testing.T) {
 	}
 }
 
-// TestAggregatedAsyncWritesShareOneDispatch verifies the connector's
-// aggregation stage: two adjacent staged writes become one background
-// task and one storage dispatch, and both writers' event sets observe
-// the merged completion.
-func TestAggregatedAsyncWritesShareOneDispatch(t *testing.T) {
-	clk := newHeldClock()
-	eng := taskengine.New(clk.Clock)
-	c := New(eng, "rank0", Options{
-		Copy:        fixedCopy{bw: 4 * MiB},
-		Materialize: true,
-		Aggregate:   ioreq.AggConfig{MaxRequests: 2},
-	})
-	target := pfs.NewTarget(clk.Clock, pfs.TargetConfig{Name: "test", BackendPeak: 1 * MiB})
-	f, err := c.Create(vol.Props{}, hdf5.NewMemStore(), hdf5.WithDriver(target))
-	if err != nil {
-		t.Fatal(err)
-	}
+// foreignSet is a vol.EventSet this connector did not make.
+type foreignSet struct{}
 
-	clk.Go("app", func(p *vclock.Proc) {
-		const n = 1 * MiB
-		ds, err := f.Root().CreateDataset(vol.Props{Proc: p}, "x", hdf5.U8, hdf5.MustSimple(2*n), nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		es := NewEventSet()
-		for i := uint64(0); i < 2; i++ {
-			sp := hdf5.MustSimple(2 * n)
-			if err := sp.SelectHyperslab([]uint64{i * n}, nil, []uint64{1}, []uint64{n}); err != nil {
-				t.Error(err)
-				return
-			}
-			buf := make([]byte, n)
-			for j := range buf {
-				buf[j] = byte(i + 1)
-			}
-			if err := ds.Write(vol.Props{Proc: p, Set: es}, sp, buf); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		if err := es.Wait(p); err != nil {
-			t.Error(err)
-			return
-		}
-		if got := target.Stats().WriteOps; got != 1 {
-			t.Errorf("WriteOps = %d, want 1 (adjacent writes coalesce)", got)
-		}
-		if st := c.AggStats(); st.Dispatched != 1 || st.Absorbed != 1 {
-			t.Errorf("agg stats = %+v, want Dispatched 1, Absorbed 1", st)
-		}
-		// Both halves must have landed.
-		got := make([]byte, 2*n)
-		if err := ds.Read(vol.Props{Proc: p}, nil, got); err != nil {
-			t.Error(err)
-			return
-		}
-		if got[0] != 1 || got[n-1] != 1 || got[n] != 2 || got[2*n-1] != 2 {
-			t.Errorf("merged write landed wrong: edges %d %d %d %d",
-				got[0], got[n-1], got[n], got[2*n-1])
-		}
-		if err := f.Close(vol.Props{Proc: p}); err != nil {
-			t.Error(err)
-		}
-		c.Shutdown()
-	})
-	if err := clk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
+func (foreignSet) Wait(*vclock.Proc) error { return nil }
 
 // TestWrongEventSetTypeIsAnError pins the panic-to-error conversion: a
 // foreign event-set implementation is reported, not a crash.
@@ -170,7 +103,7 @@ func TestWrongEventSetTypeIsAnError(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := ds.Write(vol.Props{Proc: p, Set: vol.NullEventSet{}}, nil, make([]byte, 8)); err == nil {
+		if err := ds.Write(vol.Props{Proc: p, Set: foreignSet{}}, nil, make([]byte, 8)); err == nil {
 			t.Error("Write with foreign event set: err = nil, want type error")
 		}
 	})

@@ -156,7 +156,6 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	for _, q := range rep.Quarantined {
 		s.opts.Logf("store: quarantined: %v", q)
 	}
-	s.opts.Logf("store: recovered: %s", rep.Summary())
 	return rep, nil
 }
 

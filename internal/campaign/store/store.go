@@ -52,7 +52,8 @@ type Options struct {
 	// never triggers (default 64 KiB). Compaction also requires dead
 	// bytes to exceed live bytes.
 	CompactMinDead int64
-	// Logf, when set, receives recovery and compaction log lines.
+	// Logf, when set, receives quarantine and compaction log lines; the
+	// recovery summary is the caller's to print, from the report.
 	Logf func(format string, args ...any)
 }
 
@@ -287,13 +288,6 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("store: record for %q decodes to key %q (%v)", key, k, perr)
 	}
 	return v, true, nil
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pointsLocked()
 }
 
 // Close flushes pending writes, fsyncs, and releases the store.

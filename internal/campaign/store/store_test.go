@@ -48,8 +48,8 @@ func TestEmptyDir(t *testing.T) {
 	if _, ok, err := s.Get("missing"); ok || err != nil {
 		t.Fatalf("Get on empty store: ok=%v err=%v", ok, err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	if n := s.Stats().Points; n != 0 {
+		t.Fatalf("points = %d", n)
 	}
 }
 
@@ -87,9 +87,17 @@ func TestPutGetFlushRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, rep := mustOpen(t, testOptions(dir))
+	// A clean recovery is told once, by the report: the caller (the
+	// daemon) prints its Summary, so the store logs nothing of its own.
+	opts := testOptions(dir)
+	var logged []string
+	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	s2, rep := mustOpen(t, opts)
 	if !rep.Clean() || rep.Points != len(vals) {
 		t.Fatalf("restart report: %s", rep.Summary())
+	}
+	if len(logged) != 0 {
+		t.Fatalf("clean recovery logged %q", logged)
 	}
 	for k, v := range vals {
 		if got := mustGet(t, s2, k); !bytes.Equal(got, v) {

@@ -167,7 +167,7 @@ func TestAbortedRunExportsValidPerfetto(t *testing.T) {
 		t.Fatalf("Run error = %v, want an injected crash", err)
 	}
 	var buf bytes.Buffer
-	if err := perfetto.Write(&buf, rep.Spans, rep.Metrics); err != nil {
+	if err := perfetto.WriteProfile(&buf, rep.Spans, rep.Metrics, nil); err != nil {
 		t.Fatalf("perfetto export of aborted run: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {

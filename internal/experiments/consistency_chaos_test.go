@@ -58,10 +58,7 @@ func runConsistencyChaosTrial(t *testing.T, i int, model pfs.Model) string {
 
 // runConsistencyChaosFleet drives the kill schedule for one model.
 func runConsistencyChaosFleet(t *testing.T, model pfs.Model) {
-	trials := 500
-	if testing.Short() {
-		trials = 40
-	}
+	trials := suiteTrials(500, 40)
 	tags := make([]string, trials)
 	if err := RunParallel(nil, trials, func(i int) error {
 		tags[i] = runConsistencyChaosTrial(t, i, model)

@@ -45,10 +45,7 @@ func consistencyOutcome(t *testing.T, i int, model pfs.Model, res *CrashTrialRes
 // and the oracle's verdict plus its event counts — must be
 // byte-identical between two runs of the same trial.
 func TestConsistencyProperty(t *testing.T) {
-	trials := 1000
-	if testing.Short() {
-		trials = 40
-	}
+	trials := suiteTrials(1000, 40)
 	if err := RunParallel(nil, trials, func(i int) error {
 		model := consistencyModels[i%len(consistencyModels)]
 		run := func() (string, error) {

@@ -107,10 +107,7 @@ func runChaosTrial(t *testing.T, i int) string {
 // end in a byte-identical recovered image or a typed, classified loss —
 // never a panic, never silent corruption.
 func TestCrashChaos(t *testing.T) {
-	trials := 500
-	if testing.Short() {
-		trials = 40
-	}
+	trials := suiteTrials(500, 40)
 	counts := make(map[string]int)
 	type out struct{ tag string }
 	outs := make([]out, trials)

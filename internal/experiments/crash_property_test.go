@@ -39,10 +39,7 @@ func chaosFingerprint(t *testing.T, res *CrashTrialResult) string {
 // byte-identical trial reports — same crash records, same journal
 // classification, same recovered image.
 func TestCrashProperty(t *testing.T) {
-	trials := 1000
-	if testing.Short() {
-		trials = 40
-	}
+	trials := suiteTrials(1000, 40)
 	diffs := make([]string, trials)
 	if err := RunParallel(nil, trials, func(i int) error {
 		// Offset past the chaos fleet's indices so the two suites draw

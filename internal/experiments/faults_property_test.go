@@ -77,10 +77,7 @@ type trialOutcome struct {
 // or corrupt data — and re-running the same trial must reproduce
 // byte-identical metrics and trace exports.
 func TestFaultProperty(t *testing.T) {
-	trials := 1000
-	if testing.Short() {
-		trials = 100
-	}
+	trials := suiteTrials(1000, 100)
 	const (
 		steps   = 2
 		ranks   = 6 // one Summit node
@@ -151,7 +148,7 @@ func runFaultTrial(t *testing.T, seed int64, steps int, perRank uint64) trialOut
 	if err := rep.Metrics.WriteCSV(&mbuf, "trial"); err != nil {
 		t.Fatalf("trial %d: metrics export: %v", seed, err)
 	}
-	if err := perfetto.Write(&pbuf, rep.Spans, rep.Metrics); err != nil {
+	if err := perfetto.WriteProfile(&pbuf, rep.Spans, rep.Metrics, nil); err != nil {
 		t.Fatalf("trial %d: trace export: %v", seed, err)
 	}
 	out.metrics = mbuf.Bytes()

@@ -78,7 +78,7 @@ func TestAsyncQueueDepthOverlapsThenDrains(t *testing.T) {
 func TestPerfettoExportHasDistinctTracks(t *testing.T) {
 	rep := asyncObservedRun(t)
 	var buf bytes.Buffer
-	if err := perfetto.Write(&buf, rep.Spans, rep.Metrics); err != nil {
+	if err := perfetto.WriteProfile(&buf, rep.Spans, rep.Metrics, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -129,7 +129,7 @@ func TestObservabilityOutputsAreDeterministic(t *testing.T) {
 	render := func() (string, string) {
 		rep := asyncObservedRun(t)
 		var j, c bytes.Buffer
-		if err := perfetto.Write(&j, rep.Spans, rep.Metrics); err != nil {
+		if err := perfetto.WriteProfile(&j, rep.Spans, rep.Metrics, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := rep.Metrics.WriteCSV(&c, "obs"); err != nil {

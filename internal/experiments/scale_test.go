@@ -29,9 +29,28 @@ func TestRaceAtScaleConsistency(t *testing.T) {
 	raceAtScale(t, &RunKnobs{Consistency: sp})
 }
 
+// expensive reports whether ASYNCIO_SCALE_TEST asks for the expensive
+// variant of a suite: the 4096-rank points here, and the full trial
+// counts of the property and chaos suites (suiteTrials).
+func expensive() bool { return os.Getenv("ASYNCIO_SCALE_TEST") != "" }
+
+// suiteTrials is how many trials a 500- or 1,000-trial suite runs: all
+// of them under ASYNCIO_SCALE_TEST=1 — which the CI step that names the
+// suite sets — a tenth by default, so tier-1 stays under half a minute,
+// and short under -short.
+func suiteTrials(full, short int) int {
+	switch {
+	case testing.Short():
+		return short
+	case expensive():
+		return full
+	}
+	return full / 10
+}
+
 func raceAtScale(t *testing.T, k *RunKnobs) {
 	t.Helper()
-	if os.Getenv("ASYNCIO_SCALE_TEST") == "" {
+	if !expensive() {
 		t.Skip("set ASYNCIO_SCALE_TEST=1 to run the 4096-rank point")
 	}
 	sc := Scale{CoriNodes: []int{128}, SummitNodes: []int{128}, Steps: 2, Days: 1}

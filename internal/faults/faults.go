@@ -157,9 +157,6 @@ func FromSpec(sp *Spec) *Injector {
 	}
 }
 
-// Spec returns the injector's schedule.
-func (in *Injector) Spec() *Spec { return in.spec }
-
 // Attach installs the injector on the given pfs targets, registers its
 // instruments on m (nil skips), and schedules the spec's slowdown
 // windows as virtual-clock timers. Call once, before the run starts.

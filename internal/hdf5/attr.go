@@ -81,42 +81,10 @@ func (o *object) attr(tp *TransferProps, name string) (Attribute, error) {
 	return Attribute{}, fmt.Errorf("%w: attribute %q", ErrNotFound, name)
 }
 
-func (o *object) attrNames() []string {
-	f := o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, len(o.attrs))
-	for i, a := range o.attrs {
-		out[i] = a.name
-	}
-	return out
-}
-
 // SetAttr adds or replaces an attribute on the group.
 func (g *Group) SetAttr(tp *TransferProps, name string, dtype Datatype, space *Dataspace, data []byte) error {
 	return g.o.setAttr(tp, name, dtype, space, data)
 }
-
-// Attr returns the named attribute of the group.
-func (g *Group) Attr(tp *TransferProps, name string) (Attribute, error) {
-	return g.o.attr(tp, name)
-}
-
-// AttrNames lists the group's attributes in creation order.
-func (g *Group) AttrNames() []string { return g.o.attrNames() }
-
-// SetAttr adds or replaces an attribute on the dataset.
-func (d *Dataset) SetAttr(tp *TransferProps, name string, dtype Datatype, space *Dataspace, data []byte) error {
-	return d.o.setAttr(tp, name, dtype, space, data)
-}
-
-// Attr returns the named attribute of the dataset.
-func (d *Dataset) Attr(tp *TransferProps, name string) (Attribute, error) {
-	return d.o.attr(tp, name)
-}
-
-// AttrNames lists the dataset's attributes in creation order.
-func (d *Dataset) AttrNames() []string { return d.o.attrNames() }
 
 // Scalar attribute conveniences.
 
@@ -129,23 +97,7 @@ func (g *Group) SetAttrInt64(tp *TransferProps, name string, v int64) error {
 
 // AttrInt64 reads a scalar int64 attribute.
 func (g *Group) AttrInt64(tp *TransferProps, name string) (int64, error) {
-	return attrInt64(g.o, tp, name)
-}
-
-// SetAttrInt64 stores a scalar int64 attribute.
-func (d *Dataset) SetAttrInt64(tp *TransferProps, name string, v int64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return d.SetAttr(tp, name, I64, NewScalar(), b[:])
-}
-
-// AttrInt64 reads a scalar int64 attribute.
-func (d *Dataset) AttrInt64(tp *TransferProps, name string) (int64, error) {
-	return attrInt64(d.o, tp, name)
-}
-
-func attrInt64(o *object, tp *TransferProps, name string) (int64, error) {
-	a, err := o.attr(tp, name)
+	a, err := g.o.attr(tp, name)
 	if err != nil {
 		return 0, err
 	}

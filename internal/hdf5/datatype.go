@@ -104,25 +104,6 @@ func decodeDatatype(r *reader) Datatype {
 // the raw little-endian []byte buffers the dataset API takes, without
 // unsafe. They are the moral equivalent of HDF5's native memory types.
 
-// Float32sToBytes encodes vs little-endian.
-func Float32sToBytes(vs []float32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
-// BytesToFloat32s decodes little-endian floats; len(b) must be a
-// multiple of 4.
-func BytesToFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
 // Float64sToBytes encodes vs little-endian.
 func Float64sToBytes(vs []float64) []byte {
 	out := make([]byte, 8*len(vs))

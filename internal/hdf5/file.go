@@ -253,14 +253,6 @@ func (f *File) Store() Store { return f.store }
 // Closed reports whether the file has been closed.
 func (f *File) Closed() bool { return f.closed.Load() }
 
-// EOF returns the current allocation high-water mark, i.e. the logical
-// file size.
-func (f *File) EOF() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eof
-}
-
 // checkOpen is safe to call with or without f.mu held.
 func (f *File) checkOpen() error {
 	if f.closed.Load() {

@@ -11,10 +11,6 @@ type Group struct {
 	path string
 }
 
-// Path returns the absolute path the group was created or opened under
-// ("/" for the root).
-func (g *Group) Path() string { return g.path }
-
 // joinPath appends a (possibly multi-component) relative path to a base
 // group path, collapsing empty components.
 func joinPath(base, rel string) string {

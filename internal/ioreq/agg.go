@@ -16,13 +16,7 @@ type AggConfig struct {
 	// are buffered. Set it to the writer count for one coalesced
 	// dispatch per collective write (two-phase collective buffering).
 	MaxRequests int
-	// MaxBytes flushes once a dataset's buffered payload reaches this
-	// many bytes (0 = no byte trigger).
-	MaxBytes int64
 }
-
-// Enabled reports whether any trigger is configured.
-func (c AggConfig) Enabled() bool { return c.MaxRequests > 0 || c.MaxBytes > 0 }
 
 // AggStats counts an AggStage's traffic.
 type AggStats struct {
@@ -56,8 +50,7 @@ type AggStats struct {
 //
 //   - A buffered write is not durable (or even charged) until its chain
 //     flushes; Pipeline.Flush on epoch/file boundaries bounds the delay.
-//   - The caller's buffer is retained until dispatch (asyncvol's
-//     staging stage copies first, so this only constrains direct users).
+//   - The caller's buffer is retained until dispatch.
 //   - Merged requests assume writers cover disjoint ranges, as
 //     collective I/O patterns do; overlapping writes are dispatched
 //     unmerged but in file order, not program order.
@@ -80,9 +73,8 @@ type aggKey struct {
 }
 
 type aggChain struct {
-	reqs  []*Request
-	bytes int64
-	seq   int64
+	reqs []*Request
+	seq  int64
 }
 
 // NewAgg returns an aggregation stage. A disabled config yields a stage
@@ -108,7 +100,7 @@ func (a *AggStage) Stats() AggStats {
 // of at least one byte to a 1-D dataset through a single contiguous
 // run.
 func (a *AggStage) eligible(req *Request) bool {
-	if !a.cfg.Enabled() || !req.Op.IsWrite() || req.Dataset == nil {
+	if a.cfg.MaxRequests <= 0 || !req.Op.IsWrite() || req.Dataset == nil {
 		return false
 	}
 	if req.Dataset.NDims() != 1 || req.Bytes() <= 0 {
@@ -142,9 +134,7 @@ func (a *AggStage) Process(req *Request, next func(*Request) error) error {
 		a.pending[k] = ch
 	}
 	ch.reqs = append(ch.reqs, req)
-	ch.bytes += req.Bytes()
-	full := (a.cfg.MaxRequests > 0 && len(ch.reqs) >= a.cfg.MaxRequests) ||
-		(a.cfg.MaxBytes > 0 && ch.bytes >= a.cfg.MaxBytes)
+	full := len(ch.reqs) >= a.cfg.MaxRequests
 	if full {
 		delete(a.pending, k)
 	}
@@ -214,8 +204,8 @@ func (a *AggStage) dispatch(ch *aggChain, p *vclock.Proc, next func(*Request) er
 
 // merge folds a group of adjacent requests into one covering their
 // combined range, concatenating buffers for materialized writes. The
-// originals become the merged request's Sources, so connector context
-// (event sets) survives; their spans each record the absorption.
+// originals become the merged request's Sources; their spans each record
+// the absorption.
 func (a *AggStage) merge(group []*Request, p *vclock.Proc) (*Request, error) {
 	first := group[0]
 	start := first.run.Off

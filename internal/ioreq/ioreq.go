@@ -125,11 +125,6 @@ func (r *Request) Contiguous() (Run, bool) {
 	return r.run, r.contig
 }
 
-// String summarizes the request for logs and errors.
-func (r *Request) String() string {
-	return fmt.Sprintf("ioreq{%s %d B}", r.Op, r.Bytes())
-}
-
 // Stage is one step of a pipeline. Process handles a request and calls
 // next to pass it (or derived requests) downstream; a stage may buffer
 // the request and call next later from another Process or from Flush.

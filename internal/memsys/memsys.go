@@ -149,12 +149,6 @@ func (n *Node) SSDWrite(p *vclock.Proc, b int64) time.Duration {
 	return n.ssdWrite.Transfer(p, b)
 }
 
-// HasGPU reports whether the node has a GPU link configured.
-func (n *Node) HasGPU() bool { return n.gpu != nil }
-
-// HasSSD reports whether the node has a node-local SSD configured.
-func (n *Node) HasSSD() bool { return n.ssdWrite != nil }
-
 // Machine is a set of identical nodes with a fixed rank-to-node mapping
 // (block distribution: ranks r*k..r*k+k-1 on node r, matching how MPI
 // launchers place consecutive ranks).
@@ -187,9 +181,6 @@ func (m *Machine) NodeOf(rank int) *Node {
 
 // NumNodes returns the node count.
 func (m *Machine) NumNodes() int { return len(m.nodes) }
-
-// RanksPerNode returns the ranks placed on each node.
-func (m *Machine) RanksPerNode() int { return m.ranksPerNode }
 
 // Size returns the total rank capacity.
 func (m *Machine) Size() int { return len(m.nodes) * m.ranksPerNode }

@@ -132,8 +132,8 @@ func TestGPUWithoutGPUPanics(t *testing.T) {
 	cfg := testConfig()
 	cfg.GPULinkPeak = 0
 	n := NewNode(vclock.New(), cfg)
-	if n.HasGPU() {
-		t.Fatal("HasGPU = true")
+	if n.gpu != nil {
+		t.Fatal("node without a GPU link peak has a GPU link")
 	}
 	defer func() {
 		if recover() == nil {
@@ -146,8 +146,8 @@ func TestGPUWithoutGPUPanics(t *testing.T) {
 func TestSSDWriteRate(t *testing.T) {
 	clk := vclock.New()
 	n := NewNode(clk, testConfig())
-	if !n.HasSSD() {
-		t.Fatal("HasSSD = false")
+	if n.ssdWrite == nil {
+		t.Fatal("node has no SSD")
 	}
 	var w time.Duration
 	clk.Go("x", func(p *vclock.Proc) {
@@ -164,8 +164,8 @@ func TestSSDWriteRate(t *testing.T) {
 func TestMachineRankMapping(t *testing.T) {
 	clk := vclock.New()
 	m := NewMachine(clk, 4, 6, testConfig())
-	if m.NumNodes() != 4 || m.RanksPerNode() != 6 || m.Size() != 24 {
-		t.Fatalf("machine shape wrong: %d/%d/%d", m.NumNodes(), m.RanksPerNode(), m.Size())
+	if m.NumNodes() != 4 || m.ranksPerNode != 6 || m.Size() != 24 {
+		t.Fatalf("machine shape wrong: %d/%d/%d", m.NumNodes(), m.ranksPerNode, m.Size())
 	}
 	if m.NodeOf(0) != m.NodeOf(5) {
 		t.Fatal("ranks 0 and 5 on different nodes")

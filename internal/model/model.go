@@ -57,13 +57,6 @@ func (h *History) Add(o Observation) {
 	}
 }
 
-// Len returns the number of stored observations.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.obs)
-}
-
 // Snapshot returns a copy of the observations.
 func (h *History) Snapshot() []Observation {
 	h.mu.Lock()

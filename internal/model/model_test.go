@@ -14,8 +14,8 @@ func TestHistoryBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Add(Observation{Bytes: int64(i), Ranks: 1, Rate: 1})
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", h.Len())
+	if len(h.Snapshot()) != 3 {
+		t.Fatalf("Len = %d, want 3", len(h.Snapshot()))
 	}
 	snap := h.Snapshot()
 	if snap[0].Bytes != 2 || snap[2].Bytes != 4 {
@@ -28,8 +28,8 @@ func TestHistoryUnbounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(Observation{Bytes: 1, Ranks: 1, Rate: 1})
 	}
-	if h.Len() != 100 {
-		t.Fatalf("Len = %d", h.Len())
+	if len(h.Snapshot()) != 100 {
+		t.Fatalf("Len = %d", len(h.Snapshot()))
 	}
 }
 
@@ -289,7 +289,7 @@ func TestZeroDurationObservationsIgnored(t *testing.T) {
 	e := NewEstimator()
 	e.ObserveSyncIO(1<<20, 4, 0)
 	e.ObserveOverhead(1<<20, 4, -time.Second)
-	if e.syncHist.Len() != 0 || e.asyncHist.Len() != 0 {
+	if len(e.syncHist.Snapshot()) != 0 || len(e.asyncHist.Snapshot()) != 0 {
 		t.Fatal("zero/negative durations must be dropped")
 	}
 }

@@ -61,7 +61,7 @@ func TestKillInterruptsSleep(t *testing.T) {
 			return
 		}
 		c.Proc().Sleep(2 * time.Second)
-		end = c.Now()
+		end = c.Proc().Now()
 	})
 	clk.AfterFunc(time.Second, func(now time.Duration) {
 		w.Kill(1, errCrash)

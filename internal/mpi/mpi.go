@@ -165,9 +165,6 @@ func (c *Comm) Size() int { return c.w.size }
 // Proc returns the rank's virtual-clock process, for Sleep/Now.
 func (c *Comm) Proc() *vclock.Proc { return c.p }
 
-// Now returns the current virtual time.
-func (c *Comm) Now() time.Duration { return c.p.Now() }
-
 // Abort records an error on the world and releases every rank blocked in
 // a collective or receive — those ranks unwind like MPI_Abort. The
 // earliest failure in virtual time wins, ties broken by rank, so the

@@ -49,7 +49,7 @@ func TestBarrierSynchronizesTime(t *testing.T) {
 		c.Proc().Sleep(time.Duration(c.Rank()) * time.Second)
 		c.Barrier()
 		mu.Lock()
-		after = append(after, c.Now())
+		after = append(after, c.Proc().Now())
 		mu.Unlock()
 	})
 	for _, ts := range after {
@@ -129,8 +129,8 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 			if got != "late" {
 				t.Errorf("Recv = %q", got)
 			}
-			if c.Now() < 5*time.Second {
-				t.Errorf("Recv returned at %v, before send at 5s", c.Now())
+			if c.Proc().Now() < 5*time.Second {
+				t.Errorf("Recv returned at %v, before send at 5s", c.Proc().Now())
 			}
 		}
 	})
@@ -200,8 +200,8 @@ func TestCollectiveLatencyCharged(t *testing.T) {
 	Run(clk, 8, costs, func(c *Comm) {
 		c.Barrier() // log2(8)=3 hops -> 3ms
 		mu.Lock()
-		if c.Now() > end {
-			end = c.Now()
+		if c.Proc().Now() > end {
+			end = c.Proc().Now()
 		}
 		mu.Unlock()
 	})

@@ -173,13 +173,6 @@ func counterTracks(reg *metrics.Registry) []counterTrack {
 	return tracks
 }
 
-// Write renders spans and the registry's counter/gauge series as a
-// trace-event JSON document. Either argument may be nil/empty; the
-// output is always a valid document.
-func Write(w io.Writer, spans []*trace.Span, reg *metrics.Registry) error {
-	return WriteProfile(w, spans, reg, nil)
-}
-
 // WriteProfile is Write plus an optional critical-path overlay: each
 // profile segment becomes a slice on the "critical path" process row,
 // named by the segment's dominant blame category and tagged with the

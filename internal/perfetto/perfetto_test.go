@@ -61,7 +61,7 @@ func twoRankFixture(t *testing.T) ([]*trace.Span, *metrics.Registry) {
 func TestGoldenTwoRankRun(t *testing.T) {
 	spans, reg := twoRankFixture(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, spans, reg); err != nil {
+	if err := WriteProfile(&buf, spans, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "two_rank_run.json")
@@ -85,10 +85,10 @@ func TestGoldenTwoRankRun(t *testing.T) {
 func TestWriteIsDeterministic(t *testing.T) {
 	spans, reg := twoRankFixture(t)
 	var a, b bytes.Buffer
-	if err := Write(&a, spans, reg); err != nil {
+	if err := WriteProfile(&a, spans, reg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&b, spans, reg); err != nil {
+	if err := WriteProfile(&b, spans, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -115,7 +115,7 @@ func decode(t *testing.T, data []byte) []map[string]any {
 func TestTrackLayout(t *testing.T) {
 	spans, reg := twoRankFixture(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, spans, reg); err != nil {
+	if err := WriteProfile(&buf, spans, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	events := decode(t, buf.Bytes())
@@ -236,7 +236,7 @@ func TestCritPathOverlay(t *testing.T) {
 
 	// Write without a profile must not grow a pid-6 group.
 	var plain bytes.Buffer
-	if err := Write(&plain, spans, reg); err != nil {
+	if err := WriteProfile(&plain, spans, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range decode(t, plain.Bytes()) {
@@ -248,7 +248,7 @@ func TestCritPathOverlay(t *testing.T) {
 
 func TestWriteEmptyInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, nil, nil); err != nil {
+	if err := WriteProfile(&buf, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if events := decode(t, buf.Bytes()); len(events) != 0 {

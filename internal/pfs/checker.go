@@ -51,23 +51,6 @@ const (
 	evCommit
 )
 
-func (k eventKind) String() string {
-	switch k {
-	case evWrite:
-		return "write"
-	case evRead:
-		return "read"
-	case evSync:
-		return "sync"
-	case evClose:
-		return "close"
-	case evCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
 // elemRun is one contiguous element run of a recorded selection.
 type elemRun struct {
 	off, n uint64
@@ -141,14 +124,6 @@ type ConsistencyChecker struct {
 
 func newChecker(m Model) *ConsistencyChecker {
 	return &ConsistencyChecker{model: m}
-}
-
-// Model returns the model whose guarantees this checker asserts.
-func (ck *ConsistencyChecker) Model() Model {
-	if ck == nil {
-		return ""
-	}
-	return ck.model
 }
 
 // recordOp records a data operation from its executed request.

@@ -243,9 +243,6 @@ func NewConsistency(sp *ConsistencySpec) *Consistency {
 	return c
 }
 
-// Spec returns the spec this run applies.
-func (c *Consistency) Spec() ConsistencySpec { return c.spec }
-
 // Checker returns the visibility oracle, or nil when the spec did not
 // request checking (or c is nil).
 func (c *Consistency) Checker() *ConsistencyChecker {

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"asyncio/internal/critpath"
-	"asyncio/internal/metrics"
 	"asyncio/internal/vclock"
 )
 
@@ -51,18 +50,6 @@ const (
 	// DurabilityLustre tears at stripe boundaries, grouped per OST.
 	DurabilityLustre
 )
-
-// String names the semantics.
-func (s DurabilitySemantics) String() string {
-	switch s {
-	case DurabilityGPFS:
-		return "gpfs"
-	case DurabilityLustre:
-		return "lustre"
-	default:
-		return fmt.Sprintf("semantics(%d)", int(s))
-	}
-}
 
 // DurabilityConfig parameterizes a DurableStore.
 type DurabilityConfig struct {
@@ -151,10 +138,7 @@ type DurableStore struct {
 	size    int64         // logical extent (base may lag until flush)
 	crashed bool
 
-	mDirty        *metrics.Gauge
-	mFlushes      *metrics.Counter
-	mFlushedBytes *metrics.Counter
-	crit          *critpath.Recorder
+	crit *critpath.Recorder
 }
 
 // SetCrit attaches the critical-path recorder; charged fsync barriers
@@ -171,27 +155,12 @@ func NewDurableStore(base Store, cfg DurabilityConfig) *DurableStore {
 	return &DurableStore{base: base, cfg: cfg, size: base.Size()}
 }
 
-// Instrument registers the dirty-byte gauge and flush counters on m
-// under "pfs.<name>.durability.*". Call once, before the run.
-func (d *DurableStore) Instrument(m *metrics.Registry, name string) {
-	if d == nil || m == nil {
-		return
-	}
-	pre := "pfs." + name + ".durability."
-	d.mDirty = m.Gauge(pre + "dirty_bytes")
-	d.mFlushes = m.Counter(pre + "flushes")
-	d.mFlushedBytes = m.Counter(pre + "flushed_bytes")
-}
-
 // DirtyBytes returns the current volatile byte count.
 func (d *DurableStore) DirtyBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.nDirty
 }
-
-// Base returns the wrapped store (the post-crash "disk image").
-func (d *DurableStore) Base() Store { return d.base }
 
 // WriteAt implements io.WriterAt: the bytes land in the volatile cache.
 func (d *DurableStore) WriteAt(p []byte, off int64) (int, error) {
@@ -210,9 +179,7 @@ func (d *DurableStore) WriteAt(p []byte, off int64) (int, error) {
 	if end := off + int64(len(p)); end > d.size {
 		d.size = end
 	}
-	n := d.nDirty
 	d.mu.Unlock()
-	d.mDirty.Set(float64(n))
 	return len(p), nil
 }
 
@@ -334,7 +301,6 @@ func (d *DurableStore) Truncate(n int64) error {
 	d.dirty = kept
 	d.nDirty = total
 	d.mu.Unlock()
-	d.mDirty.Set(float64(total))
 	return d.base.Truncate(n)
 }
 
@@ -366,9 +332,6 @@ func (d *DurableStore) syncCharged(p *vclock.Proc) error {
 	if err := d.base.Sync(); err != nil {
 		return err
 	}
-	d.mDirty.Set(0)
-	d.mFlushes.Add(1)
-	d.mFlushedBytes.Add(nd)
 	if p != nil && (d.cfg.FlushLatency > 0 || d.cfg.FlushBandwidth > 0) {
 		cost := d.cfg.FlushLatency
 		if d.cfg.FlushBandwidth > 0 && nd > 0 {
@@ -397,20 +360,6 @@ const (
 	// ExtentLost never reached stable storage.
 	ExtentLost
 )
-
-// String names the state.
-func (s CrashExtentState) String() string {
-	switch s {
-	case ExtentFlushed:
-		return "flushed"
-	case ExtentTorn:
-		return "torn"
-	case ExtentLost:
-		return "lost"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // CrashExtent is one byte range's fate in a crash.
 type CrashExtent struct {
@@ -446,7 +395,6 @@ func (d *DurableStore) Crash(at time.Duration) *CrashReport {
 	d.dirty = nil
 	d.nDirty = 0
 	d.mu.Unlock()
-	d.mDirty.Set(0)
 
 	rep := &CrashReport{At: at, Semantics: d.cfg.Semantics, DirtyBytes: nd}
 	unit := d.cfg.unitSize()

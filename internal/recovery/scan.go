@@ -25,20 +25,6 @@ const (
 	ClassUnverified
 )
 
-func (c Class) String() string {
-	switch c {
-	case ClassCommitted:
-		return "committed"
-	case ClassTorn:
-		return "torn"
-	case ClassLost:
-		return "lost"
-	case ClassUnverified:
-		return "unverified"
-	}
-	return fmt.Sprintf("Class(%d)", uint8(c))
-}
-
 // RecordOutcome is the scanner's verdict on one journal record.
 type RecordOutcome struct {
 	Seq      uint64

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"asyncio/internal/memsys"
 	"asyncio/internal/pfs"
 	"asyncio/internal/vclock"
 )
@@ -23,9 +24,20 @@ func TestSummitShape(t *testing.T) {
 	if s.BurstBuffer != nil {
 		t.Fatal("Summit should not expose a burst buffer tier")
 	}
-	if !s.NodeOf(0).HasGPU() || !s.NodeOf(0).HasSSD() {
+	if !hasGPU(s.NodeOf(0)) || !hasSSD(s.NodeOf(0)) {
 		t.Fatal("Summit nodes must have GPUs and node-local SSDs")
 	}
+}
+
+// hasGPU and hasSSD read a node's shape from what it will do: a node
+// without GPUs models no GPU bandwidth, and one without an SSD panics on
+// an SSD write.
+func hasGPU(n *memsys.Node) bool { return n.GPUBandwidth(1<<20, true) > 0 }
+
+func hasSSD(n *memsys.Node) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	n.SSDWrite(nil, 0)
+	return true
 }
 
 func TestCoriShape(t *testing.T) {
@@ -43,7 +55,7 @@ func TestCoriShape(t *testing.T) {
 	if s.BurstBuffer == nil {
 		t.Fatal("Cori must expose its burst buffer")
 	}
-	if s.NodeOf(0).HasGPU() || s.NodeOf(0).HasSSD() {
+	if hasGPU(s.NodeOf(0)) || hasSSD(s.NodeOf(0)) {
 		t.Fatal("Haswell nodes have neither GPUs nor node-local SSDs")
 	}
 }

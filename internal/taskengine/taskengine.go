@@ -23,8 +23,7 @@ import (
 type Engine struct {
 	clk *vclock.Clock
 
-	mu      sync.Mutex
-	streams []*Stream
+	mu sync.Mutex
 
 	mTasks       *metrics.Counter
 	mTaskSeconds *metrics.Histogram
@@ -37,9 +36,6 @@ type Engine struct {
 func New(clk *vclock.Clock) *Engine {
 	return &Engine{clk: clk}
 }
-
-// Clock returns the engine's clock.
-func (e *Engine) Clock() *vclock.Clock { return e.clk }
 
 // SetMetrics instruments the engine on m: "taskengine.queued" tracks
 // tasks waiting in stream FIFOs, "taskengine.tasks_completed" and
@@ -93,22 +89,8 @@ func (e *Engine) NewStream(name string) *Stream {
 	s := &Stream{e: e, name: name}
 	s.wake.Init(e.clk, "taskengine:wake")
 	s.exited.Init(e.clk, "taskengine:exited")
-	e.mu.Lock()
-	e.streams = append(e.streams, s)
-	e.mu.Unlock()
 	e.clk.Go("stream:"+name, s.run)
 	return s
-}
-
-// ShutdownAll shuts down every stream created so far. It does not wait;
-// use each stream's Join or clk.Wait.
-func (e *Engine) ShutdownAll() {
-	e.mu.Lock()
-	streams := append([]*Stream(nil), e.streams...)
-	e.mu.Unlock()
-	for _, s := range streams {
-		s.Shutdown()
-	}
 }
 
 // Stream is a single background execution context.
@@ -158,9 +140,6 @@ func (r *taskRing) pop() *Task {
 	r.n--
 	return t
 }
-
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
 
 // Task is a unit of work with future semantics.
 type Task struct {
@@ -338,15 +317,9 @@ func (t *Task) Wait(p *vclock.Proc) error {
 	return t.Err()
 }
 
-// Done reports whether the task has completed.
-func (t *Task) Done() bool { return t.done.Fired() }
-
 // Err returns the task's error; nil until completion.
 func (t *Task) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
 }
-
-// Name returns the task name.
-func (t *Task) Name() string { return t.name }

@@ -75,7 +75,7 @@ func TestTaskWaitReturnsError(t *testing.T) {
 	if !errors.Is(got, sentinel) {
 		t.Fatalf("Wait = %v", got)
 	}
-	if !task.Done() {
+	if !task.done.Fired() {
 		t.Fatal("task not done")
 	}
 }
@@ -135,7 +135,8 @@ func TestDependenciesAcrossStreams(t *testing.T) {
 		if p.Now() != 5*time.Second {
 			t.Errorf("dep completed at %v, want 5s", p.Now())
 		}
-		e.ShutdownAll()
+		s1.Shutdown()
+		s2.Shutdown()
 	})
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestPendingCount(t *testing.T) {
 	e := New(clk.Clock)
 	s := e.NewStream("bg")
 	// Block the stream with a task waiting on an event, then queue more.
-	gate := vclock.NewEvent(clk.Clock)
+	gate := vclock.NewEventNamed(clk.Clock, "")
 	s.Push("gate", nil, func(p *vclock.Proc) error {
 		gate.Wait(p)
 		return nil

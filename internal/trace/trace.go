@@ -99,15 +99,6 @@ func (rr *RunResult) Rates() []float64 {
 	return out
 }
 
-// TotalBytes returns the run's aggregate data volume.
-func (rr *RunResult) TotalBytes() int64 {
-	var n int64
-	for _, r := range rr.Records {
-		n += r.Bytes
-	}
-	return n
-}
-
 // csvHeader is the exported column set.
 var csvHeader = []string{
 	"epoch", "mode", "ranks", "bytes", "io_seconds", "comp_seconds",

@@ -49,9 +49,6 @@ func TestRunResultAggregates(t *testing.T) {
 	if got := rr.PeakRate(); got != wantPeak {
 		t.Fatalf("PeakRate = %v, want %v", got, wantPeak)
 	}
-	if got := rr.TotalBytes(); got != 2<<30 {
-		t.Fatalf("TotalBytes = %d", got)
-	}
 	if rates := rr.Rates(); len(rates) != 2 || rates[0] >= rates[1] {
 		t.Fatalf("Rates = %v", rates)
 	}

@@ -124,7 +124,7 @@ func TestEventWaitObservedFromBlockInstant(t *testing.T) {
 // its own clock; mixing clocks is a programming error, reported loudly.
 func TestEventWaitForeignClockPanics(t *testing.T) {
 	c := New()
-	ev := NewEvent(New())
+	ev := NewEventNamed(New(), "")
 	done := make(chan any, 1)
 	c.Go("w", func(p *Proc) {
 		defer func() { done <- recover() }()

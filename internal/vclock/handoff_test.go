@@ -33,7 +33,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	spawn := func(c *Clock, n int) []*Proc {
 		procs := make([]*Proc, n)
-		ev := NewEvent(c)
+		ev := NewEventNamed(c, "")
 		for i := range procs {
 			c.Go("p", func(p *Proc) {
 				procs[i] = p
@@ -117,7 +117,7 @@ func TestHostResumesParkedClock(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := New()
-		ev := NewEvent(c)
+		ev := NewEventNamed(c, "")
 		c.AfterFunc(time.Hour, func(time.Duration) { ev.Fire() })
 		procs := make([]*Proc, n)
 		woke := 0
@@ -157,7 +157,7 @@ func TestHostResumesParkedClock(t *testing.T) {
 // documented, so the baseline is taken after the deadlock).
 func TestGoOnDeadlockedClockLeaksNothing(t *testing.T) {
 	c := New()
-	c.Go("stuck", func(p *Proc) { NewEvent(c).Wait(p) })
+	c.Go("stuck", func(p *Proc) { NewEventNamed(c, "").Wait(p) })
 	if err := c.Wait(); err == nil {
 		t.Fatal("Wait returned nil for a deadlocked clock")
 	}

@@ -16,7 +16,7 @@ func TestKillWakesSleeper(t *testing.T) {
 	var died error
 	var diedAt time.Duration
 	var victim *Proc
-	ready := NewEvent(c)
+	ready := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		defer func() {
@@ -58,10 +58,10 @@ func TestKillWakesSleeper(t *testing.T) {
 func TestKillWakesEventWaiter(t *testing.T) {
 	c := New()
 	release := c.Hold() // both procs exist before either runs
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	var died error
 	var victim *Proc
-	started := NewEvent(c)
+	started := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		defer func() {
@@ -95,8 +95,8 @@ func TestKillFlagsRunningProc(t *testing.T) {
 	release := c.Hold() // both procs exist before either runs
 	var died error
 	var victim *Proc
-	started := NewEvent(c)
-	resume := NewEvent(c)
+	started := NewEventNamed(c, "")
+	resume := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		defer func() {
@@ -129,7 +129,7 @@ func TestKillIdempotent(t *testing.T) {
 	other := errors.New("other")
 	var died error
 	var victim *Proc
-	started := NewEvent(c)
+	started := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		defer func() {
@@ -159,7 +159,7 @@ func TestKillAfterExit(t *testing.T) {
 	c := New()
 	release := c.Hold() // both procs exist before either runs
 	var victim *Proc
-	done := NewEvent(c)
+	done := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		done.Fire()
@@ -181,7 +181,7 @@ func TestKilledPanicAbsorbed(t *testing.T) {
 	c := New()
 	release := c.Hold() // both procs exist before either runs
 	var victim *Proc
-	started := NewEvent(c)
+	started := NewEventNamed(c, "")
 	c.Go("victim", func(p *Proc) {
 		victim = p
 		started.Fire()

@@ -321,11 +321,6 @@ func (c *Clock) Now() time.Duration {
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.c.Now() }
 
-// Events returns the number of timer-queue entries fired so far — proc
-// wakeups plus timer callbacks: the "event" of every per-event cost the
-// benchmark (benchmark/) and the allocation budgets report.
-func (c *Clock) Events() int64 { return c.events.Load() }
-
 // totalEvents accumulates fired entries across every Clock in the
 // process, so throughput can be measured over code (figure generators)
 // that builds clocks internally.
@@ -452,13 +447,10 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 }
 
-// Yield lets other runnable work at the current instant proceed.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Event is a one-shot signal in virtual time. Waiters block until Fire is
 // called; waits after Fire return immediately. An Event is embeddable by
-// value: call Init before first use (NewEvent and NewEventNamed do so on
-// a fresh heap Event) and do not copy it afterwards — the waiter list
+// value: call Init before first use (NewEventNamed does so on a fresh
+// heap Event) and do not copy it afterwards — the waiter list
 // starts out aliasing the struct's own storage.
 type Event struct {
 	c     *Clock
@@ -476,9 +468,6 @@ type Event struct {
 // observers see; it has no effect on scheduling. The event must have no
 // waiters and no concurrent users.
 func (e *Event) Init(c *Clock, label string) { *e = Event{c: c, label: label} }
-
-// NewEvent returns an unfired Event on c.
-func NewEvent(c *Clock) *Event { return NewEventNamed(c, "") }
 
 // NewEventNamed returns an unfired Event carrying a label that wait
 // observers see; the label has no effect on scheduling.

@@ -28,7 +28,7 @@ func TestSleepZeroDoesNotAdvance(t *testing.T) {
 	var got time.Duration
 	c.Go("a", func(p *Proc) {
 		p.Sleep(3 * time.Second)
-		p.Yield()
+		p.Sleep(0)
 		got = p.Now()
 	})
 	if err := c.Wait(); err != nil {
@@ -123,7 +123,7 @@ func TestManyProcsAgreeOnFinalTime(t *testing.T) {
 func TestEventWakesWaiters(t *testing.T) {
 	c := New()
 	release := c.Hold() // every proc exists before any runs
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	var woke [2]time.Duration
 	for i := 0; i < 2; i++ {
 		c.Go("w", func(p *Proc) {
@@ -148,7 +148,7 @@ func TestEventWakesWaiters(t *testing.T) {
 
 func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	c := New()
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	ev.Fire()
 	if !ev.Fired() {
 		t.Fatal("Fired() = false after Fire")
@@ -166,7 +166,7 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 
 func TestEventDoubleFireIsNoop(t *testing.T) {
 	c := New()
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	ev.Fire()
 	ev.Fire() // must not panic or double-wake
 	c.Go("w", func(p *Proc) { ev.Wait(p) })
@@ -177,7 +177,7 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 
 func TestAfterFuncFiresAtScheduledTime(t *testing.T) {
 	c := New()
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	var fireAt time.Duration
 	c.AfterFunc(9*time.Second, func(now time.Duration) {
 		fireAt = now
@@ -219,7 +219,7 @@ func TestTimerReschedulePattern(t *testing.T) {
 	// The flow-server pattern: cancel and reschedule a completion timer on
 	// every arrival.
 	c := New()
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	var tm *Timer
 	tm = c.AfterFunc(10*time.Second, func(time.Duration) { t.Error("stale timer fired") })
 	c.Go("arrival", func(p *Proc) {
@@ -240,7 +240,7 @@ func TestTimerReschedulePattern(t *testing.T) {
 
 func TestCallbackMayScheduleMoreWork(t *testing.T) {
 	c := New()
-	done := NewEvent(c)
+	done := NewEventNamed(c, "")
 	var hops int
 	var hop func(now time.Duration)
 	hop = func(now time.Duration) {
@@ -267,7 +267,7 @@ func TestCallbackMayScheduleMoreWork(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	c := New()
-	ev := NewEvent(c) // never fired
+	ev := NewEventNamed(c, "") // never fired
 	c.Go("stuck", func(p *Proc) { ev.Wait(p) })
 	err := c.Wait()
 	if err == nil {
@@ -402,7 +402,7 @@ func BenchmarkManyProcsPingPong(b *testing.B) {
 func TestHoldSuppressesDeadlockDuringSpawn(t *testing.T) {
 	c := New()
 	release := c.Hold()
-	ev := NewEvent(c)
+	ev := NewEventNamed(c, "")
 	// The first proc blocks immediately; without the hold this would be
 	// declared a deadlock before the second proc exists.
 	c.Go("waiter", func(p *Proc) { ev.Wait(p) })

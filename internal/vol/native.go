@@ -36,21 +36,9 @@ func (n Native) pipeline() *ioreq.Pipeline {
 	return defaultPipeline
 }
 
-// Name implements Connector.
-func (Native) Name() string { return "native" }
-
 // Create implements Connector.
 func (n Native) Create(pr Props, store hdf5.Store, opts ...hdf5.FileOption) (File, error) {
 	f, err := hdf5.Create(store, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return nativeFile{f: f, pl: n.pipeline(), onClose: n.OnClose}, nil
-}
-
-// Open implements Connector.
-func (n Native) Open(pr Props, store hdf5.Store, opts ...hdf5.FileOption) (File, error) {
-	f, err := hdf5.Open(store, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -94,8 +82,6 @@ func (nf nativeFile) Close(pr Props) error {
 	return nil
 }
 
-func (nf nativeFile) Unwrap() *hdf5.File { return nf.f }
-
 type nativeGroup struct {
 	g  *hdf5.Group
 	pl *ioreq.Pipeline
@@ -137,20 +123,6 @@ func (ng nativeGroup) SetAttrInt64(pr Props, name string, v int64) error {
 	return ng.g.SetAttrInt64(pr.TP(), name, v)
 }
 
-func (ng nativeGroup) AttrInt64(pr Props, name string) (int64, error) {
-	return ng.g.AttrInt64(pr.TP(), name)
-}
-
-func (ng nativeGroup) SetAttrString(pr Props, name, v string) error {
-	return ng.g.SetAttrString(pr.TP(), name, v)
-}
-
-func (ng nativeGroup) AttrString(pr Props, name string) (string, error) {
-	return ng.g.AttrString(pr.TP(), name)
-}
-
-func (ng nativeGroup) List() []string { return ng.g.List() }
-
 // nativeDataset routes every data operation through the connector's
 // ioreq pipeline: the operation is constructed as a Request once, and
 // validation, resolution, optional aggregation, and the store dispatch
@@ -190,16 +162,6 @@ func (nd nativeDataset) ReadDiscard(pr Props, fspace *hdf5.Dataspace) error {
 // Prefetch is a no-op for the synchronous connector.
 func (nd nativeDataset) Prefetch(Props, *hdf5.Dataspace) error { return nil }
 
-func (nd nativeDataset) Dims() []uint64        { return nd.d.Dims() }
 func (nd nativeDataset) Dtype() hdf5.Datatype  { return nd.d.Dtype() }
 func (nd nativeDataset) NBytes() int64         { return nd.d.NBytes() }
 func (nd nativeDataset) Unwrap() *hdf5.Dataset { return nd.d }
-
-// NullEventSet is the empty event set used with synchronous connectors.
-type NullEventSet struct{}
-
-// Wait implements EventSet.
-func (NullEventSet) Wait(*vclock.Proc) error { return nil }
-
-// Pending implements EventSet.
-func (NullEventSet) Pending() int { return 0 }

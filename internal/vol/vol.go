@@ -33,21 +33,15 @@ func (pr Props) TP() *hdf5.TransferProps {
 }
 
 // EventSet tracks in-flight asynchronous operations. Wait blocks until
-// every tracked operation completes and returns the first error. For
-// synchronous connectors an event set is always empty.
+// every tracked operation completes and returns the first error.
 type EventSet interface {
 	Wait(p *vclock.Proc) error
-	// Pending returns the number of tracked incomplete operations.
-	Pending() int
 }
 
 // Connector creates file handles bound to one I/O strategy.
 type Connector interface {
-	Name() string
 	// Create initializes a fresh container on store.
 	Create(pr Props, store hdf5.Store, opts ...hdf5.FileOption) (File, error)
-	// Open loads an existing container.
-	Open(pr Props, store hdf5.Store, opts ...hdf5.FileOption) (File, error)
 	// Wrap adopts an already-open hdf5 file. In the simulation many
 	// ranks share one file object (they would share one file through
 	// the parallel file system); each rank wraps it through its own
@@ -62,8 +56,6 @@ type File interface {
 	// Close completes outstanding asynchronous work for this handle and
 	// closes the container (idempotent across sharing ranks).
 	Close(pr Props) error
-	// Unwrap exposes the underlying hdf5 file.
-	Unwrap() *hdf5.File
 }
 
 // Group is a connector-mediated group handle.
@@ -73,10 +65,6 @@ type Group interface {
 	CreateDataset(pr Props, name string, dtype hdf5.Datatype, space *hdf5.Dataspace, props *hdf5.CreateProps) (Dataset, error)
 	OpenDataset(pr Props, path string) (Dataset, error)
 	SetAttrInt64(pr Props, name string, v int64) error
-	AttrInt64(pr Props, name string) (int64, error)
-	SetAttrString(pr Props, name, v string) error
-	AttrString(pr Props, name string) (string, error)
-	List() []string
 }
 
 // Dataset is a connector-mediated dataset handle.
@@ -99,7 +87,6 @@ type Dataset interface {
 	// connectors stage it in the background, synchronous connectors
 	// ignore it.
 	Prefetch(pr Props, fspace *hdf5.Dataspace) error
-	Dims() []uint64
 	Dtype() hdf5.Datatype
 	NBytes() int64
 	// Unwrap exposes the underlying hdf5 dataset.
