@@ -120,9 +120,6 @@ func TestFacadeStorageRoundtrip(t *testing.T) {
 
 func TestFacadeAsyncConnector(t *testing.T) {
 	clk := asyncio.NewClock()
-	// Held while the host assembles things: the connector's idle stream
-	// must not look like a deadlock before the user process exists.
-	release := clk.Hold()
 	eng := asyncio.NewTaskEngine(clk)
 	copied := int64(0)
 	conn := asyncio.NewAsyncConnector(eng, "user", asyncio.AsyncOptions{
@@ -156,7 +153,6 @@ func TestFacadeAsyncConnector(t *testing.T) {
 		}
 		conn.Shutdown()
 	})
-	release()
 	if err := clk.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,6 @@ func main() {
 
 	// --- First "job": run and checkpoint asynchronously. ---
 	clk := asyncio.NewClock()
-	// The connector starts its background stream at once; hold the clock
-	// so that stream, idle and alone, is not taken for a deadlock before
-	// the job that feeds it exists.
-	release := clk.Hold()
 	eng := asyncio.NewTaskEngine(clk)
 	conn := asyncio.NewAsyncConnector(eng, "job1", asyncio.AsyncOptions{Materialize: true})
 	f, err := conn.Create(asyncio.Props{}, store)
@@ -71,7 +67,7 @@ func main() {
 		}
 		conn.Shutdown()
 	})
-	release()
+	// Nothing has run yet: the connector's stream and the job start here.
 	if err := clk.Wait(); err != nil {
 		log.Fatal(err)
 	}

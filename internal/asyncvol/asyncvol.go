@@ -23,7 +23,6 @@ package asyncvol
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -119,10 +118,8 @@ type Connector struct {
 	inline *ioreq.Pipeline
 	exec   *ioreq.Pipeline
 
-	mu       sync.Mutex
-	last     *taskengine.Task
-	cache    map[cacheKey]*cacheEntry
-	fetching map[cacheKey]bool // prefetch reservations (see Prefetch)
+	last  *taskengine.Task
+	cache map[cacheKey]*cacheEntry
 
 	// Staged-byte accounting: bytes held by write-staging buffers from
 	// submission until the background dispatch finishes (successfully or
@@ -163,10 +160,9 @@ type cacheEntry struct {
 // New creates a connector with its own background stream on eng.
 func New(eng *taskengine.Engine, name string, opts Options) *Connector {
 	c := &Connector{
-		opts:     opts,
-		cache:    make(map[cacheKey]*cacheEntry),
-		fetching: make(map[cacheKey]bool),
-		staged:   make(map[*ioreq.Request]int64),
+		opts:   opts,
+		cache:  make(map[cacheKey]*cacheEntry),
+		staged: make(map[*ioreq.Request]int64),
 	}
 	if m := opts.Metrics; m != nil {
 		c.mQueueDepth = m.Gauge("asyncvol.queue_depth")
@@ -205,9 +201,7 @@ func (c *Connector) Drain(p *vclock.Proc) error {
 	if err := c.inline.Flush(p); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	last := c.last
-	c.mu.Unlock()
 	if last == nil {
 		if f := c.opts.OnDrained; f != nil {
 			f(p)
@@ -280,10 +274,8 @@ func (c *Connector) recordStaged(req *ioreq.Request, n int64) {
 	if n <= 0 {
 		return
 	}
-	c.mu.Lock()
 	c.staged[req] = n
 	c.outstanding += n
-	c.mu.Unlock()
 	c.mStagedOutstanding.Add(float64(n))
 }
 
@@ -292,14 +284,9 @@ func (c *Connector) recordStaged(req *ioreq.Request, n int64) {
 // its buffer accounting. Idempotent per request. Capacity checks observe
 // the release only strictly after at (see stagedOutstandingAt).
 func (c *Connector) releaseStaged(at time.Duration, req *ioreq.Request) {
-	c.mu.Lock()
-	freed, ok := c.staged[req]
-	if ok {
+	if freed, ok := c.staged[req]; ok {
 		delete(c.staged, req)
 		c.released = append(c.released, releaseRec{at: at, n: freed})
-	}
-	c.mu.Unlock()
-	if freed != 0 {
 		c.mStagedOutstanding.Add(-float64(freed))
 	}
 }
@@ -308,11 +295,8 @@ func (c *Connector) releaseStaged(at time.Duration, req *ioreq.Request) {
 // and returns the staged bytes a capacity check at now observes. The
 // strict inequality makes the check independent of whether a
 // same-instant background completion has already run: either way the
-// bytes still count, so goroutine interleaving cannot change the
-// decision.
+// bytes still count.
 func (c *Connector) stagedOutstandingAt(now time.Duration) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	kept := c.released[:0]
 	for _, r := range c.released {
 		if r.at < now {
@@ -448,19 +432,14 @@ func (c *Connector) push(name string, o *bgOp) *taskengine.Task {
 	c.mEnqueued.Add(1)
 	c.mQueueDepth.Add(1)
 	o.c = c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.stream.Push(name, nil, o.run)
-	c.last = t
-	return t
+	c.last = c.stream.Push(name, nil, o.run)
+	return c.last
 }
 
 // StagedOutstanding returns the staged write bytes currently held by
 // in-flight operations (completed releases folded immediately; the
 // strict-visibility rule only applies to capacity checks).
 func (c *Connector) StagedOutstanding() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := c.outstanding
 	for _, r := range c.released {
 		n -= r.n
@@ -670,12 +649,10 @@ func (ad *asyncDataset) ReadDiscard(pr vol.Props, fspace *hdf5.Dataspace) error 
 		nbytes = int64(fspace.SelectionCount()) * int64(ad.Dtype().Size)
 	}
 	key := ad.key(fspace)
-	c.mu.Lock()
 	entry, ok := c.cache[key]
 	if ok {
 		delete(c.cache, key)
 	}
-	c.mu.Unlock()
 	if !ok {
 		return c.exec.Do(ad.request(ioreq.OpReadNull, pr, fspace, nil))
 	}
@@ -701,12 +678,10 @@ func (ad *asyncDataset) ReadDiscard(pr vol.Props, fspace *hdf5.Dataspace) error 
 func (ad *asyncDataset) Read(pr vol.Props, fspace *hdf5.Dataspace, buf []byte) error {
 	c := ad.c
 	key := ad.key(fspace)
-	c.mu.Lock()
 	entry, ok := c.cache[key]
 	if ok {
 		delete(c.cache, key)
 	}
-	c.mu.Unlock()
 	if !ok {
 		return c.exec.Do(ad.request(ioreq.OpRead, pr, fspace, buf))
 	}
@@ -749,17 +724,9 @@ func (ad *asyncDataset) Prefetch(pr vol.Props, fspace *hdf5.Dataspace) error {
 	if c.opts.Materialize {
 		staging = make([]byte, nbytes)
 	}
-	c.mu.Lock()
-	if _, dup := c.cache[key]; dup || c.fetching[key] {
-		c.mu.Unlock()
+	if _, dup := c.cache[key]; dup {
 		return nil // already staged or in flight
 	}
-	// Reserve the key before dropping the lock: without this, two
-	// concurrent prefetches of the same selection both pass the dup
-	// check and the loser's staging buffer is stranded (it is neither
-	// cached nor ever released).
-	c.fetching[key] = true
-	c.mu.Unlock()
 	// Timing-only mode (no staging buffer) charges the read without
 	// materializing.
 	op := &bgOp{r: ioreq.Request{Op: ioreq.OpReadNull, Dataset: ad.raw, Space: sel, Span: pr.Span}}
@@ -770,10 +737,7 @@ func (ad *asyncDataset) Prefetch(pr vol.Props, fspace *hdf5.Dataspace) error {
 	if es != nil {
 		es.add(task)
 	}
-	c.mu.Lock()
-	delete(c.fetching, key)
 	c.cache[key] = &cacheEntry{task: task, buf: staging}
-	c.mu.Unlock()
 	return nil
 }
 
@@ -791,7 +755,6 @@ func (ad *asyncDataset) Unwrap() *hdf5.Dataset { return ad.raw }
 
 // EventSet tracks asynchronous operations, like H5ES.
 type EventSet struct {
-	mu    sync.Mutex
 	tasks []*taskengine.Task
 	crit  *critpath.Recorder
 }
@@ -805,25 +768,16 @@ func (es *EventSet) SetCrit(rec *critpath.Recorder) {
 	if es == nil {
 		return
 	}
-	es.mu.Lock()
 	es.crit = rec
-	es.mu.Unlock()
 }
 
-func (es *EventSet) add(t *taskengine.Task) {
-	es.mu.Lock()
-	es.tasks = append(es.tasks, t)
-	es.mu.Unlock()
-}
+func (es *EventSet) add(t *taskengine.Task) { es.tasks = append(es.tasks, t) }
 
 // Wait blocks p until every tracked operation completes, returning the
 // first error. The set is emptied.
 func (es *EventSet) Wait(p *vclock.Proc) error {
-	es.mu.Lock()
-	tasks := es.tasks
+	tasks, rec := es.tasks, es.crit
 	es.tasks = nil
-	rec := es.crit
-	es.mu.Unlock()
 	start := procNow(p)
 	var first error
 	for _, t := range tasks {

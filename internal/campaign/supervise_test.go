@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"asyncio/internal/vclock"
 )
 
 const panicSpec = `{"kind":"run","tenant":"mallory","workload":"vpic","nodes":1,"steps":1,"compute_seconds":3}`
@@ -57,6 +59,36 @@ func TestPanicPoisonTyped500(t *testing.T) {
 	code, _, again := post(t, ts, "/v1/campaigns?wait=summary", panicSpec)
 	if code != http.StatusInternalServerError || !bytes.Equal(again, body) {
 		t.Errorf("resubmit: status %d body %s, want identical stable 500", code, again)
+	}
+}
+
+// TestProcPanicIsSupervised: a panic inside a simulated process travels
+// out of Clock.Wait on the worker goroutine that called it, where the
+// scheduler's supervisor turns it into the same typed verdict — it does
+// not die on a goroutine of the clock's own and take the daemon along.
+func TestProcPanicIsSupervised(t *testing.T) {
+	_, ts := startServiceWith(t, Config{Workers: 1, PoisonStrikes: 2, RedispatchBackoff: time.Millisecond},
+		func(spec *Spec, i int) ([]byte, error) {
+			if spec.Tenant != "mallory" {
+				return ComputePoint(spec, i)
+			}
+			clk := vclock.New()
+			clk.Go("bystander", func(p *vclock.Proc) { p.Sleep(time.Hour) })
+			clk.Go("rank0", func(p *vclock.Proc) {
+				p.Sleep(time.Second)
+				panic("rank0 went wrong at " + p.Now().String())
+			})
+			return nil, clk.Wait()
+		}, time.Now)
+
+	code, _, body := post(t, ts, "/v1/campaigns?wait=summary", panicSpec)
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), `panicked: rank0 went wrong at 1s","kind":"poisoned"`) {
+		t.Fatalf("panicking proc: status %d, want a typed 500 carrying the proc's panic value: %s", code, body)
+	}
+	code, _, body = post(t, ts, "/v1/campaigns?wait=summary",
+		`{"kind":"run","tenant":"alice","workload":"vpic","nodes":1,"steps":1,"compute_seconds":2}`)
+	if code != http.StatusOK || len(body) == 0 {
+		t.Fatalf("the daemon did not serve the next tenant: status %d: %s", code, body)
 	}
 }
 

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -142,20 +141,15 @@ func (ctx *RankCtx) OnCrash(fn func(reason error)) {
 // crashTable holds per-rank crash cleanup hooks; allocated only when
 // the fault schedule contains crash events.
 type crashTable struct {
-	mu    sync.Mutex
 	hooks [][]func(error)
 }
 
 func (ct *crashTable) register(rank int, fn func(error)) {
-	ct.mu.Lock()
 	ct.hooks[rank] = append(ct.hooks[rank], fn)
-	ct.mu.Unlock()
 }
 
 // take removes and returns rank's hooks, so each runs at most once.
 func (ct *crashTable) take(rank int) []func(error) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
 	h := ct.hooks[rank]
 	ct.hooks[rank] = nil
 	return h
@@ -289,15 +283,10 @@ func Run(sys *systems.System, cfg Config, hooks Hooks) (*Report, error) {
 	costs := mpi.DefaultCosts()
 	costs.Metrics = sys.Metrics
 	costs.Crit = sys.Crit
-	// Virtual time stays pinned until the crash timers are armed:
-	// released any earlier, a short run races the host past a crash
-	// instant — or to its end — and the crash never fires.
-	release := sys.Clk.Hold()
 	world := mpi.Run(sys.Clk, ranks, costs, func(c *mpi.Comm) {
 		runRank(c, sys, cfg, hooks, ctl, rep, ct)
 	})
 	timers := scheduleCrashes(sys, crashes, ranks, world, ct, rep)
-	release()
 	werr := sys.Clk.Wait()
 	for _, t := range timers {
 		t.Stop()
@@ -351,7 +340,6 @@ func scheduleCrashes(sys *systems.System, crashes []faults.Crash, ranks int,
 	if sys.Metrics != nil {
 		mCrashes = sys.Metrics.Counter("core.crashes")
 	}
-	var mu sync.Mutex // serializes same-instant crash callbacks on rep
 	timers := make([]*vclock.Timer, 0, len(crashes))
 	for _, cr := range crashes {
 		cr := cr
@@ -388,11 +376,9 @@ func scheduleCrashes(sys *systems.System, crashes []faults.Crash, ranks int,
 				}
 			}
 			mCrashes.Add(1)
-			mu.Lock()
 			rep.Crashes = append(rep.Crashes, CrashRecord{
 				Node: node, Ranks: victims, At: now, Err: ferr.Error(),
 			})
-			mu.Unlock()
 		}))
 	}
 	return timers

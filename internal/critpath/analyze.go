@@ -136,16 +136,10 @@ func (r *Recorder) Profile(label string) *Profile {
 	if r == nil {
 		return &Profile{SchemaVersion: SchemaVersion, Label: label}
 	}
-	r.mu.Lock()
 	edges := append([]Edge(nil), r.edges...)
 	marks := append([]mark(nil), r.marks...)
 	windows := append([]WindowMark(nil), r.windows...)
 	makespan := r.makespan
-	waits := make(map[waitKey]waitAgg, len(r.waits))
-	for k, v := range r.waits {
-		waits[k] = *v
-	}
-	r.mu.Unlock()
 
 	sortEdges(edges)
 	for _, e := range edges {
@@ -216,7 +210,7 @@ func (r *Recorder) Profile(label string) *Profile {
 
 	p.Phases = foldPhases(spans, marks, makespan)
 	p.Windows = foldWindows(spans, windows, makespan)
-	p.WaitGraph = waitGraph(waits)
+	p.WaitGraph = waitGraph(r.waits)
 	return p
 }
 
@@ -501,22 +495,44 @@ func overlap(a1, a2, b1, b2 time.Duration) time.Duration {
 }
 
 // waitGraph renders the aggregated vclock wait-for edges sorted by
-// (proc, kind, label).
-func waitGraph(waits map[waitKey]waitAgg) []WaitEdge {
-	out := make([]WaitEdge, 0, len(waits))
-	for k, v := range waits {
-		out = append(out, WaitEdge{Proc: k.proc, Kind: k.kind, Label: k.label,
-			Count: v.count, Seconds: v.total.Seconds()})
+// (proc, kind, label). Processes that shared a name share their rows.
+func waitGraph(waits []procWaits) []WaitEdge {
+	type agg struct {
+		proc string
+		waitRow
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Proc != b.Proc {
-			return trackLess(a.Proc, b.Proc)
+	var rows []agg
+	for _, pw := range waits {
+		for _, row := range pw.rows {
+			rows = append(rows, agg{pw.name, row})
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.proc != b.proc {
+			return trackLess(a.proc, b.proc)
 		}
-		return a.Label < b.Label
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		return a.label < b.label
 	})
+	n := 0 // rows[:n] is folded: same-key neighbours summed
+	for _, a := range rows {
+		if n > 0 {
+			if last := &rows[n-1]; last.proc == a.proc && last.kind == a.kind && last.label == a.label {
+				last.count += a.count
+				last.total += a.total
+				continue
+			}
+		}
+		rows[n] = a
+		n++
+	}
+	out := make([]WaitEdge, n)
+	for i, a := range rows[:n] {
+		out[i] = WaitEdge{Proc: a.proc, Kind: a.kind, Label: a.label,
+			Count: a.count, Seconds: a.total.Seconds()}
+	}
 	return out
 }

@@ -29,7 +29,6 @@ package critpath
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -134,32 +133,32 @@ type WindowMark struct {
 	Start, End time.Duration // End 0 means "until end of run"
 }
 
-// waitKey aggregates the vclock-level wait-for graph.
-type waitKey struct {
-	proc, kind, label string
+// procWaits aggregates one process's share of the vclock-level wait-for
+// graph: a row per (kind, label) it has blocked in, a handful at most.
+type procWaits struct {
+	name string
+	rows []waitRow
 }
 
-type waitAgg struct {
-	count int64
-	total time.Duration
+type waitRow struct {
+	kind, label string
+	count       int64
+	total       time.Duration
 }
 
-// Recorder collects causal edges for one run. All methods are safe for
-// concurrent use; a nil *Recorder no-ops everywhere, so instrumented
+// Recorder collects causal edges for one run, on the goroutine that
+// runs its clock. A nil *Recorder no-ops everywhere, so instrumented
 // layers call unconditionally.
 type Recorder struct {
-	mu       sync.Mutex
 	edges    []Edge
 	marks    []mark
 	windows  []WindowMark
-	waits    map[waitKey]*waitAgg
+	waits    []procWaits // indexed by the clock's process id
 	makespan time.Duration
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{waits: make(map[waitKey]*waitAgg)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record appends one edge. Zero-length edges are dropped unless they
 // carry a collective-rendezvous detail (the last-arriving rank's
@@ -171,28 +170,32 @@ func (r *Recorder) Record(e Edge) {
 	if e.End <= e.Start && !strings.HasPrefix(e.Detail, collPrefix) {
 		return
 	}
-	r.mu.Lock()
 	r.edges = append(r.edges, e)
-	r.mu.Unlock()
 }
 
 // ObserveWait implements vclock.WaitObserver (structurally): every
 // Proc.Sleep and Event.Wait reports here. The per-(proc, kind, label)
-// aggregation forms the run's wait-for graph.
-func (r *Recorder) ObserveWait(proc, kind, label string, start, end time.Duration) {
+// aggregation forms the run's wait-for graph. It runs on every blocking
+// operation, so it hashes nothing: id, the clock's dense process number,
+// indexes the process's rows, and kind and label are the same few
+// constant strings every time, which compare by pointer.
+func (r *Recorder) ObserveWait(id int, proc, kind, label string, start, end time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	k := waitKey{proc: proc, kind: kind, label: label}
-	agg := r.waits[k]
-	if agg == nil {
-		agg = &waitAgg{}
-		r.waits[k] = agg
+	if id >= len(r.waits) {
+		r.waits = append(r.waits, make([]procWaits, id+1-len(r.waits))...)
 	}
-	agg.count++
-	agg.total += end - start
-	r.mu.Unlock()
+	pw := &r.waits[id]
+	pw.name = proc
+	for i := range pw.rows {
+		if row := &pw.rows[i]; row.label == label && row.kind == kind {
+			row.count++
+			row.total += end - start
+			return
+		}
+	}
+	pw.rows = append(pw.rows, waitRow{kind: kind, label: label, count: 1, total: end - start})
 }
 
 // MarkInit records the end of the init phase (rank 0, after the init
@@ -201,9 +204,7 @@ func (r *Recorder) MarkInit(at time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.marks = append(r.marks, mark{epoch: -1, at: at})
-	r.mu.Unlock()
 }
 
 // MarkEpoch records the commit instant of one epoch (rank 0, after the
@@ -212,9 +213,7 @@ func (r *Recorder) MarkEpoch(epoch int, at time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.marks = append(r.marks, mark{epoch: epoch, at: at})
-	r.mu.Unlock()
 }
 
 // MarkWindow registers a named interval (e.g. a fault window) for
@@ -223,9 +222,7 @@ func (r *Recorder) MarkWindow(name string, start, end time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.windows = append(r.windows, WindowMark{Name: name, Start: start, End: end})
-	r.mu.Unlock()
 }
 
 // SetMakespan records the run's final virtual instant. Without it the
@@ -234,11 +231,9 @@ func (r *Recorder) SetMakespan(d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if d > r.makespan {
 		r.makespan = d
 	}
-	r.mu.Unlock()
 }
 
 // Edges returns a canonically-sorted copy of the recorded edges.
@@ -246,17 +241,15 @@ func (r *Recorder) Edges() []Edge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	out := append([]Edge(nil), r.edges...)
-	r.mu.Unlock()
 	sortEdges(out)
 	return out
 }
 
 // sortEdges imposes the canonical edge order: (Start, End, Track,
-// Cause, Subsystem, Detail, Bytes). Append order under the recorder
-// mutex is scheduler-dependent; this order is a pure function of the
-// edge multiset, which is itself a pure function of the simulation.
+// Cause, Subsystem, Detail, Bytes): a pure function of the edge
+// multiset, so a profile does not change when layers record in another
+// order within an instant.
 func sortEdges(edges []Edge) { sort.Sort(edgeOrder(edges)) }
 
 // edgeOrder sorts 88-byte edges in place through a concrete type: no
@@ -293,6 +286,11 @@ func (e edgeOrder) Less(i, j int) bool {
 // trackLess orders track names with numeric-suffix awareness, so
 // "rank2" sorts before "rank10".
 func trackLess(a, b string) bool {
+	if len(a) == len(b) {
+		// Equal prefixes then leave digit runs of equal length, which
+		// order numerically as they do bytewise.
+		return a < b
+	}
 	pa, na, oka := splitNumericSuffix(a)
 	pb, nb, okb := splitNumericSuffix(b)
 	if oka && okb && pa == pb {

@@ -24,7 +24,7 @@ func almostEq(a, b float64) bool {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Edge{Track: "rank0", Cause: Compute, Start: 0, End: sec(1)})
-	r.ObserveWait("rank0", "sleep", "", 0, sec(1))
+	r.ObserveWait(0, "rank0", "sleep", "", 0, sec(1))
 	r.MarkInit(sec(1))
 	r.MarkEpoch(0, sec(2))
 	r.MarkWindow("w", 0, sec(1))
@@ -162,9 +162,12 @@ func catSeconds(cats []CategoryTotal, c Cause) float64 {
 
 func TestWaitGraphAggregation(t *testing.T) {
 	r := NewRecorder()
-	r.ObserveWait("rank1", "event", "mpi:collective", sec(0), sec(2))
-	r.ObserveWait("rank1", "event", "mpi:collective", sec(3), sec(4))
-	r.ObserveWait("rank0", "sleep", "", sec(0), sec(1))
+	r.ObserveWait(1, "rank1", "event", "mpi:collective", sec(0), sec(2))
+	r.ObserveWait(1, "rank1", "event", "mpi:collective", sec(3), sec(4))
+	r.ObserveWait(0, "rank0", "sleep", "", sec(0), sec(1))
+	// A second process of the same name (a restarted stream, say) folds
+	// into the first one's rows.
+	r.ObserveWait(3, "rank0", "sleep", "", sec(1), sec(3))
 	r.SetMakespan(sec(4))
 	p := r.Profile("t")
 	if len(p.WaitGraph) != 2 {
@@ -174,8 +177,10 @@ func TestWaitGraphAggregation(t *testing.T) {
 	if p.WaitGraph[0].Proc != "rank0" || p.WaitGraph[1].Proc != "rank1" {
 		t.Fatalf("wait graph order = %+v", p.WaitGraph)
 	}
-	if p.WaitGraph[1].Count != 2 || !almostEq(p.WaitGraph[1].Seconds, 3) {
-		t.Fatalf("aggregated edge = %+v", p.WaitGraph[1])
+	for _, e := range p.WaitGraph {
+		if e.Count != 2 || !almostEq(e.Seconds, 3) {
+			t.Fatalf("aggregated edge = %+v, want 2 waits over 3s", e)
+		}
 	}
 }
 
@@ -187,6 +192,9 @@ func TestTrackLess(t *testing.T) {
 		{"rank2", "rank10", true},
 		{"rank10", "rank2", false},
 		{"rank1", "rank1", false},
+		{"rank007", "rank010", true},
+		{"rank10", "rank09", false},
+		{"ab12", "a123", false},
 		{"rank1", "stream:x", true},
 		{"alpha", "beta", true},
 	}
@@ -303,7 +311,7 @@ func sampleProfile() *Profile {
 	r.Record(Edge{Track: "rank0", Cause: Compute, Subsystem: "app", Start: 0, End: sec(4)})
 	r.Record(Edge{Track: "rank0", Cause: PFSTransfer, Subsystem: "pfs",
 		Detail: "pfs:gpfs:write", Start: sec(4), End: sec(10), Bytes: 8 << 20})
-	r.ObserveWait("rank0", "sleep", "", 0, sec(4))
+	r.ObserveWait(0, "rank0", "sleep", "", 0, sec(4))
 	r.MarkEpoch(0, sec(10))
 	r.SetMakespan(sec(10))
 	return r.Profile("sync")

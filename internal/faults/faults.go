@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -97,9 +96,7 @@ const (
 // schedules slowdown windows on the run's clock.
 type Injector struct {
 	spec *Spec
-
-	mu  sync.Mutex
-	ops map[opKey]uint64 // per-(target, proc) op counter for seeded draws
+	ops  map[opKey]uint64 // per-(target, proc) op counter for seeded draws
 
 	mInjected    *metrics.Counter
 	mOutage      *metrics.Counter
@@ -362,15 +359,13 @@ func (c Crash) CrashError() *Error {
 // draw returns a deterministic pseudo-uniform value in [0,1) for the
 // next op of (target, proc). FNV-1a over the spec seed, the target, the
 // process name, and a per-pair op counter — a pure function of the
-// schedule and each process's own op sequence, never of goroutine
-// interleaving or the host process (maphash would not replay across
+// schedule and each process's own op sequence, never of how processes
+// interleave or of the host process (maphash would not replay across
 // processes).
 func (in *Injector) draw(target, proc string) float64 {
 	key := opKey{target: target, proc: proc}
-	in.mu.Lock()
 	n := in.ops[key]
 	in.ops[key] = n + 1
-	in.mu.Unlock()
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

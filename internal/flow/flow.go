@@ -17,7 +17,6 @@ package flow
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"asyncio/internal/vclock"
@@ -48,7 +47,6 @@ const epsBytes = 1e-3
 // Server is a processor-sharing bandwidth server. Construct with
 // NewServer.
 type Server struct {
-	mu    sync.Mutex
 	clk   *vclock.Clock
 	capFn Capacity
 	// flows is kept in arrival order. Iteration order is observable —
@@ -67,7 +65,7 @@ type Server struct {
 	pending bool
 
 	// free holds finished flowStates for reuse and uncapped is
-	// allocateLocked's work list, so a transfer in steady state allocates
+	// allocate's work list, so a transfer in steady state allocates
 	// nothing here. rebalanceFn and timerFn are the bound callbacks, made
 	// once instead of once per AfterFunc.
 	free        []*flowState
@@ -91,11 +89,7 @@ func NewServer(clk *vclock.Clock, capFn Capacity) *Server {
 }
 
 // Active returns the number of in-flight flows.
-func (s *Server) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.flows)
-}
+func (s *Server) Active() int { return len(s.flows) }
 
 // Transfer serves a flow of the given size, blocking p in virtual time
 // until it completes. It returns the virtual time the transfer took.
@@ -111,7 +105,6 @@ func (s *Server) TransferLimited(p *vclock.Proc, bytes int64, maxRate float64) t
 		return 0
 	}
 	start := p.Now()
-	s.mu.Lock()
 	var f *flowState
 	if n := len(s.free); n > 0 {
 		f, s.free = s.free[n-1], s.free[:n-1]
@@ -120,36 +113,31 @@ func (s *Server) TransferLimited(p *vclock.Proc, bytes int64, maxRate float64) t
 	}
 	f.remaining, f.maxRate, f.rate = float64(bytes), maxRate, 0
 	f.done.Init(p.Clock(), "")
-	s.advanceLocked(start)
+	s.advance(start)
 	s.flows = append(s.flows, f)
 	if !s.pending {
 		s.pending = true
 		s.clk.AfterFunc(0, s.rebalanceFn)
 	}
-	s.mu.Unlock()
 	f.done.Wait(p)
 	// Only a waiter that returned normally recycles its flow: the server
 	// fired it, so it has left s.flows. A killed waiter unwinds past this
 	// while its flow may still be in service.
-	s.mu.Lock()
 	s.free = append(s.free, f)
-	s.mu.Unlock()
 	return p.Now() - start
 }
 
 // onRebalance runs once per instant with batched arrivals and
 // recomputes the allocation.
 func (s *Server) onRebalance(now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pending = false
-	s.advanceLocked(now)
-	s.rescheduleLocked(now)
+	s.advance(now)
+	s.reschedule(now)
 }
 
-// advanceLocked drains served bytes for the interval [s.last, now] at the
+// advance drains served bytes for the interval [s.last, now] at the
 // rates allocated at s.last, then moves the accounting point to now.
-func (s *Server) advanceLocked(now time.Duration) {
+func (s *Server) advance(now time.Duration) {
 	if now <= s.last {
 		return
 	}
@@ -160,9 +148,9 @@ func (s *Server) advanceLocked(now time.Duration) {
 	s.last = now
 }
 
-// rescheduleLocked fires finished flows, reallocates rates, and arms the
+// reschedule fires finished flows, reallocates rates, and arms the
 // completion timer for the next departure.
-func (s *Server) rescheduleLocked(now time.Duration) {
+func (s *Server) reschedule(now time.Duration) {
 	live := s.flows[:0]
 	for _, f := range s.flows {
 		if f.remaining <= epsBytes {
@@ -182,7 +170,7 @@ func (s *Server) rescheduleLocked(now time.Duration) {
 	if len(s.flows) == 0 {
 		return
 	}
-	s.allocateLocked()
+	s.allocate()
 	next := math.Inf(1)
 	for _, f := range s.flows {
 		if f.rate <= 0 {
@@ -206,9 +194,7 @@ func (s *Server) rescheduleLocked(now time.Duration) {
 }
 
 func (s *Server) onTimer(now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked(now)
+	s.advance(now)
 	// Absorb sub-epsilon residue from Duration truncation: the earliest
 	// flow may be a hair short of done. Treat anything within one
 	// nanosecond of service as complete.
@@ -227,12 +213,12 @@ func (s *Server) onTimer(now time.Duration) {
 			}
 		}
 	}
-	s.rescheduleLocked(now)
+	s.reschedule(now)
 }
 
-// allocateLocked distributes capFn(n) across flows by water-filling
+// allocate distributes capFn(n) across flows by water-filling
 // around per-flow caps.
-func (s *Server) allocateLocked() {
+func (s *Server) allocate() {
 	n := len(s.flows)
 	capacity := s.capFn(n)
 	uncapped := s.uncapped[:0]

@@ -30,9 +30,7 @@ func (o *object) setAttr(tp *TransferProps, name string, dtype Datatype, space *
 		return fmt.Errorf("hdf5: attribute %q data is %d bytes, space needs %d", name, len(data), want)
 	}
 	f := o.f
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return err
 	}
 	entry := attrEntry{
@@ -52,16 +50,13 @@ func (o *object) setAttr(tp *TransferProps, name string, dtype Datatype, space *
 	if !replaced {
 		o.attrs = append(o.attrs, entry)
 	}
-	f.mu.Unlock()
 	f.driver.MetaOp(tp.proc())
 	return nil
 }
 
 func (o *object) attr(tp *TransferProps, name string) (Attribute, error) {
 	f := o.f
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return Attribute{}, err
 	}
 	for _, a := range o.attrs {
@@ -72,12 +67,10 @@ func (o *object) attr(tp *TransferProps, name string) (Attribute, error) {
 				Space: &Dataspace{dims: a.shape.Dims()},
 				Data:  append([]byte(nil), a.data...),
 			}
-			f.mu.Unlock()
 			f.driver.MetaOp(tp.proc())
 			return out, nil
 		}
 	}
-	f.mu.Unlock()
 	return Attribute{}, fmt.Errorf("%w: attribute %q", ErrNotFound, name)
 }
 

@@ -337,8 +337,6 @@ func (d *Dataset) chunkNBytes() int64 {
 // chunks when allocate is false.
 func (d *Dataset) chunkAddr(key chunkKey, chunkBytes int64, allocate bool) (int64, error) {
 	f := d.o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if ce, ok := d.o.lay.chunks.Get(key); ok {
 		return ce.addr, nil
 	}
@@ -362,20 +360,16 @@ func (d *Dataset) Extend(tp *TransferProps, newDims []uint64) error {
 	if !d.o.lay.chunked {
 		return fmt.Errorf("hdf5: Extend on contiguous dataset (chunked layout required)")
 	}
-	f.mu.Lock()
 	old := d.o.shape.dims
 	if len(newDims) != len(old) {
-		f.mu.Unlock()
 		return fmt.Errorf("hdf5: Extend rank %d vs dataset rank %d", len(newDims), len(old))
 	}
 	for i, nv := range newDims {
 		if nv < old[i] {
-			f.mu.Unlock()
 			return fmt.Errorf("hdf5: Extend would shrink dim %d (%d -> %d)", i, old[i], nv)
 		}
 	}
 	d.o.shape.dims = append([]uint64(nil), newDims...)
-	f.mu.Unlock()
 	f.driver.MetaOp(tp.proc())
 	return nil
 }
@@ -386,8 +380,5 @@ func (d *Dataset) NumChunks() int {
 	if !d.o.lay.chunked {
 		return 0
 	}
-	f := d.o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return d.o.lay.chunks.Len()
 }

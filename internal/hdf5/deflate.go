@@ -82,9 +82,7 @@ func (d *Dataset) readDeflate(fspace *Dataspace, buf []byte) error {
 func (d *Dataset) loadChunkDeflate(key chunkKey) ([]byte, error) {
 	f := d.o.f
 	raw := make([]byte, d.chunkNBytes())
-	f.mu.Lock()
 	ce, ok := d.o.lay.chunks.Get(key)
-	f.mu.Unlock()
 	if !ok {
 		return raw, nil
 	}
@@ -115,10 +113,8 @@ func (d *Dataset) storeChunkDeflate(key chunkKey, chunk []byte) error {
 		return fmt.Errorf("hdf5: deflating chunk: %w", err)
 	}
 	f := d.o.f
-	f.mu.Lock()
 	addr := f.alloc(int64(comp.Len()))
 	d.o.lay.chunks.Put(key, chunkEntry{addr: addr, size: int64(comp.Len())})
-	f.mu.Unlock()
 	if _, err := f.store.WriteAt(comp.Bytes(), addr); err != nil {
 		return fmt.Errorf("hdf5: write compressed chunk: %w", err)
 	}
@@ -131,9 +127,6 @@ func (d *Dataset) Deflated() bool { return d.o.lay.deflate }
 // StoredBytes returns the bytes of allocated raw storage: the contiguous
 // extent, or the sum of (possibly compressed) chunk sizes.
 func (d *Dataset) StoredBytes() int64 {
-	f := d.o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if !d.o.lay.chunked {
 		return d.o.lay.size
 	}

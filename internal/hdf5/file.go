@@ -1,11 +1,8 @@
 package hdf5
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"asyncio/internal/vclock"
+	"fmt"
 )
 
 const (
@@ -15,15 +12,15 @@ const (
 )
 
 // File is an open container. One File may be shared by many simulated
-// ranks: metadata operations are serialized internally, raw data
-// transfers to disjoint regions proceed concurrently.
+// ranks of one run; time charges (metadata operations, the store sync)
+// are made after the bookkeeping they pay for, so another rank that
+// runs while the payer sleeps sees the file consistent.
 type File struct {
-	mu     sync.Mutex
 	store  Store
 	driver Driver
 	eof    int64
 	root   *object
-	closed atomic.Bool
+	closed bool
 }
 
 // FileOption configures Create and Open.
@@ -102,18 +99,14 @@ func (f *File) alloc(n int64) int64 {
 }
 
 // Flush serializes all loaded metadata and the superblock to the store.
-// The time cost is charged as one metadata operation per flushed object,
-// after the lock is released (time charges never run under f.mu); the
-// store sync — the fsync barrier — also runs after the lock drops, so a
-// ProcSyncer store may sleep the flushing process for its modeled cost.
+// The time cost is charged as one metadata operation per flushed object;
+// the store sync — the fsync barrier — follows, and a ProcSyncer store
+// sleeps the flushing process for its modeled cost.
 func (f *File) Flush(tp *TransferProps) error {
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return err
 	}
-	nops, err := f.flushLocked()
-	f.mu.Unlock()
+	nops, err := f.flushMeta()
 	f.chargeMeta(tp, nops)
 	if err != nil {
 		return err
@@ -128,9 +121,7 @@ type ProcSyncer interface {
 	SyncOn(p *vclock.Proc) error
 }
 
-// syncStore issues the store's durability barrier on behalf of tp. Must
-// be called without f.mu held: a charged sync sleeps the process, and
-// virtual time cannot advance while other ranks spin on the file lock.
+// syncStore issues the store's durability barrier on behalf of tp.
 func (f *File) syncStore(tp *TransferProps) error {
 	if ps, ok := f.store.(ProcSyncer); ok {
 		return ps.SyncOn(tp.proc())
@@ -138,10 +129,9 @@ func (f *File) syncStore(tp *TransferProps) error {
 	return f.store.Sync()
 }
 
-// flushLocked writes all metadata and returns how many metadata
-// operations to charge. Caller holds f.mu; the store sync is the
-// caller's job (syncStore, outside the lock).
-func (f *File) flushLocked() (int, error) {
+// flushMeta writes all metadata and returns how many metadata
+// operations to charge; the store sync is the caller's job.
+func (f *File) flushMeta() (int, error) {
 	nops := 0
 	if err := f.writeObject(f.root, &nops); err != nil {
 		return nops, err
@@ -229,16 +219,13 @@ func (f *File) loadObject(addr int64) (*object, error) {
 // Close flushes metadata and marks the file closed. The Store is not
 // closed; the caller owns it.
 func (f *File) Close(tp *TransferProps) error {
-	f.mu.Lock()
-	if f.closed.Load() {
-		f.mu.Unlock()
+	if f.closed {
 		return nil
 	}
-	nops, err := f.flushLocked()
+	nops, err := f.flushMeta()
 	if err == nil {
-		f.closed.Store(true)
+		f.closed = true
 	}
-	f.mu.Unlock()
 	f.chargeMeta(tp, nops)
 	if err != nil {
 		return err
@@ -251,11 +238,10 @@ func (f *File) Close(tp *TransferProps) error {
 func (f *File) Store() Store { return f.store }
 
 // Closed reports whether the file has been closed.
-func (f *File) Closed() bool { return f.closed.Load() }
+func (f *File) Closed() bool { return f.closed }
 
-// checkOpen is safe to call with or without f.mu held.
 func (f *File) checkOpen() error {
-	if f.closed.Load() {
+	if f.closed {
 		return ErrClosed
 	}
 	return nil

@@ -74,26 +74,20 @@ func (g *Group) CreateGroup(tp *TransferProps, name string) (*Group, error) {
 		return nil, err
 	}
 	f := g.o.f
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return nil, err
 	}
 	if _, exists := g.o.links.Get(name); exists {
-		f.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	child := &object{f: f, kind: kindGroup, links: newLinkTable()}
 	g.o.links.Put(name, &link{name: name, kind: kindGroup, obj: child})
-	f.mu.Unlock()
-	// Time charges never run under f.mu: a virtual-time sleep while
-	// holding a real mutex would wedge the whole simulation.
 	f.driver.MetaOp(tp.proc())
 	return &Group{o: child, path: joinPath(g.path, name)}, nil
 }
 
-// resolveLocked walks one path component, loading it from disk if needed.
-func (g *Group) resolveLocked(name string) (*object, error) {
+// resolve walks one path component, loading it from disk if needed.
+func (g *Group) resolve(name string) (*object, error) {
 	l, ok := g.o.links.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -112,9 +106,7 @@ func (g *Group) resolveLocked(name string) (*object, error) {
 // and repeated slashes are tolerated.
 func (g *Group) walk(tp *TransferProps, path string) (*object, error) {
 	f := g.o.f
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return nil, err
 	}
 	cur := g.o
@@ -137,7 +129,7 @@ func (g *Group) walk(tp *TransferProps, path string) (*object, error) {
 			walkErr = fmt.Errorf("hdf5: %q is not a group", part)
 			break
 		}
-		o, err := (&Group{o: cur}).resolveLocked(part)
+		o, err := (&Group{o: cur}).resolve(part)
 		if err != nil {
 			walkErr = err
 			break
@@ -145,7 +137,6 @@ func (g *Group) walk(tp *TransferProps, path string) (*object, error) {
 		hops++
 		cur = o
 	}
-	f.mu.Unlock()
 	for i := 0; i < hops; i++ {
 		f.driver.MetaOp(tp.proc())
 	}
@@ -182,9 +173,6 @@ func (g *Group) OpenDataset(tp *TransferProps, path string) (*Dataset, error) {
 
 // List returns the names of direct children in lexicographic order.
 func (g *Group) List() []string {
-	f := g.o.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]string, 0, g.o.links.Len())
 	g.o.links.Ascend(func(name string, _ *link) bool {
 		out = append(out, name)
@@ -207,13 +195,10 @@ func (g *Group) CreateDataset(tp *TransferProps, name string, dtype Datatype, sp
 		return nil, fmt.Errorf("hdf5: nil dataspace")
 	}
 	f := g.o.f
-	f.mu.Lock()
 	if err := f.checkOpen(); err != nil {
-		f.mu.Unlock()
 		return nil, err
 	}
 	if _, exists := g.o.links.Get(name); exists {
-		f.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	ds := &object{
@@ -224,18 +209,15 @@ func (g *Group) CreateDataset(tp *TransferProps, name string, dtype Datatype, sp
 	}
 	if props != nil && props.ChunkDims != nil {
 		if len(props.ChunkDims) != space.NDims() {
-			f.mu.Unlock()
 			return nil, fmt.Errorf("hdf5: chunk rank %d vs dataspace rank %d",
 				len(props.ChunkDims), space.NDims())
 		}
 		if len(props.ChunkDims) > maxRank {
-			f.mu.Unlock()
 			return nil, fmt.Errorf("hdf5: chunked rank %d exceeds maximum %d",
 				len(props.ChunkDims), maxRank)
 		}
 		for d, c := range props.ChunkDims {
 			if c == 0 {
-				f.mu.Unlock()
 				return nil, fmt.Errorf("hdf5: zero chunk dimension %d", d)
 			}
 		}
@@ -246,14 +228,12 @@ func (g *Group) CreateDataset(tp *TransferProps, name string, dtype Datatype, sp
 			chunks:    newChunkIndex(),
 		}
 	} else if props != nil && props.Deflate {
-		f.mu.Unlock()
 		return nil, fmt.Errorf("hdf5: the deflate filter requires chunked layout")
 	} else {
 		size := int64(space.Extent()) * int64(dtype.Size)
 		ds.lay = layout{addr: f.alloc(size), size: size}
 	}
 	g.o.links.Put(name, &link{name: name, kind: kindDataset, obj: ds})
-	f.mu.Unlock()
 	f.driver.MetaOp(tp.proc())
 	return &Dataset{o: ds, in: g, rel: name}, nil
 }

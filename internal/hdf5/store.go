@@ -18,12 +18,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
-// Store is the byte-addressable backing a File lives in. Implementations
-// must be safe for concurrent use: parallel ranks write disjoint regions
-// of raw data concurrently.
+// Store is the byte-addressable backing a File lives in. The ranks of a
+// run share one; they are processes of one clock, so an implementation
+// needs no locking of its own.
 type Store interface {
 	io.ReaderAt
 	io.WriterAt
@@ -38,7 +37,6 @@ type Store interface {
 // MemStore is an in-memory Store. The zero value is an empty store ready
 // to use.
 type MemStore struct {
-	mu  sync.RWMutex
 	buf []byte
 }
 
@@ -51,8 +49,6 @@ func (m *MemStore) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("hdf5: negative read offset %d", off)
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if off >= int64(len(m.buf)) {
 		return 0, io.EOF
 	}
@@ -68,32 +64,24 @@ func (m *MemStore) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("hdf5: negative write offset %d", off)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	end := off + int64(len(p))
-	if end > int64(len(m.buf)) {
-		grown := make([]byte, end)
-		copy(grown, m.buf)
-		m.buf = grown
+	if n := end - int64(len(m.buf)); n > 0 {
+		// append's amortised growth: extending the store write by write
+		// must not copy it whole each time.
+		m.buf = append(m.buf, make([]byte, n)...)
 	}
 	copy(m.buf[off:end], p)
 	return len(p), nil
 }
 
 // Size returns the store extent.
-func (m *MemStore) Size() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return int64(len(m.buf))
-}
+func (m *MemStore) Size() int64 { return int64(len(m.buf)) }
 
 // Truncate sets the extent.
 func (m *MemStore) Truncate(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("hdf5: negative truncate %d", n)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if n <= int64(len(m.buf)) {
 		m.buf = m.buf[:n]
 	} else {
@@ -161,7 +149,6 @@ func (s *FileStore) Close() error { return s.f.Close() }
 // store. Metadata durability is obviously lost: files on a NullStore
 // cannot be re-opened.
 type NullStore struct {
-	mu   sync.Mutex
 	size int64
 }
 
@@ -170,9 +157,7 @@ func NewNullStore() *NullStore { return &NullStore{} }
 
 // ReadAt returns zeros within the extent.
 func (n *NullStore) ReadAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
 	size := n.size
-	n.mu.Unlock()
 	if off >= size {
 		return 0, io.EOF
 	}
@@ -192,26 +177,18 @@ func (n *NullStore) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt discards data, extending the tracked size.
 func (n *NullStore) WriteAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
 	if end := off + int64(len(p)); end > n.size {
 		n.size = end
 	}
-	n.mu.Unlock()
 	return len(p), nil
 }
 
 // Size returns the tracked extent.
-func (n *NullStore) Size() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.size
-}
+func (n *NullStore) Size() int64 { return n.size }
 
 // Truncate sets the tracked extent.
 func (n *NullStore) Truncate(sz int64) error {
-	n.mu.Lock()
 	n.size = sz
-	n.mu.Unlock()
 	return nil
 }
 

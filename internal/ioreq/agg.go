@@ -2,8 +2,6 @@ package ioreq
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"asyncio/internal/hdf5"
 	"asyncio/internal/vclock"
@@ -57,14 +55,9 @@ type AggStats struct {
 type AggStage struct {
 	cfg AggConfig
 
-	mu      sync.Mutex
 	pending map[aggKey]*aggChain
 	seq     int64 // stamps chains with creation order for Flush
-
-	buffered    atomic.Int64
-	dispatched  atomic.Int64
-	absorbed    atomic.Int64
-	passthrough atomic.Int64
+	stats   AggStats
 }
 
 type aggKey struct {
@@ -87,14 +80,7 @@ func NewAgg(cfg AggConfig) *AggStage {
 func (a *AggStage) Name() string { return "aggregate" }
 
 // Stats returns the stage's counters.
-func (a *AggStage) Stats() AggStats {
-	return AggStats{
-		Buffered:    a.buffered.Load(),
-		Dispatched:  a.dispatched.Load(),
-		Absorbed:    a.absorbed.Load(),
-		Passthrough: a.passthrough.Load(),
-	}
-}
+func (a *AggStage) Stats() AggStats { return a.stats }
 
 // eligible reports whether req can join an aggregation chain: a write
 // of at least one byte to a 1-D dataset through a single contiguous
@@ -116,7 +102,7 @@ func (a *AggStage) eligible(req *Request) bool {
 // flush/close).
 func (a *AggStage) Process(req *Request, next func(*Request) error) error {
 	if !a.eligible(req) {
-		a.passthrough.Add(1)
+		a.stats.Passthrough++
 		return next(req)
 	}
 	// The request outlives this call; detach the selection from the
@@ -124,9 +110,8 @@ func (a *AggStage) Process(req *Request, next func(*Request) error) error {
 	if req.Space != nil {
 		req.Space = req.Space.Copy()
 	}
-	a.buffered.Add(1)
+	a.stats.Buffered++
 	k := aggKey{uid: req.Dataset.UID(), op: req.Op}
-	a.mu.Lock()
 	ch := a.pending[k]
 	if ch == nil {
 		a.seq++
@@ -134,29 +119,23 @@ func (a *AggStage) Process(req *Request, next func(*Request) error) error {
 		a.pending[k] = ch
 	}
 	ch.reqs = append(ch.reqs, req)
-	full := len(ch.reqs) >= a.cfg.MaxRequests
-	if full {
-		delete(a.pending, k)
-	}
-	// Never dispatch under the lock: dispatch charges virtual time
-	// (Proc.Sleep), and sleeping while holding a real mutex would wedge
-	// every other rank's Process behind this one's transfer.
-	a.mu.Unlock()
-	if !full {
+	if len(ch.reqs) < a.cfg.MaxRequests {
 		return nil
 	}
+	// The full chain leaves the table before it dispatches: dispatch
+	// charges virtual time (Proc.Sleep), and other ranks' requests arriving
+	// meanwhile start a new chain.
+	delete(a.pending, k)
 	return a.dispatch(ch, req.Proc, next)
 }
 
 // Flush implements Stage: every partial chain dispatches, charged to p.
 func (a *AggStage) Flush(p *vclock.Proc, next func(*Request) error) error {
-	a.mu.Lock()
 	chains := make([]*aggChain, 0, len(a.pending))
-	for k, ch := range a.pending {
-		delete(a.pending, k)
+	for _, ch := range a.pending {
 		chains = append(chains, ch)
 	}
-	a.mu.Unlock()
+	clear(a.pending)
 	// Dispatch order is observable (each dispatch charges virtual time
 	// to p); map order is not deterministic, chain creation order is.
 	sort.Slice(chains, func(i, j int) bool { return chains[i].seq < chains[j].seq })
@@ -193,7 +172,7 @@ func (a *AggStage) dispatch(ch *aggChain, p *vclock.Proc, next func(*Request) er
 			out = merged
 		}
 		out.Proc = p
-		a.dispatched.Add(1)
+		a.stats.Dispatched++
 		if err := next(out); err != nil && first == nil {
 			first = err
 		}
@@ -252,7 +231,7 @@ func (a *AggStage) merge(group []*Request, p *vclock.Proc) (*Request, error) {
 		r.Span.EventOn("ioreq:agg:absorbed", r.Bytes(), at, track)
 	}
 	m.Span.EventOn("ioreq:agg:merged", nbytes, at, track)
-	a.absorbed.Add(int64(len(group) - 1))
+	a.stats.Absorbed += int64(len(group) - 1)
 	return m, nil
 }
 

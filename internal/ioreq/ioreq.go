@@ -129,16 +129,18 @@ func (r *Request) Contiguous() (Run, bool) {
 // next to pass it (or derived requests) downstream; a stage may buffer
 // the request and call next later from another Process or from Flush.
 // Flush dispatches anything buffered, charging time to p — the process
-// of the goroutine actually performing the flush.
+// actually performing the flush.
 type Stage interface {
 	Name() string
 	Process(req *Request, next func(*Request) error) error
 	Flush(p *vclock.Proc, next func(*Request) error) error
 }
 
-// Pipeline chains stages over a terminal dispatch function. Do and
-// Flush are safe for concurrent callers as long as every stage is
-// (the built-in stages are).
+// Pipeline chains stages over a terminal dispatch function. A pipeline
+// whose stages hold no state (the standard validate → resolve → execute,
+// which is vol's process-wide default) may serve procs of several clocks
+// at once; one with a stateful stage (AggStage, retry, consistency)
+// belongs to one clock.
 type Pipeline struct {
 	stages   []Stage
 	terminal func(*Request) error

@@ -32,9 +32,9 @@ func (r *Registry) WriteCSV(w io.Writer, label string) error {
 	}
 	final := r.now().Seconds()
 	for _, name := range r.Names() {
-		r.mu.Lock()
+		r.lock()
 		c, g, h := r.counts[name], r.gauges[name], r.hists[name]
-		r.mu.Unlock()
+		r.unlock()
 		switch {
 		case c != nil:
 			for _, s := range c.Series() {

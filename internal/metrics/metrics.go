@@ -7,10 +7,15 @@
 // Instruments record change points rather than being polled: every
 // update appends (virtual time, value) to the instrument's series (when
 // series recording is enabled), which is exactly the step function a
-// counter track in a trace viewer wants. Updates from processes that are
-// concurrent at the same virtual instant coalesce to one point holding
-// the instant's final value, keeping exports deterministic regardless of
-// goroutine scheduling.
+// counter track in a trace viewer wants. Updates from processes at the
+// same virtual instant coalesce to one point holding the instant's final
+// value.
+//
+// A registry bound to a clock (NewRegistry) is confined, like the clock,
+// to the goroutine that calls Wait, and takes no lock. The wall-clock
+// registry a service instruments itself with (NewRegistryWithNow) is
+// updated by workers while an exporter reads it; it serialises every
+// operation through one registry-wide mutex.
 //
 // All instrument methods are safe on a nil receiver and a nil *Registry
 // returns nil instruments, so instrumented code records unconditionally
@@ -21,11 +26,10 @@
 // observability tests):
 //
 //   - Counter.Add and Gauge.Add are order-independent, so any number of
-//     same-instant concurrent writers stay deterministic as long as Gauge
-//     deltas are integral (float64 sums of integers are exact).
+//     same-instant writers stay deterministic as long as Gauge deltas are
+//     integral (float64 sums of integers are exact).
 //   - Gauge.Set must have a single writer per instant (setup-time
-//     configuration, or an OnChange hook of another gauge, which runs
-//     under that gauge's update lock).
+//     configuration, or an OnChange hook of another gauge).
 //   - Histogram statistics are computed from value-sorted samples, so
 //     observation order never matters.
 package metrics
@@ -65,7 +69,8 @@ type Registry struct {
 	// construct with NewRegistryWithNow.
 	nowFn func() time.Duration
 
-	mu     sync.Mutex
+	// mu is nil on a clock-bound registry; see lock.
+	mu     *sync.Mutex
 	series bool
 	counts map[string]*Counter
 	gauges map[string]*Gauge
@@ -91,19 +96,24 @@ func (r *Registry) EnableSeries() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.series = true
-	r.mu.Unlock()
 }
 
 // SeriesEnabled reports whether change-point series are being recorded.
-func (r *Registry) SeriesEnabled() bool {
-	if r == nil {
-		return false
+func (r *Registry) SeriesEnabled() bool { return r != nil && r.series }
+
+// lock serialises an operation on a wall-clock registry or one of its
+// instruments; on a clock-bound registry it does nothing.
+func (r *Registry) lock() {
+	if r.mu != nil {
+		r.mu.Lock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.series
+}
+
+func (r *Registry) unlock() {
+	if r.mu != nil {
+		r.mu.Unlock()
+	}
 }
 
 // NewRegistryWithNow returns a registry stamping observations with the
@@ -115,6 +125,7 @@ func (r *Registry) SeriesEnabled() bool {
 func NewRegistryWithNow(now func() time.Duration) *Registry {
 	r := NewRegistry(nil)
 	r.nowFn = now
+	r.mu = new(sync.Mutex)
 	return r
 }
 
@@ -142,8 +153,8 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	c := r.counts[name]
 	if c == nil {
 		c = &Counter{reg: r, name: name}
@@ -157,8 +168,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{reg: r, name: name}
@@ -172,8 +183,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{reg: r, name: name}
@@ -189,8 +200,8 @@ func (r *Registry) FindCounter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return r.counts[name]
 }
 
@@ -199,8 +210,8 @@ func (r *Registry) FindGauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return r.gauges[name]
 }
 
@@ -210,8 +221,8 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return r.hists[name]
 }
 
@@ -220,8 +231,8 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	out := make([]string, 0, len(r.counts)+len(r.gauges)+len(r.hists))
 	for n := range r.counts {
 		out = append(out, n)
@@ -237,7 +248,7 @@ func (r *Registry) Names() []string {
 }
 
 // series is the shared change-point recording behind counters and
-// gauges. Callers hold the owning instrument's mutex.
+// gauges.
 type series struct {
 	points []Sample
 }
@@ -256,10 +267,8 @@ func (s *series) record(at time.Duration, v float64) {
 type Counter struct {
 	reg  *Registry
 	name string
-
-	mu  sync.Mutex
-	v   int64
-	ser series
+	v    int64
+	ser  series
 }
 
 // Add increments the counter by n (n < 0 is ignored — counters are
@@ -268,14 +277,14 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
-	at := c.reg.now()
-	recording := c.reg.SeriesEnabled()
-	c.mu.Lock()
+	r := c.reg
+	at := r.now()
+	r.lock()
 	c.v += n
-	if recording {
+	if r.series {
 		c.ser.record(at, float64(c.v))
 	}
-	c.mu.Unlock()
+	r.unlock()
 }
 
 // Value returns the current count.
@@ -283,8 +292,8 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.reg.lock()
+	defer c.reg.unlock()
 	return c.v
 }
 
@@ -293,8 +302,8 @@ func (c *Counter) Series() []Sample {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.reg.lock()
+	defer c.reg.unlock()
 	return append([]Sample(nil), c.ser.points...)
 }
 
@@ -304,7 +313,6 @@ type Gauge struct {
 	reg  *Registry
 	name string
 
-	mu       sync.Mutex
 	v        float64
 	ser      series
 	onChange func(at time.Duration, v float64)
@@ -319,41 +327,37 @@ type Gauge struct {
 	maxHeld float64
 }
 
-// OnChange registers fn to run after every update, under the gauge's
-// update lock with the post-update value. Use it to maintain a gauge
-// derived from this one (e.g. effective bandwidth from an in-flight
-// count): because the hook runs in value-update order, the derived
-// series coalesces deterministically. fn must not touch g itself.
+// OnChange registers fn to run after every update with the post-update
+// value. Use it to maintain a gauge derived from this one (e.g.
+// effective bandwidth from an in-flight count): on a clock-bound
+// registry the hook runs in value-update order, so the derived series
+// coalesces deterministically. Register before the run; fn must not
+// touch g itself.
 func (g *Gauge) OnChange(fn func(at time.Duration, v float64)) {
-	if g == nil {
-		return
+	if g != nil {
+		g.onChange = fn
 	}
-	g.mu.Lock()
-	g.onChange = fn
-	g.mu.Unlock()
 }
 
-// Add shifts the gauge by d. Concurrent same-instant adds must use
-// integral deltas to stay deterministic. No-op on nil.
+// Add shifts the gauge by d. Same-instant adds must use integral deltas
+// to stay deterministic. No-op on nil.
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
+	if g != nil {
+		g.update(d, false)
 	}
-	g.update(func(v float64) float64 { return v + d })
 }
 
 // Set replaces the gauge's value. Single writer per instant.
 func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
+	if g != nil {
+		g.update(v, true)
 	}
-	g.update(func(float64) float64 { return v })
 }
 
-func (g *Gauge) update(f func(float64) float64) {
-	at := g.reg.now()
-	recording := g.reg.SeriesEnabled()
-	g.mu.Lock()
+func (g *Gauge) update(x float64, set bool) {
+	r := g.reg
+	at := r.now()
+	r.lock()
 	if at > g.lastAt {
 		g.area += g.v * (at - g.lastAt).Seconds()
 		if g.v > g.maxHeld {
@@ -361,19 +365,21 @@ func (g *Gauge) update(f func(float64) float64) {
 		}
 		g.lastAt = at
 	}
-	g.v = f(g.v)
-	if recording {
-		g.ser.record(at, g.v)
+	if set {
+		g.v = x
+	} else {
+		g.v += x
 	}
-	hook := g.onChange
 	v := g.v
-	if hook != nil {
-		// Run under g.mu so derived updates happen in this gauge's
-		// value order; the hook updates a *different* gauge, so the
-		// nested lock is ordered and cannot cycle.
-		hook(at, v)
+	if r.series {
+		g.ser.record(at, v)
 	}
-	g.mu.Unlock()
+	r.unlock()
+	// The hook updates another gauge of the registry, so it runs with the
+	// registry's mutex, if there is one, released.
+	if g.onChange != nil {
+		g.onChange(at, v)
+	}
 }
 
 // Value returns the current value.
@@ -381,8 +387,8 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.reg.lock()
+	defer g.reg.unlock()
 	return g.v
 }
 
@@ -396,8 +402,8 @@ func (g *Gauge) TimeWeightedStats(end time.Duration) (mean, max float64) {
 	if g == nil {
 		return 0, 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.reg.lock()
+	defer g.reg.unlock()
 	max = g.maxHeld
 	if g.v > max {
 		max = g.v
@@ -418,8 +424,8 @@ func (g *Gauge) Series() []Sample {
 	if g == nil {
 		return nil
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.reg.lock()
+	defer g.reg.unlock()
 	return append([]Sample(nil), g.ser.points...)
 }
 
@@ -430,7 +436,6 @@ type Histogram struct {
 	reg  *Registry
 	name string
 
-	mu      sync.Mutex
 	samples []float64
 }
 
@@ -440,9 +445,9 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	h.mu.Lock()
+	h.reg.lock()
 	h.samples = append(h.samples, v)
-	h.mu.Unlock()
+	h.reg.unlock()
 }
 
 // Count returns the number of observations.
@@ -450,8 +455,8 @@ func (h *Histogram) Count() int {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.reg.lock()
+	defer h.reg.unlock()
 	return len(h.samples)
 }
 
@@ -468,9 +473,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	h.mu.Lock()
+	h.reg.lock()
 	sorted := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
+	h.reg.unlock()
 	if len(sorted) == 0 {
 		return HistSnapshot{}
 	}

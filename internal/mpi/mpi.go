@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -53,30 +52,25 @@ func DefaultCosts() Costs {
 
 // World is the shared state behind a set of ranks.
 type World struct {
-	mu      sync.Mutex
 	clk     *vclock.Clock
 	size    int
 	costs   Costs
 	colls   map[int64]*collSlot
 	boxes   map[msgKey]*mailbox
 	procs   []*vclock.Proc // rank → process, for Kill; nil until the rank starts
-	done    int            // ranks whose goroutine has returned
+	done    int            // ranks whose process has returned
 	abort   error
 	abortAt time.Duration
 	abortBy int
 	aborted bool
 }
 
-// Finished reports whether every rank goroutine has returned (normally,
+// Finished reports whether every rank process has returned (normally,
 // by abort, or by kill). Crash schedulers use it to turn a crash firing
 // after the application completed into a no-op.
-func (w *World) Finished() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.done == w.size
-}
+func (w *World) Finished() bool { return w.done == w.size }
 
-// abortPanic unwinds a rank goroutine after the world aborts, mirroring
+// abortPanic unwinds a rank process after the world aborts, mirroring
 // MPI_Abort's termination semantics. Recovered by the rank wrapper.
 type abortPanic struct{}
 
@@ -125,18 +119,10 @@ func Run(clk *vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
 		boxes: make(map[msgKey]*mailbox),
 		procs: make([]*vclock.Proc, size),
 	}
-	// Holding the clock pins virtual time, so the spawn loop cannot race
-	// the first ranks into a false deadlock.
-	release := clk.Hold()
-	defer release()
 	for r := 0; r < size; r++ {
 		c := &Comm{w: w, rank: r}
 		clk.Go(fmt.Sprintf("rank%d", r), func(p *vclock.Proc) {
-			defer func() {
-				w.mu.Lock()
-				w.done++
-				w.mu.Unlock()
-			}()
+			defer func() { w.done++ }()
 			defer func() {
 				if r := recover(); r != nil {
 					switch r.(type) {
@@ -147,9 +133,7 @@ func Run(clk *vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
 				}
 			}()
 			c.p = p
-			w.mu.Lock()
 			w.procs[c.rank] = p
-			w.mu.Unlock()
 			fn(c)
 		})
 	}
@@ -169,7 +153,7 @@ func (c *Comm) Proc() *vclock.Proc { return c.p }
 // a collective or receive — those ranks unwind like MPI_Abort. The
 // earliest failure in virtual time wins, ties broken by rank, so the
 // reported error is a function of the simulation alone: ranks failing at
-// the same virtual instant race to call Abort, and goroutine arrival
+// the same virtual instant all call Abort, and arrival
 // order must not pick the winner. Use World.Err after clk.Wait to check
 // the run.
 func (c *Comm) Abort(err error) {
@@ -179,27 +163,24 @@ func (c *Comm) Abort(err error) {
 // abortAs records an abort attributed to rank at virtual time now and
 // releases every blocked rank (earliest time wins, lowest rank on ties).
 func (w *World) abortAs(now time.Duration, rank int, err error) {
-	w.mu.Lock()
 	if w.abort == nil || now < w.abortAt || (now == w.abortAt && rank < w.abortBy) {
 		w.abort = fmt.Errorf("rank %d: %w", rank, err)
 		w.abortAt = now
 		w.abortBy = rank
 	}
 	w.aborted = true
-	evs := w.abortEventsLocked()
-	w.mu.Unlock()
-	for _, ev := range evs {
+	for _, ev := range w.abortEvents() {
 		ev.Fire()
 	}
 }
 
-// abortEventsLocked collects (and clears) every event a rank is blocked
-// on — collective rendezvous and receive waits. Caller holds w.mu and
-// fires the events after releasing it. The collection order is part of
+// abortEvents collects (and clears) every event a rank is blocked
+// on — collective rendezvous and receive waits — for the caller to
+// fire. The collection order is part of
 // the simulation's output (it decides the order blocked ranks unwind),
 // so both maps are walked in sorted key order — never in Go's
 // randomized map order.
-func (w *World) abortEventsLocked() []*vclock.Event {
+func (w *World) abortEvents() []*vclock.Event {
 	var evs []*vclock.Event
 	collKeys := make([]int64, 0, len(w.colls))
 	for key := range w.colls {
@@ -244,10 +225,7 @@ func (w *World) Kill(rank int, err error) {
 	if rank < 0 || rank >= w.size {
 		return
 	}
-	w.mu.Lock()
-	victim := w.procs[rank]
-	w.mu.Unlock()
-	if victim != nil {
+	if victim := w.procs[rank]; victim != nil {
 		// Kill before firing abort events so the victim dies as a crash
 		// (Killed) rather than unwinding like a surviving rank.
 		victim.Kill(err)
@@ -256,21 +234,14 @@ func (w *World) Kill(rank int, err error) {
 }
 
 func (w *World) checkAborted() {
-	w.mu.Lock()
-	aborted := w.aborted
-	w.mu.Unlock()
-	if aborted {
+	if w.aborted {
 		panic(abortPanic{})
 	}
 }
 
 // Err returns the error recorded via Abort (earliest virtual time,
 // lowest rank on ties), if any.
-func (w *World) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.abort
-}
+func (w *World) Err() error { return w.abort }
 
 func (w *World) collLatency() time.Duration {
 	hops := int(math.Ceil(math.Log2(float64(w.size))))
@@ -288,11 +259,7 @@ func collective[R any](c *Comm, contrib any, compute func(data []any) R) R {
 	c.seq++
 	key := c.seq
 	w := c.w
-	w.mu.Lock()
-	if w.aborted {
-		w.mu.Unlock()
-		panic(abortPanic{})
-	}
+	w.checkAborted()
 	slot, ok := w.colls[key]
 	if !ok {
 		slot = &collSlot{data: make([]any, w.size), ev: vclock.NewEventNamed(w.clk, "mpi:collective")}
@@ -304,7 +271,6 @@ func collective[R any](c *Comm, contrib any, compute func(data []any) R) R {
 	if last {
 		delete(w.colls, key)
 	}
-	w.mu.Unlock()
 	enter := c.p.Now()
 	if last {
 		slot.result = compute(slot.data)
@@ -374,11 +340,7 @@ func Send[T any](c *Comm, dst, tag int, v T) {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, w.size))
 	}
 	key := msgKey{src: c.rank, dst: dst, tag: tag}
-	w.mu.Lock()
-	if w.aborted {
-		w.mu.Unlock()
-		panic(abortPanic{})
-	}
+	w.checkAborted()
 	mb, ok := w.boxes[key]
 	if !ok {
 		mb = &mailbox{}
@@ -388,12 +350,10 @@ func Send[T any](c *Comm, dst, tag int, v T) {
 		wt := mb.waiters[0]
 		mb.waiters = mb.waiters[1:]
 		wt.msg = v
-		w.mu.Unlock()
 		wt.ev.Fire()
 		return
 	}
 	mb.queue = append(mb.queue, v)
-	w.mu.Unlock()
 }
 
 // Recv blocks until a message from rank src with the given tag arrives,
@@ -404,11 +364,7 @@ func Recv[T any](c *Comm, src, tag int) T {
 		panic(fmt.Sprintf("mpi: Recv from invalid rank %d (size %d)", src, w.size))
 	}
 	key := msgKey{src: src, dst: c.rank, tag: tag}
-	w.mu.Lock()
-	if w.aborted {
-		w.mu.Unlock()
-		panic(abortPanic{})
-	}
+	w.checkAborted()
 	mb, ok := w.boxes[key]
 	if !ok {
 		mb = &mailbox{}
@@ -418,11 +374,9 @@ func Recv[T any](c *Comm, src, tag int) T {
 	if len(mb.queue) > 0 && len(mb.waiters) == 0 {
 		msg = mb.queue[0]
 		mb.queue = mb.queue[1:]
-		w.mu.Unlock()
 	} else {
 		wt := &recvWaiter{ev: vclock.NewEventNamed(w.clk, "mpi:recv")}
 		mb.waiters = append(mb.waiters, wt)
-		w.mu.Unlock()
 		enter := c.p.Now()
 		wt.ev.Wait(c.p)
 		w.checkAborted()

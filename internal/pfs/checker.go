@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"asyncio/internal/hdf5"
@@ -113,11 +112,10 @@ func (e *ViolationError) Error() string {
 }
 
 // ConsistencyChecker records protocol events for one run. All recording
-// methods are safe for concurrent use and tolerate a nil receiver (the
-// checker is only allocated under check=1).
+// methods tolerate a nil receiver (the checker is only allocated under
+// check=1).
 type ConsistencyChecker struct {
 	model Model
-	mu    sync.Mutex
 	evs   []consEvent
 	seq   uint64
 }
@@ -159,20 +157,16 @@ func (ck *ConsistencyChecker) recordMark(kind eventKind, rank int, at time.Durat
 }
 
 func (ck *ConsistencyChecker) append(ev consEvent) {
-	ck.mu.Lock()
 	ev.seq = ck.seq
 	ck.seq++
 	ck.evs = append(ck.evs, ev)
-	ck.mu.Unlock()
 }
 
 // sorted returns a canonically ordered copy of the event log: by start,
 // end, kind, rank, path, then extent — a pure function of virtual time,
 // so it does not depend on arrival order into the log.
 func (ck *ConsistencyChecker) sorted() []consEvent {
-	ck.mu.Lock()
 	evs := append([]consEvent(nil), ck.evs...)
-	ck.mu.Unlock()
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.start != b.start {
@@ -353,8 +347,6 @@ func (ck *ConsistencyChecker) LastCommit() (time.Duration, bool) {
 	if ck == nil {
 		return 0, false
 	}
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
 	var last time.Duration
 	ok := false
 	for _, ev := range ck.evs {

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -226,7 +225,6 @@ type Consistency struct {
 	mWrites    *metrics.Counter
 	mPublishes *metrics.Counter
 
-	mu          sync.Mutex
 	unpublished map[int]int // rank → writes not yet published
 }
 
@@ -332,18 +330,12 @@ func (c *Consistency) recordRead(rank int, req *ioreq.Request, start time.Durati
 	c.checker.recordOp(evRead, rank, req, start, procNow(req.Proc))
 }
 
-func (c *Consistency) addUnpublished(rank int) {
-	c.mu.Lock()
-	c.unpublished[rank]++
-	c.mu.Unlock()
-}
+func (c *Consistency) addUnpublished(rank int) { c.unpublished[rank]++ }
 
 // takeUnpublished clears and returns the rank's unpublished-write count.
 func (c *Consistency) takeUnpublished(rank int) int {
-	c.mu.Lock()
 	n := c.unpublished[rank]
 	delete(c.unpublished, rank)
-	c.mu.Unlock()
 	return n
 }
 
@@ -388,10 +380,8 @@ func (c *Consistency) Commit(p *vclock.Proc, epoch int) {
 		return
 	}
 	if c.spec.Model == ModelCommit {
-		c.mu.Lock()
 		n := len(c.unpublished)
-		c.unpublished = make(map[int]int)
-		c.mu.Unlock()
+		clear(c.unpublished)
 		if n > 0 {
 			c.charge(p, c.spec.Publish, "commit:publish", 0)
 			c.mPublishes.Add(1)

@@ -2,20 +2,21 @@ package pfs
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"asyncio/internal/ioreq"
+	"asyncio/internal/vclock"
 )
 
-// TestCheckerRecorderConcurrency4096 hammers one Consistency's
-// recorder from 4096 concurrent ranks — the sweep's largest scale
+// TestCheckerRecorderConcurrency4096 drives one Consistency's recorder
+// from 4096 ranks interleaving on one clock — the sweep's largest scale
 // point — mixing writes, reads, and every publish point, then runs the
-// oracle over the result. Under `-race` this is the memory-model proof
-// for the checker's event log; without it, it is still a useful
-// smoke test that concurrent recording neither drops nor duplicates
-// events.
+// oracle over the result. The recorder takes no lock: the ranks are
+// coroutines of the goroutine that calls Wait, and under `-race` this is
+// the proof that a switch between them orders their accesses to the
+// event log; without it, it is still a useful smoke test that
+// interleaved recording neither drops nor duplicates events.
 func TestCheckerRecorderConcurrency4096(t *testing.T) {
 	const ranks = 4096
 	writesPerRank := 4
@@ -30,51 +31,54 @@ func TestCheckerRecorderConcurrency4096(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := NewConsistency(sp)
-			var wg sync.WaitGroup
+			clk := vclock.New()
 			for rank := 0; rank < ranks; rank++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
+				clk.Go(fmt.Sprintf("rank%d", rank), func(p *vclock.Proc) {
 					st := c.Stage(rank)
 					for i := 0; i < writesPerRank; i++ {
 						op := ioreq.OpWrite
 						if i%2 == 1 {
 							op = ioreq.OpRead
 						}
-						// Nil Proc: charges are skipped (no virtual clock
-						// here) but the recorder path is fully exercised.
+						// Nil Proc: charges are skipped but the recorder path
+						// is fully exercised; the yield lets every other rank
+						// in between two operations of this one.
 						req := &ioreq.Request{Op: op, Buf: make([]byte, 32)}
 						if err := st.Process(req, func(*ioreq.Request) error { return nil }); err != nil {
 							t.Error(err)
 							return
 						}
+						p.Sleep(0)
 					}
 					c.RankSync(nil, rank)
+					p.Sleep(0)
 					c.RankClose(nil, rank)
 					if rank == 0 {
 						c.Commit(nil, 0)
 					}
-				}(rank)
+				})
 			}
-			wg.Wait()
+			if err := clk.Wait(); err != nil {
+				t.Fatal(err)
+			}
 
 			want := fmt.Sprintf("consistency=%s writes=%d reads=%d syncs=%d closes=%d commits=1 lastCommit=0s",
 				model, ranks*(writesPerRank-writesPerRank/2), ranks*(writesPerRank/2), ranks, ranks)
 			if got := c.Checker().Summary(); got != want {
-				t.Errorf("summary after concurrent recording:\n got %s\nwant %s", got, want)
+				t.Errorf("summary after interleaved recording:\n got %s\nwant %s", got, want)
 			}
 			// The synthetic requests carry no dataset, so the oracle has
 			// no extents to cross-check; Check must still traverse the
 			// full log without fault.
 			if err := c.Checker().Check(); err != nil {
-				t.Errorf("oracle over concurrent log: %v", err)
+				t.Errorf("oracle over interleaved log: %v", err)
 			}
 		})
 	}
 }
 
 // TestCheckerRecorderConcurrentPublish drives the publish bookkeeping
-// (the unpublished-rank map) from many goroutines at once; the map is
+// (the unpublished-rank map) from many ranks of one clock; the map is
 // the only mutable aggregate shared across ranks.
 func TestCheckerRecorderConcurrentPublish(t *testing.T) {
 	sp, err := ParseConsistency("commit;check=1")
@@ -82,20 +86,21 @@ func TestCheckerRecorderConcurrentPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewConsistency(sp)
-	var wg sync.WaitGroup
+	clk := vclock.New()
 	for rank := 0; rank < 512; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
+		clk.Go(fmt.Sprintf("rank%d", rank), func(p *vclock.Proc) {
 			st := c.Stage(rank)
 			req := &ioreq.Request{Op: ioreq.OpWrite, Buf: make([]byte, 8)}
 			if err := st.Process(req, func(*ioreq.Request) error { return nil }); err != nil {
 				t.Error(err)
 			}
+			p.Sleep(0)
 			c.Commit(nil, rank)
-		}(rank)
+		})
 	}
-	wg.Wait()
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if got, ok := c.Checker().LastCommit(); !ok || got != time.Duration(0) {
 		t.Errorf("LastCommit = %v, %v; want 0s, true", got, ok)
 	}

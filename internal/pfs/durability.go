@@ -22,8 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -130,7 +130,6 @@ type dirtyExtent struct {
 // also charges the modeled flush cost); Crash discards or tears
 // whatever is still volatile.
 type DurableStore struct {
-	mu      sync.Mutex
 	base    Store
 	cfg     DurabilityConfig
 	dirty   []dirtyExtent // sorted by off, non-overlapping
@@ -156,11 +155,7 @@ func NewDurableStore(base Store, cfg DurabilityConfig) *DurableStore {
 }
 
 // DirtyBytes returns the current volatile byte count.
-func (d *DurableStore) DirtyBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nDirty
-}
+func (d *DurableStore) DirtyBytes() int64 { return d.nDirty }
 
 // WriteAt implements io.WriterAt: the bytes land in the volatile cache.
 func (d *DurableStore) WriteAt(p []byte, off int64) (int, error) {
@@ -170,50 +165,70 @@ func (d *DurableStore) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	d.mu.Lock()
 	if d.crashed {
-		d.mu.Unlock()
 		return 0, ErrCrashed
 	}
-	d.insertLocked(off, p)
+	d.insert(off, p)
 	if end := off + int64(len(p)); end > d.size {
 		d.size = end
 	}
-	d.mu.Unlock()
 	return len(p), nil
 }
 
-// insertLocked merges [off, off+len(p)) into the sorted extent list,
-// overwriting any overlap (last write wins, like a page cache).
-func (d *DurableStore) insertLocked(off int64, p []byte) {
+func (e dirtyExtent) end() int64 { return e.off + int64(len(e.data)) }
+
+// insert writes [off, off+len(p)) into the sorted extent list,
+// overwriting any overlap (last write wins, like a page cache). Only
+// true overlaps are merged by copying; a write that starts where its
+// predecessor ends extends that extent in place, so N sequential appends
+// copy O(N) bytes, not O(N²). Extents left merely touching are joined by
+// takeDirty, at Sync and Crash.
+func (d *DurableStore) insert(off int64, p []byte) {
 	end := off + int64(len(p))
-	// Find the first extent that could overlap or touch.
-	i := sort.Search(len(d.dirty), func(i int) bool {
-		return d.dirty[i].off+int64(len(d.dirty[i].data)) >= off
-	})
+	// The first extent ending past off is the first that can overlap.
+	i := sort.Search(len(d.dirty), func(i int) bool { return d.dirty[i].end() > off })
+	if i == len(d.dirty) || d.dirty[i].off >= end {
+		d.nDirty += int64(len(p))
+		if i > 0 && d.dirty[i-1].end() == off {
+			d.dirty[i-1].data = append(d.dirty[i-1].data, p...)
+		} else {
+			d.dirty = slices.Insert(d.dirty, i, dirtyExtent{off: off, data: append([]byte(nil), p...)})
+		}
+		return
+	}
 	newOff, newData := off, append([]byte(nil), p...)
 	j := i
-	for ; j < len(d.dirty); j++ {
+	for ; j < len(d.dirty) && d.dirty[j].off < end; j++ {
 		e := d.dirty[j]
-		eEnd := e.off + int64(len(e.data))
-		if e.off > end {
-			break
-		}
 		// Merge e into the new extent (new bytes win on overlap).
 		d.nDirty -= int64(len(e.data))
 		if e.off < newOff {
-			head := e.data[:newOff-e.off]
-			newData = append(append([]byte(nil), head...), newData...)
+			newData = append(e.data[:newOff-e.off:newOff-e.off], newData...)
 			newOff = e.off
 		}
-		if eEnd > end {
+		if eEnd := e.end(); eEnd > end {
 			newData = append(newData, e.data[int64(len(e.data))-(eEnd-end):]...)
 			end = eEnd
 		}
 	}
-	merged := dirtyExtent{off: newOff, data: newData}
 	d.nDirty += int64(len(newData))
-	d.dirty = append(d.dirty[:i], append([]dirtyExtent{merged}, d.dirty[j:]...)...)
+	d.dirty = slices.Replace(d.dirty, i, j, dirtyExtent{off: newOff, data: newData})
+}
+
+// takeDirty empties the cache and returns what it held, touching extents
+// joined: a block covered by two adjacent writes is one extent's, which
+// is what Crash's whole-unit test and the flush see.
+func (d *DurableStore) takeDirty() (dirty []dirtyExtent, n int64) {
+	for _, e := range d.dirty {
+		if k := len(dirty); k > 0 && dirty[k-1].end() == e.off {
+			dirty[k-1].data = append(dirty[k-1].data, e.data...)
+		} else {
+			dirty = append(dirty, e)
+		}
+	}
+	n = d.nDirty
+	d.dirty, d.nDirty = nil, 0
+	return dirty, n
 }
 
 // ReadAt implements io.ReaderAt with read-your-writes visibility: base
@@ -222,14 +237,11 @@ func (d *DurableStore) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("pfs: negative read offset %d", off)
 	}
-	d.mu.Lock()
 	if d.crashed {
-		d.mu.Unlock()
 		return 0, ErrCrashed
 	}
 	size := d.size
 	if off >= size {
-		d.mu.Unlock()
 		return 0, io.EOF
 	}
 	want := int64(len(p))
@@ -240,19 +252,16 @@ func (d *DurableStore) ReadAt(p []byte, off int64) (int, error) {
 	// base may not have been extended yet), then overlay.
 	n, err := d.base.ReadAt(p[:want], off)
 	if err != nil && err != io.EOF {
-		d.mu.Unlock()
 		return n, err
 	}
 	for i := int64(n); i < want; i++ {
 		p[i] = 0
 	}
 	end := off + want
-	i := sort.Search(len(d.dirty), func(i int) bool {
-		return d.dirty[i].off+int64(len(d.dirty[i].data)) > off
-	})
+	i := sort.Search(len(d.dirty), func(i int) bool { return d.dirty[i].end() > off })
 	for ; i < len(d.dirty) && d.dirty[i].off < end; i++ {
 		e := d.dirty[i]
-		from, to := e.off, e.off+int64(len(e.data))
+		from, to := e.off, e.end()
 		if from < off {
 			from = off
 		}
@@ -261,7 +270,6 @@ func (d *DurableStore) ReadAt(p []byte, off int64) (int, error) {
 		}
 		copy(p[from-off:to-off], e.data[from-e.off:to-e.off])
 	}
-	d.mu.Unlock()
 	if want < int64(len(p)) {
 		return int(want), io.EOF
 	}
@@ -269,20 +277,14 @@ func (d *DurableStore) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Size returns the logical extent (volatile writes included).
-func (d *DurableStore) Size() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.size
-}
+func (d *DurableStore) Size() int64 { return d.size }
 
 // Truncate sets the logical extent, dropping volatile bytes beyond it.
 func (d *DurableStore) Truncate(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("pfs: negative truncate %d", n)
 	}
-	d.mu.Lock()
 	if d.crashed {
-		d.mu.Unlock()
 		return ErrCrashed
 	}
 	d.size = n
@@ -292,7 +294,7 @@ func (d *DurableStore) Truncate(n int64) error {
 		if e.off >= n {
 			continue
 		}
-		if end := e.off + int64(len(e.data)); end > n {
+		if e.end() > n {
 			e.data = e.data[:n-e.off]
 		}
 		kept = append(kept, e)
@@ -300,7 +302,6 @@ func (d *DurableStore) Truncate(n int64) error {
 	}
 	d.dirty = kept
 	d.nDirty = total
-	d.mu.Unlock()
 	return d.base.Truncate(n)
 }
 
@@ -314,16 +315,10 @@ func (d *DurableStore) Sync() error { return d.syncCharged(nil) }
 func (d *DurableStore) SyncOn(p *vclock.Proc) error { return d.syncCharged(p) }
 
 func (d *DurableStore) syncCharged(p *vclock.Proc) error {
-	d.mu.Lock()
 	if d.crashed {
-		d.mu.Unlock()
 		return ErrCrashed
 	}
-	dirty := d.dirty
-	nd := d.nDirty
-	d.dirty = nil
-	d.nDirty = 0
-	d.mu.Unlock()
+	dirty, nd := d.takeDirty()
 	for _, e := range dirty {
 		if _, err := d.base.WriteAt(e.data, e.off); err != nil {
 			return fmt.Errorf("pfs: flush at %d: %w", e.off, err)
@@ -384,22 +379,16 @@ type CrashReport struct {
 // return ErrCrashed; the surviving image is read via Base. Idempotent —
 // the first crash wins and later calls return a nil report.
 func (d *DurableStore) Crash(at time.Duration) *CrashReport {
-	d.mu.Lock()
 	if d.crashed {
-		d.mu.Unlock()
 		return nil
 	}
 	d.crashed = true
-	dirty := d.dirty
-	nd := d.nDirty
-	d.dirty = nil
-	d.nDirty = 0
-	d.mu.Unlock()
+	dirty, nd := d.takeDirty()
 
 	rep := &CrashReport{At: at, Semantics: d.cfg.Semantics, DirtyBytes: nd}
 	unit := d.cfg.unitSize()
 	for _, e := range dirty {
-		end := e.off + int64(len(e.data))
+		end := e.end()
 		for u := e.off / unit * unit; u < end; u += unit {
 			from, to := u, u+unit
 			if from < e.off {

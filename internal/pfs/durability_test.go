@@ -3,6 +3,8 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -250,5 +252,54 @@ func TestDurableStoreBacksContainer(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("synced dataset bytes differ after crash + reopen")
+	}
+}
+
+// appendCost is the bytes the store allocates per write over n sequential
+// 4 KiB appends — a count, not a timing, so it repeats exactly.
+func appendCost(n int) float64 {
+	d := NewDurableStore(hdf5.NewNullStore(), GPFSDurability(1))
+	chunk := make([]byte, 4<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		d.WriteAt(chunk, int64(i)*int64(len(chunk)))
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// Sequential appends extend the touching extent in place: a write costs
+// the same whether it is the 256th or the 4,096th. Merging by re-copying
+// the accumulated head made it grow with the file (16× here).
+func TestDurableStoreAppendsAreLinear(t *testing.T) {
+	short, long := appendCost(256), appendCost(4096)
+	if long > 2*short {
+		t.Fatalf("an append allocates %.0f bytes over 4,096 writes, %.0f over 256: want within 2x", long, short)
+	}
+}
+
+// Extents that only touch are kept apart until Sync or Crash joins them:
+// a block filled by two adjacent writes, second half first, must still
+// count as wholly covered — flushed, not torn — and flush as one write.
+func TestDurableStoreTouchingExtentsCoalesce(t *testing.T) {
+	cfg := smallGPFS(1)
+	cfg.SurviveProb = 1
+	base := hdf5.NewMemStore()
+	d := NewDurableStore(base, cfg)
+	d.WriteAt(bytes.Repeat([]byte("b"), 8), 8)
+	d.WriteAt(bytes.Repeat([]byte("a"), 8), 0)
+	d.WriteAt(bytes.Repeat([]byte("c"), 16), 16)
+	if n := d.DirtyBytes(); n != 32 {
+		t.Fatalf("DirtyBytes = %d, want 32", n)
+	}
+	rep := d.Crash(0)
+	want := []CrashExtent{{Off: 0, Len: 32, State: ExtentFlushed}}
+	if !reflect.DeepEqual(rep.Extents, want) || rep.Torn != 0 {
+		t.Fatalf("crash over touching extents: %+v (torn %d), want %+v", rep.Extents, rep.Torn, want)
+	}
+	got := make([]byte, 32)
+	if _, err := base.ReadAt(got, 0); err != nil || string(got) != "aaaaaaaabbbbbbbbcccccccccccccccc" {
+		t.Fatalf("surviving image %q, %v", got, err)
 	}
 }

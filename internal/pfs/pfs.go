@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -55,9 +54,9 @@ type TargetConfig struct {
 type Target struct {
 	cfg        TargetConfig
 	srv        *flow.Server
-	contention atomic.Uint64 // float64 bits; capacity multiplier in (0,1]
-	fault      atomic.Uint64 // float64 bits; fault-injection slowdown in (0,1]
-	hook       FaultHook     // set once before the run; nil when no faults
+	contention float64   // capacity multiplier in (0,1]
+	fault      float64   // fault-injection slowdown in (0,1]
+	hook       FaultHook // set once before the run; nil when no faults
 
 	// Span-event and critical-path labels, built once: every charged
 	// operation names itself with one even when nothing records it.
@@ -65,8 +64,7 @@ type Target struct {
 
 	// Dispatch counters: one data op = one charged request against the
 	// backend (the unit the small-request penalty applies to).
-	writeOps, readOps, metaOps atomic.Int64
-	bytesWritten, bytesRead    atomic.Int64
+	stats Stats
 
 	// Registry instruments, nil until Instrument is called (all methods
 	// no-op on nil).
@@ -100,15 +98,7 @@ type Stats struct {
 }
 
 // Stats returns the target's dispatch counters.
-func (t *Target) Stats() Stats {
-	return Stats{
-		WriteOps:     t.writeOps.Load(),
-		ReadOps:      t.readOps.Load(),
-		MetaOps:      t.metaOps.Load(),
-		BytesWritten: t.bytesWritten.Load(),
-		BytesRead:    t.bytesRead.Load(),
-	}
-}
+func (t *Target) Stats() Stats { return t.stats }
 
 // FaultHook intercepts charged operations on a target. Implemented by
 // internal/faults; pfs only defines the seam so it stays import-free of
@@ -134,9 +124,9 @@ func NewTarget(clk *vclock.Clock, cfg TargetConfig) *Target {
 		writeLabel: "pfs:" + cfg.Name + ":write",
 		readLabel:  "pfs:" + cfg.Name + ":read",
 		metaLabel:  "meta:" + cfg.Name,
+		contention: 1,
+		fault:      1,
 	}
-	t.contention.Store(math.Float64bits(1))
-	t.fault.Store(math.Float64bits(1))
 	t.srv = flow.NewServer(clk, t.capacityFor)
 	return t
 }
@@ -173,8 +163,8 @@ func (t *Target) Instrument(m *metrics.Registry) {
 	util := m.Gauge(pre + "utilization")
 	t.mInflight = m.Gauge(pre + "inflight")
 	// The effective-bandwidth and utilization series are derived from
-	// the in-flight count inside its update lock, so the derivation is
-	// deterministic even when concurrent flows start at one instant.
+	// the in-flight count in its update order, so they coalesce to the
+	// instant's final value when many flows start at one instant.
 	t.mInflight.OnChange(func(_ time.Duration, v float64) {
 		var bw float64
 		if v > 0 {
@@ -204,17 +194,14 @@ func (t *Target) SetContentionFactor(f float64) {
 	if f <= 0 || f > 1 {
 		panic(fmt.Sprintf("pfs: contention factor %v outside (0,1]", f))
 	}
-	t.contention.Store(math.Float64bits(f))
+	t.contention = f
 	t.mContention.Set(f)
 }
 
 // ContentionFactor returns the current backend capacity multiplier.
-func (t *Target) ContentionFactor() float64 {
-	return math.Float64frombits(t.contention.Load())
-}
+func (t *Target) ContentionFactor() float64 { return t.contention }
 
-// SetFaults installs the fault hook. Call once, before the run starts;
-// transfers read the hook without synchronization.
+// SetFaults installs the fault hook. Call once, before the run starts.
 func (t *Target) SetFaults(h FaultHook) { t.hook = h }
 
 // SetFaultFactor scales the backend and per-flow capacity for
@@ -226,13 +213,11 @@ func (t *Target) SetFaultFactor(f float64) {
 	if f <= 0 || f > 1 {
 		panic(fmt.Sprintf("pfs: fault factor %v outside (0,1]", f))
 	}
-	t.fault.Store(math.Float64bits(f))
+	t.fault = f
 }
 
 // FaultFactor returns the current fault-injection capacity multiplier.
-func (t *Target) FaultFactor() float64 {
-	return math.Float64frombits(t.fault.Load())
-}
+func (t *Target) FaultFactor() float64 { return t.fault }
 
 // softmin is a smooth minimum (p-norm, p=3): ≈min(a,b) away from the
 // crossover, ~0.79·b at a=b.
@@ -290,8 +275,8 @@ func (t *Target) TryWriteData(p *vclock.Proc, nbytes int64, sp *trace.Span) erro
 	}
 	start := procNow(p)
 	if t.transfer(p, nbytes) {
-		t.writeOps.Add(1)
-		t.bytesWritten.Add(nbytes)
+		t.stats.WriteOps++
+		t.stats.BytesWritten += nbytes
 		t.mWriteOps.Add(1)
 		t.mBytesWritten.Add(nbytes)
 		sp.EventDurOn(t.writeLabel, nbytes, start, p.Now()-start, p.Name())
@@ -310,8 +295,8 @@ func (t *Target) TryReadData(p *vclock.Proc, nbytes int64, sp *trace.Span) error
 	}
 	start := procNow(p)
 	if t.transfer(p, nbytes) {
-		t.readOps.Add(1)
-		t.bytesRead.Add(nbytes)
+		t.stats.ReadOps++
+		t.stats.BytesRead += nbytes
 		t.mReadOps.Add(1)
 		t.mBytesRead.Add(nbytes)
 		sp.EventDurOn(t.readLabel, nbytes, start, p.Now()-start, p.Name())
@@ -347,7 +332,7 @@ func (t *Target) MetaOp(p *vclock.Proc) {
 		t.hook.BeforeMeta(p, t.cfg.Name)
 	}
 	p.Sleep(t.cfg.MetaLatency)
-	t.metaOps.Add(1)
+	t.stats.MetaOps++
 	t.mMetaOps.Add(1)
 	t.crit.Record(critpath.Edge{
 		Track: p.Name(), Cause: critpath.Metadata, Subsystem: "pfs",

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"asyncio/internal/critpath"
@@ -93,12 +92,11 @@ func DefaultCost() Cost {
 	return Cost{AppendLatency: 10 * time.Microsecond, Bandwidth: 3e9}
 }
 
-// Journal is an append-only write-ahead log. Safe for concurrent use by
-// multiple rank processes; records are sequenced in append order.
+// Journal is an append-only write-ahead log shared by the rank
+// processes of one run; records are sequenced in append order.
 type Journal struct {
 	cost Cost
 
-	mu   sync.Mutex
 	buf  []byte
 	body []byte // encode scratch, reused across appends
 	seq  uint64
@@ -131,7 +129,7 @@ func (j *Journal) Instrument(m *metrics.Registry, name string) {
 
 // Append encodes rec, charges p the modeled log-write cost, and appends
 // the record. The sequence number is assigned here (rec.Seq is
-// overwritten) so concurrent ranks get a total order.
+// overwritten) so the ranks' records get a total order.
 func (j *Journal) Append(p *vclock.Proc, rec *Record) error {
 	if len(rec.Path) > math.MaxUint16 {
 		return fmt.Errorf("recovery: journal path %d bytes exceeds limit %d", len(rec.Path), math.MaxUint16)
@@ -143,8 +141,8 @@ func (j *Journal) Append(p *vclock.Proc, rec *Record) error {
 	if body := size - 8; body > MaxFramePayload {
 		return fmt.Errorf("recovery: journal record body %d bytes exceeds frame limit %d", body, MaxFramePayload)
 	}
-	// Charge before taking the lock: a virtual-time sleep under a real
-	// mutex would stall every other appending rank for wall-clock time.
+	// Charge first: the record takes its place in the log when the
+	// append completes, not when it was issued.
 	if p != nil {
 		d := j.cost.AppendLatency
 		if j.cost.Bandwidth > 0 {
@@ -159,31 +157,21 @@ func (j *Journal) Append(p *vclock.Proc, rec *Record) error {
 			})
 		}
 	}
-	j.mu.Lock()
 	j.seq++
 	rec.Seq = j.seq
 	j.body = appendBody(j.body[:0], rec)
 	j.buf = AppendFrame(j.buf, j.body)
-	j.mu.Unlock()
 	j.mRecords.Add(1)
 	j.mBytes.Add(int64(size))
 	return nil
 }
 
 // Bytes returns a copy of the current log contents.
-func (j *Journal) Bytes() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]byte(nil), j.buf...)
-}
+func (j *Journal) Bytes() []byte { return append([]byte(nil), j.buf...) }
 
 // Reset truncates the log, e.g. after a durable checkpoint makes all
 // journaled writes redundant.
-func (j *Journal) Reset() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = j.buf[:0]
-}
+func (j *Journal) Reset() { j.buf = j.buf[:0] }
 
 // recordSize is the size the modelled log device stores for rec — what
 // an append is charged for and what recovery.<name>.journal.bytes

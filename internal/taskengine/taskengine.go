@@ -12,7 +12,6 @@ package taskengine
 
 import (
 	"fmt"
-	"sync"
 
 	"asyncio/internal/critpath"
 	"asyncio/internal/metrics"
@@ -22,8 +21,6 @@ import (
 // Engine creates and tracks streams on one clock.
 type Engine struct {
 	clk *vclock.Clock
-
-	mu sync.Mutex
 
 	mTasks       *metrics.Counter
 	mTaskSeconds *metrics.Histogram
@@ -46,8 +43,6 @@ func (e *Engine) SetMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.mTasks != nil {
 		return
 	}
@@ -56,31 +51,13 @@ func (e *Engine) SetMetrics(m *metrics.Registry) {
 	e.mQueued = m.Gauge("taskengine.queued")
 }
 
-// instruments returns the engine's instruments (nil instruments no-op).
-func (e *Engine) instruments() (*metrics.Counter, *metrics.Histogram, *metrics.Gauge) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mTasks, e.mTaskSeconds, e.mQueued
-}
-
 // SetCrit attaches the critical-path recorder: streams record their
 // idle waits and dependency waits as causal edges. Idempotent (first
 // non-nil recorder wins), mirroring SetMetrics.
 func (e *Engine) SetCrit(rec *critpath.Recorder) {
-	if rec == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.critRec == nil {
+	if rec != nil && e.critRec == nil {
 		e.critRec = rec
 	}
-}
-
-func (e *Engine) crit() *critpath.Recorder {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.critRec
 }
 
 // NewStream spawns an execution stream: a dedicated process that runs
@@ -98,7 +75,6 @@ type Stream struct {
 	e    *Engine
 	name string
 
-	mu    sync.Mutex
 	queue taskRing
 	// wake is re-armed (Reset) by the stream each time it goes idle, and
 	// idle is set with it: the one Push that finds idle set fires wake, so
@@ -147,9 +123,7 @@ type Task struct {
 	deps []*Task
 	fn   func(p *vclock.Proc) error
 	done vclock.Event
-
-	mu  sync.Mutex
-	err error
+	err  error
 }
 
 // Push enqueues fn on the stream. The task starts only after every task
@@ -158,26 +132,20 @@ type Task struct {
 func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) *Task {
 	t := &Task{name: name, deps: append([]*Task(nil), deps...), fn: fn}
 	t.done.Init(s.e.clk, "taskengine:done")
-	s.mu.Lock()
 	if s.stopped {
-		killed := s.killErr
-		s.mu.Unlock()
-		if killed != nil {
+		if s.killErr != nil {
 			// A crashed process may still issue a few pushes before it
 			// reaches its next blocking point and dies; its work simply
 			// fails instead of tripping the lifecycle panic.
-			t.complete(killed)
+			t.complete(s.killErr)
 			return t
 		}
 		panic(fmt.Sprintf("taskengine: Push(%q) on stopped stream %q", name, s.name))
 	}
 	s.queue.push(t)
-	wake := s.idle
-	s.idle = false
-	s.mu.Unlock()
-	_, _, queued := s.e.instruments()
-	queued.Add(1)
-	if wake {
+	s.e.mQueued.Add(1)
+	if s.idle {
+		s.idle = false
 		s.wake.Fire()
 	}
 	return t
@@ -185,13 +153,10 @@ func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) 
 
 // Shutdown asks the stream to exit after draining its queue. Idempotent.
 func (s *Stream) Shutdown() {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
 	s.stopped = true
-	s.mu.Unlock()
 	// Once stopped the stream never re-arms wake, so firing it
 	// unconditionally is safe (and a no-op when the stream is busy).
 	s.wake.Fire()
@@ -204,32 +169,23 @@ func (s *Stream) Shutdown() {
 // of hanging on tasks that will never run. Idempotent; a subsequent
 // Push fails its task with reason instead of panicking.
 func (s *Stream) Kill(reason error) {
-	s.mu.Lock()
 	if s.killErr != nil {
-		s.mu.Unlock()
 		return
 	}
 	s.killErr = reason
 	s.stopped = true
-	queue := s.queue
-	s.queue = taskRing{}
-	cur := s.current
-	s.current = nil
-	proc := s.proc
-	s.mu.Unlock()
-	if proc != nil {
-		proc.Kill(reason)
+	if s.proc != nil {
+		s.proc.Kill(reason)
 	}
-	if cur != nil {
+	if cur := s.current; cur != nil {
+		s.current = nil
 		cur.complete(reason)
 	}
-	n := queue.n
-	for queue.n > 0 {
-		queue.pop().complete(reason)
-	}
-	if n > 0 {
-		_, _, queued := s.e.instruments()
-		queued.Add(-float64(n))
+	if n := s.queue.n; n > 0 {
+		for s.queue.n > 0 {
+			s.queue.pop().complete(reason)
+		}
+		s.e.mQueued.Add(-float64(n))
 	}
 	s.wake.Fire() // in case the proc had not started yet
 }
@@ -238,32 +194,23 @@ func (s *Stream) Kill(reason error) {
 func (s *Stream) Join(p *vclock.Proc) { s.exited.Wait(p) }
 
 // Pending returns the number of queued (not yet started) tasks.
-func (s *Stream) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.n
-}
+func (s *Stream) Pending() int { return s.queue.n }
 
 func (s *Stream) run(p *vclock.Proc) {
 	defer s.exited.Fire()
-	s.mu.Lock()
 	s.proc = p
-	s.mu.Unlock()
 	for {
-		s.mu.Lock()
 		if s.queue.n == 0 {
 			if s.stopped {
-				s.mu.Unlock()
 				return
 			}
 			// Re-arm the wake event (events are one-shot) and sleep
 			// until more work arrives.
 			s.wake.Reset()
 			s.idle = true
-			s.mu.Unlock()
 			idleStart := p.Now()
 			s.wake.Wait(p)
-			s.e.crit().Record(critpath.Edge{
+			s.e.critRec.Record(critpath.Edge{
 				Track: p.Name(), Cause: critpath.QueueWait, Subsystem: "taskengine",
 				Detail: "stream-idle", Start: idleStart, End: p.Now(),
 			})
@@ -271,15 +218,13 @@ func (s *Stream) run(p *vclock.Proc) {
 		}
 		t := s.queue.pop()
 		s.current = t
-		s.mu.Unlock()
-		tasks, seconds, queued := s.e.instruments()
-		queued.Add(-1)
+		s.e.mQueued.Add(-1)
 		if len(t.deps) > 0 {
 			depStart := p.Now()
 			for _, dep := range t.deps {
 				dep.done.Wait(p)
 			}
-			s.e.crit().Record(critpath.Edge{
+			s.e.critRec.Record(critpath.Edge{
 				Track: p.Name(), Cause: critpath.QueueWait, Subsystem: "taskengine",
 				Detail: "task-dep", Start: depStart, End: p.Now(),
 			})
@@ -291,23 +236,19 @@ func (s *Stream) run(p *vclock.Proc) {
 		// caches); it must not pin what its closure captured — the
 		// request, its selection, a staging buffer — until they let go.
 		t.fn = nil
-		tasks.Add(1)
-		seconds.Observe((p.Now() - start).Seconds())
+		s.e.mTasks.Add(1)
+		s.e.mTaskSeconds.Observe((p.Now() - start).Seconds())
 		t.complete(err)
-		s.mu.Lock()
 		s.current = nil
-		s.mu.Unlock()
 	}
 }
 
 // complete records the task's outcome (first writer wins — a kill that
 // already failed the task keeps its reason) and wakes waiters.
 func (t *Task) complete(err error) {
-	t.mu.Lock()
 	if t.err == nil {
 		t.err = err
 	}
-	t.mu.Unlock()
 	t.done.Fire()
 }
 
@@ -318,8 +259,4 @@ func (t *Task) Wait(p *vclock.Proc) error {
 }
 
 // Err returns the task's error; nil until completion.
-func (t *Task) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
+func (t *Task) Err() error { return t.err }

@@ -334,10 +334,9 @@ func TestRingKeepsFIFOAcrossGrowth(t *testing.T) {
 // finished task somebody still tracks no longer pins what its closure
 // captured — the staging buffer of a completed write.
 func TestCompletedTaskIsCollectable(t *testing.T) {
-	clk := vclock.New() // never waited on: the host polls while the app proc idles
+	clk := vclock.New()
 	eng := New(clk)
 	bufFreed, taskFreed := make(chan struct{}), make(chan struct{})
-	checked := make(chan struct{})
 	clk.Go("app", func(p *vclock.Proc) {
 		st := eng.NewStream("bg")
 		defer st.Shutdown()
@@ -353,24 +352,26 @@ func TestCompletedTaskIsCollectable(t *testing.T) {
 			return staged
 		}()
 		// The stream stays alive and idle, as a rank's does between
-		// checkpoints, while the host checks (this proc counts as running,
-		// so the clock neither advances nor reports a deadlock).
-		<-checked
+		// checkpoints, while this proc collects and checks (it counts as
+		// running, so the clock neither advances nor reports a deadlock).
+		deadline := time.After(10 * time.Second)
+		for bufFreed != nil || taskFreed != nil {
+			runtime.GC()
+			select {
+			case <-bufFreed:
+				bufFreed = nil
+			case <-taskFreed:
+				taskFreed = nil
+			case <-deadline:
+				t.Errorf("with the stream alive: tracked task's buffer freed=%v, untracked task freed=%v",
+					bufFreed == nil, taskFreed == nil)
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
 		runtime.KeepAlive(tracked)
 	})
-	defer close(checked)
-	deadline := time.After(10 * time.Second)
-	for bufFreed != nil || taskFreed != nil {
-		runtime.GC()
-		select {
-		case <-bufFreed:
-			bufFreed = nil
-		case <-taskFreed:
-			taskFreed = nil
-		case <-deadline:
-			t.Fatalf("with the stream alive: tracked task's buffer freed=%v, untracked task freed=%v",
-				bufFreed == nil, taskFreed == nil)
-		case <-time.After(10 * time.Millisecond):
-		}
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }

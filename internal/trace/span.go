@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -29,14 +28,13 @@ type SpanEvent struct {
 // it, the connector that staged it, the background stream that executed
 // it, and the file-system target that charged it.
 //
-// Spans form a tree (Child) and collect events (EventOn/EventDurOn). All
-// methods are safe for concurrent use and safe on a nil receiver, so
-// code paths can record unconditionally: untraced requests simply carry
-// a nil span and every call is a no-op.
+// Spans form a tree (Child) and collect events (EventOn/EventDurOn). A
+// span belongs to one run and is recorded into only by that run's
+// processes. All methods are safe on a nil receiver, so code paths can
+// record unconditionally: untraced requests simply carry a nil span and
+// every call is a no-op.
 type Span struct {
-	name string
-
-	mu       sync.Mutex
+	name     string
 	events   []SpanEvent
 	children []*Span
 }
@@ -59,9 +57,7 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	c := &Span{name: name}
-	s.mu.Lock()
 	s.children = append(s.children, c)
-	s.mu.Unlock()
 	return c
 }
 
@@ -75,9 +71,7 @@ func (s *Span) EventDurOn(name string, bytes int64, at, dur time.Duration, track
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	s.events = append(s.events, SpanEvent{Name: name, Bytes: bytes, At: at, Dur: dur, Track: track})
-	s.mu.Unlock()
 }
 
 // Events returns a copy of the span's own events (nil for a nil span).
@@ -85,8 +79,6 @@ func (s *Span) Events() []SpanEvent {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]SpanEvent(nil), s.events...)
 }
 
@@ -95,8 +87,6 @@ func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]*Span(nil), s.children...)
 }
 

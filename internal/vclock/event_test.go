@@ -86,15 +86,10 @@ func TestEventWakeOrder(t *testing.T) {
 }
 
 // waitLog records every blocking edge it observes.
-type waitLog struct {
-	mu    sync.Mutex
-	edges []string
-}
+type waitLog struct{ edges []string }
 
-func (w *waitLog) ObserveWait(proc, kind, label string, start, end time.Duration) {
-	w.mu.Lock()
-	w.edges = append(w.edges, fmt.Sprintf("%s %s %s %v-%v", proc, kind, label, start, end))
-	w.mu.Unlock()
+func (w *waitLog) ObserveWait(id int, proc, kind, label string, start, end time.Duration) {
+	w.edges = append(w.edges, fmt.Sprintf("%d:%s %s %s %v-%v", id, proc, kind, label, start, end))
 }
 
 // TestEventWaitObservedFromBlockInstant: when the last runnable process
@@ -114,7 +109,7 @@ func TestEventWaitObservedFromBlockInstant(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lone sleep  0s-3µs", "lone event test:late 3µs-10µs"}
+	want := []string{"0:lone sleep  0s-3µs", "0:lone event test:late 3µs-10µs"}
 	if !reflect.DeepEqual(obs.edges, want) {
 		t.Fatalf("observed %q, want %q", obs.edges, want)
 	}
@@ -125,16 +120,16 @@ func TestEventWaitObservedFromBlockInstant(t *testing.T) {
 func TestEventWaitForeignClockPanics(t *testing.T) {
 	c := New()
 	ev := NewEventNamed(New(), "")
-	done := make(chan any, 1)
+	var got any
 	c.Go("w", func(p *Proc) {
-		defer func() { done <- recover() }()
+		defer func() { got = recover() }()
 		ev.Wait(p)
 	})
-	if r := <-done; r == nil {
-		t.Fatal("Event.Wait on another clock's event did not panic")
-	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("Event.Wait on another clock's event did not panic")
 	}
 }
 

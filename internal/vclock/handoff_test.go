@@ -1,24 +1,22 @@
 package vclock
 
 import (
-	"os"
-	"os/exec"
+	"errors"
+	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
 
 // goroutinesSettleTo fails unless the goroutine count comes back down to
-// base. The coroutines are destroyed synchronously when their bodies
-// return, but the driver's own exit trails the Wait it woke by a few
-// instructions, hence the short poll.
+// base. The coroutines are destroyed when their bodies return; the short
+// poll allows for goroutines of earlier tests still exiting.
 func goroutinesSettleTo(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines, want the baseline %d: the driver or a coroutine outlived the run",
+			t.Fatalf("%s: %d goroutines, want the baseline %d: a coroutine outlived the run",
 				what, runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
@@ -94,11 +92,40 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestHostResumesParkedClock: the host takes a Hold while the last
-// runnable proc is still running, so afterwards every proc is blocked,
-// the clock is pinned at 1s and the driver has nothing to resume. The
-// host's release — alone, after firing the event the procs wait on, or
-// after killing them — must wake the driver and carry the run to its end.
+// parkedAtOneSecond builds a run that Wait leaves parked: root spawns n
+// waiters on ev, lets them block, takes a Hold and exits, so the first
+// Wait returns ErrHeld with every proc blocked and the clock at 1s. The
+// hour timer is what fires ev if the host does not.
+func parkedAtOneSecond(t *testing.T, n int, woke *int) (c *Clock, ev *Event, procs []*Proc, release func()) {
+	t.Helper()
+	c = New()
+	ev = NewEventNamed(c, "")
+	c.AfterFunc(time.Hour, func(time.Duration) { ev.Fire() })
+	procs = make([]*Proc, n)
+	c.Go("root", func(p *Proc) {
+		for i := range procs {
+			c.Go("waiter", func(q *Proc) {
+				procs[i] = q
+				ev.Wait(q)
+				*woke++
+			})
+		}
+		p.Sleep(time.Second) // the waiters run, and block
+		release = c.Hold()
+	})
+	if err := c.Wait(); !errors.Is(err, ErrHeld) {
+		t.Fatalf("Wait on a held clock returned %v, want ErrHeld", err)
+	}
+	if c.Now() != time.Second || *woke != 0 {
+		t.Fatalf("held clock stands at %v with %d waiters resumed, want 1s and 0", c.Now(), *woke)
+	}
+	return c, ev, procs, release
+}
+
+// TestHostResumesParkedClock: a Wait that finds the clock held returns
+// ErrHeld instead of hanging, and what the host then does — release alone,
+// fire the event the procs wait on, or kill them — only enqueues: nothing
+// resumes until the next Wait, which carries the run to its end.
 func TestHostResumesParkedClock(t *testing.T) {
 	const n = 4
 	cases := []struct {
@@ -116,32 +143,13 @@ func TestHostResumesParkedClock(t *testing.T) {
 		}, time.Second, 0},
 	}
 	for _, tc := range cases {
-		c := New()
-		ev := NewEventNamed(c, "")
-		c.AfterFunc(time.Hour, func(time.Duration) { ev.Fire() })
-		procs := make([]*Proc, n)
 		woke := 0
-		ready, held := make(chan struct{}), make(chan struct{})
-		c.Go("root", func(p *Proc) {
-			for i := range procs {
-				c.Go("waiter", func(q *Proc) {
-					procs[i] = q
-					ev.Wait(q)
-					woke++
-				})
-			}
-			p.Sleep(time.Second) // the waiters run, and block
-			ready <- struct{}{}
-			<-held
-		})
-		<-ready
-		release := c.Hold()
-		held <- struct{}{}
-		// Give root a moment to exit and the driver to go to sleep; the
-		// outcome must be the same if they have not.
-		time.Sleep(time.Millisecond)
+		c, ev, procs, release := parkedAtOneSecond(t, n, &woke)
 		tc.host(ev, procs)
 		release()
+		if woke != 0 {
+			t.Fatalf("%s: %d waiters resumed before Wait", tc.name, woke)
+		}
 		if err := c.Wait(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -149,6 +157,62 @@ func TestHostResumesParkedClock(t *testing.T) {
 			t.Errorf("%s: %d waiters resumed and the run ended at %v, want %d and %v",
 				tc.name, woke, c.Now(), tc.woke, tc.end)
 		}
+	}
+}
+
+// TestHostCallsTakeEffectInOrder: Go, Fire, Kill and AfterFunc from the
+// host run nothing; Wait then delivers them in the order they were made.
+func TestHostCallsTakeEffectInOrder(t *testing.T) {
+	c := New()
+	ev := NewEventNamed(c, "")
+	var log []string
+	var victim *Proc
+	c.Go("a", func(p *Proc) { log = append(log, "a"); ev.Wait(p); log = append(log, "a woke") })
+	c.AfterFunc(0, func(time.Duration) { log = append(log, "timer") })
+	c.Go("victim", func(p *Proc) { log = append(log, "victim ran") })
+	for p := range c.procs {
+		if p.name == "victim" {
+			victim = p
+		}
+	}
+	victim.Kill(errBoom)
+	ev.Fire()
+	c.Go("b", func(p *Proc) { log = append(log, "b"); p.Sleep(0); log = append(log, "b woke") })
+	if len(log) != 0 {
+		t.Fatalf("host calls ran %q before Wait", log)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// a finds ev already fired; the zero-delay timer fires only once the
+	// spawns have run and b sleeps.
+	want := []string{"a", "a woke", "b", "timer", "b woke"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("order %q, want %q", log, want)
+	}
+}
+
+// TestWaitFromInsideProcPanics: Wait is the host's; a process or a timer
+// callback that calls it would re-enter the loop it is running in.
+func TestWaitFromInsideProcPanics(t *testing.T) {
+	c := New()
+	var fromProc, fromCallback any
+	c.Go("p", func(p *Proc) {
+		func() {
+			defer func() { fromProc = recover() }()
+			c.Wait()
+		}()
+		c.AfterFunc(time.Second, func(time.Duration) {
+			defer func() { fromCallback = recover() }()
+			c.Wait()
+		})
+		p.Sleep(time.Minute)
+	})
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if fromProc == nil || fromCallback == nil {
+		t.Fatalf("Wait inside a proc panicked with %v, inside a callback with %v; want both to panic", fromProc, fromCallback)
 	}
 }
 
@@ -176,30 +240,26 @@ func TestGoOnDeadlockedClockLeaksNothing(t *testing.T) {
 }
 
 // TestProcPanicSurfaces: a panic in a proc that is not Killed is not the
-// clock's to absorb; it must bring the program down showing its value. It
-// travels from the coroutine to the driver, so the test needs a process
-// it can lose: it re-runs itself as the child that panics.
+// clock's to absorb. It travels from the coroutine to whoever called
+// Wait, with its value, where a supervisor can recover it; the clock does
+// not advance past the instant of the panic.
 func TestProcPanicSurfaces(t *testing.T) {
-	if os.Getenv("GO_WANT_HELPER_PROCESS") == "1" {
-		c := New()
-		release := c.Hold()
-		c.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
-		c.Go("faulty", func(p *Proc) {
-			p.Sleep(time.Second)
-			panic("proc went wrong at " + p.Now().String())
-		})
-		release()
+	c := New()
+	c.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+	c.Go("faulty", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("proc went wrong at " + p.Now().String())
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
 		c.Wait()
-		os.Exit(0) // not reached: the panic kills the process
+	}()
+	if got != "proc went wrong at 1s" {
+		t.Fatalf("Wait's caller recovered %v, want the proc's panic value", got)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestProcPanicSurfaces$")
-	cmd.Env = append(os.Environ(), "GO_WANT_HELPER_PROCESS=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("the child survived a panicking proc:\n%s", out)
-	}
-	if !strings.Contains(string(out), "panic: proc went wrong at 1s") {
-		t.Fatalf("the child died without showing the proc's panic value:\n%s", out)
+	if c.Now() != time.Second {
+		t.Fatalf("clock at %v after the panic, want 1s", c.Now())
 	}
 }
 

@@ -12,75 +12,71 @@
 // The package deliberately mirrors the small set of primitives a
 // conservative parallel discrete-event simulation needs: processes
 // (Go/Proc), time (Now/Sleep), one-shot condition signalling (Event), and
-// cancellable timers with callbacks (AfterFunc). Timer callbacks run
-// without the clock lock held and count as runnable work, so a callback
-// may freely use the full public API; time cannot advance underneath it.
+// cancellable timers with callbacks (AfterFunc). Timer callbacks count as
+// runnable work, so a callback may freely use the full public API; time
+// cannot advance underneath it.
 //
-// Determinism comes from full serialization of process execution: at any
-// real moment at most one process of a Clock is running. A serial engine
-// has no use for a parallel scheduler between its processes, so a Proc is
-// a coroutine (iter.Pull) and one driver goroutine per Clock resumes them:
-// a process that blocks switches straight back to the driver, which
-// switches straight to the next — the hand-off never wakes a thread or
-// visits a Go run queue. Every wakeup — a timer window's sleeper batch,
-// an Event.Fire, a Kill, a Go spawn — is parked in a FIFO run queue
-// rather than delivered immediately, and the advance loop delivers
+// A Clock and everything built on it is confined to one goroutine: the one
+// that calls Wait. A Proc is a coroutine (iter.Pull) and Wait is the loop
+// that resumes them: a process that blocks switches straight back to Wait,
+// which switches straight to the next — the hand-off never wakes a thread
+// or visits a Go run queue, and nothing in the package takes a lock. Host
+// calls made before Wait (Go, Hold and its release, AfterFunc, Event.Fire,
+// Proc.Kill) only enqueue; they take effect, in call order, once Wait
+// runs, and results are read after Wait returns.
+//
+// Determinism comes from that full serialization: at any moment at most
+// one process of a Clock is running. Every wakeup — a timer window's
+// sleeper batch, an Event.Fire, a Kill, a Go spawn — is parked in a FIFO
+// run queue rather than delivered immediately, and the advance loop delivers
 // exactly one parked wakeup whenever the clock is idle (no process
 // running, no callback in flight). The woken process runs to its next
 // blocking point before the next wakeup is delivered. Same-instant
 // processes therefore interact with shared simulation state (message
 // queues, caches, FIFO servers) in one canonical order — timer pops in
 // (time, seq) order, then dynamically-triggered wakeups in the order the
-// serialized execution produced them — regardless of GOMAXPROCS, async
-// preemption, or host-machine load.
+// serialized execution produced them.
 //
 // The event engine is built for throughput: timer entries are pooled and
 // recycled (generation-tagged so a stale Timer handle can never cancel or
 // re-fire a recycled entry), a process whose own wakeup is the next to be
 // delivered keeps running without a switch, same-instant wakeups are
-// drained as a single batch, callbacks run inline on the advancing
-// goroutine instead of spawning one per batch, and cancellation removes
-// the heap entry in O(log n) via its maintained index rather than leaving
-// garbage for later scans. Now() is lock-free.
+// drained as a single batch, callbacks run inline in the advance loop,
+// and cancellation removes the heap entry in O(log n) via its maintained
+// index rather than leaving garbage for later scans.
 package vclock
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"iter"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Clock is a discrete-event virtual clock. The zero value is not usable;
-// construct with New.
+// construct with New. A Clock is confined to the goroutine that calls
+// Wait: no method is safe for use from another goroutine while Wait runs.
 type Clock struct {
-	mu      sync.Mutex
 	now     time.Duration
-	nowView atomic.Int64 // mirror of now for lock-free Now()
-	events  atomic.Int64 // fired entries (proc wakeups + callbacks)
 	queue   timerHeap
 	seq     int64 // tiebreak for deterministic ordering of same-time entries
-	running int   // procs (and in-flight callbacks) currently runnable
+	running int   // procs, in-flight callbacks and Holds currently runnable
 	alive   int   // procs started and not yet finished
+	spawned int   // procs ever started; the next one's id
 	procs   map[*Proc]struct{}
-	idle    *sync.Cond // signalled when alive drops to zero
-	dead    bool       // deadlock detected; clock is poisoned
+	dead    bool // deadlock detected; clock is poisoned
 	deadMsg string
 
-	// The processor handoff. Procs are coroutines and exactly one
-	// goroutine per clock, the driver, resumes them: deliverLocked names
-	// the proc to run in next, the blocker yields back to the driver, and
-	// the driver switches to next directly. driving is true while the
-	// driver goroutine exists (from the first Go until alive reaches
-	// zero); work wakes it when the host goroutine delivers onto a clock
-	// whose procs are all parked.
+	// The processor handoff. Procs are coroutines and Wait resumes them:
+	// deliver names the proc to run in next, the blocker yields back to
+	// Wait, and Wait switches to next directly. waiting is true while
+	// Wait is on the stack, which is how a Wait from inside a process is
+	// told from one by the host.
 	next    *Proc
-	driving bool
-	work    *sync.Cond
+	waiting bool
 
 	free      []*timerEntry             // recycled entries (the pool)
 	cbScratch []func(now time.Duration) // batch buffer for same-instant callbacks
@@ -95,32 +91,29 @@ type Clock struct {
 	deferHead int
 
 	// waitObs, when non-nil, observes every blocking interval (sleeps
-	// and event waits). Set once via SetWaitObserver before any process
-	// runs; read lock-free on the hot path.
+	// and event waits). Set once via SetWaitObserver before Wait.
 	waitObs WaitObserver
 }
 
 // WaitObserver receives every blocking edge of the clock's processes:
+// id numbers the process in spawn order from zero (a dense index an
+// observer can keep per-process state under without hashing the name),
 // kind is "sleep" or "event", label the event's label (empty for
 // sleeps and unlabeled events) and start/end the blocked interval in
-// virtual time. Implementations must be safe for concurrent use and
-// cheap — they run on every blocking operation.
+// virtual time. Implementations must be cheap — they run on every
+// blocking operation, on the goroutine that called Wait.
 // internal/critpath's Recorder implements this interface.
 type WaitObserver interface {
-	ObserveWait(proc, kind, label string, start, end time.Duration)
+	ObserveWait(id int, proc, kind, label string, start, end time.Duration)
 }
 
 // SetWaitObserver installs o as the clock's blocking-edge observer.
-// Must be called before any process runs; the field is read without
-// synchronization afterwards.
+// Must be called before Wait.
 func (c *Clock) SetWaitObserver(o WaitObserver) { c.waitObs = o }
 
 // New returns a Clock set to virtual time zero.
 func New() *Clock {
-	c := &Clock{procs: make(map[*Proc]struct{})}
-	c.idle = sync.NewCond(&c.mu)
-	c.work = sync.NewCond(&c.mu)
-	return c
+	return &Clock{procs: make(map[*Proc]struct{})}
 }
 
 // blocking reasons, formatted lazily only for deadlock reports so the hot
@@ -138,26 +131,25 @@ const (
 type Proc struct {
 	c       *Clock
 	name    string
-	resume  func() (struct{}, bool) // the driver's side of the coroutine: run p to its next block point
-	yield   func(struct{}) bool     // p's side: give the processor back to the driver
+	id      int                     // spawn order, for WaitObserver
+	resume  func() (struct{}, bool) // Wait's side of the coroutine: run p to its next block point
+	yield   func(struct{}) bool     // p's side: give the processor back to Wait
 	state   procState
 	stateAt time.Duration // wake deadline when sleeping, for deadlock reports
 
 	// Kill support. pending is the sleep timer entry while blocked in
-	// Sleep, waitingOn the event while blocked in Wait (both guarded by
-	// c.mu) so Kill can dequeue a blocked victim; killed is checked
-	// lock-free after every wake, and killErr is safely visible to any
-	// reader that observed killed == true.
+	// Sleep, waitingOn the event while blocked in Wait, so Kill can
+	// dequeue a blocked victim; killed is checked after every wake.
 	pending   *timerEntry
 	waitingOn *Event
-	killed    atomic.Bool
+	killed    bool
 	killErr   error
 }
 
 // Killed is the panic value a killed process unwinds with. Spawners that
 // need to observe the death (an MPI rank wrapper recording a crash, a
 // background stream failing its queue) recover it; a Killed panic that
-// reaches the top of a process goroutine is absorbed by the clock, so an
+// reaches the top of a process is absorbed by the clock, so an
 // unobserved kill simply ends the process.
 type Killed struct{ Reason error }
 
@@ -173,76 +165,47 @@ func (k Killed) Error() string {
 // next blocking operation — immediately, at the current virtual instant,
 // if it is already blocked in Sleep or Event.Wait (its pending wakeup is
 // cancelled). Idempotent: only the first reason sticks. Kill may be
-// called from another process, a timer callback, or the host goroutine;
-// a process must not kill itself (panic with Killed directly instead).
+// called from another process, a timer callback, or the host before
+// Wait; a process must not kill itself (panic with Killed directly
+// instead).
 func (p *Proc) Kill(reason error) {
 	c := p.c
-	c.mu.Lock()
-	if p.killed.Load() {
-		c.mu.Unlock()
+	if p.killed {
 		return
 	}
 	p.killErr = reason
-	p.killed.Store(true)
+	p.killed = true
 	if e := p.pending; e != nil {
 		// Asleep: cancel the scheduled wakeup and queue it to die.
-		heap.Remove(&c.queue, e.index)
+		c.queue.remove(e.index)
 		c.recycle(e)
 		p.pending = nil
-		c.parkWakeLocked(p)
-		c.mu.Unlock()
-		c.kick()
+		c.parkWake(p)
 		return
 	}
 	if ev := p.waitingOn; ev != nil {
 		// Blocked on an event: withdraw from the waiter list, so a later
 		// Fire neither wakes nor keeps a dead proc, and queue it to die.
 		p.waitingOn = nil
-		removeWaiterLocked(ev, p)
-		c.parkWakeLocked(p)
-		c.mu.Unlock()
-		c.kick()
-		return
+		ev.removeWaiter(p)
+		c.parkWake(p)
 	}
 	// Otherwise the proc is runnable (or already queued to run); it dies
 	// at its next blocking operation or at its queued wakeup.
-	c.mu.Unlock()
 }
 
-// removeWaiterLocked withdraws p from ev's waiter list. Caller holds
-// ev.c.mu.
-func removeWaiterLocked(ev *Event, p *Proc) {
-	for i, w := range ev.waiters {
-		if w == p {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// parkWakeLocked enqueues a wakeup on the serialized run queue. The
-// woken proc carries no runnable claim while parked; the delivering
-// advance loop claims running++ at the moment it delivers it.
-// Caller holds c.mu and should kick() after releasing it.
-func (c *Clock) parkWakeLocked(p *Proc) {
+// parkWake enqueues a wakeup on the serialized run queue. The woken proc
+// carries no runnable claim while parked; the advance loop claims
+// running++ at the moment it delivers it — at the waker's next block
+// point, or in Wait when the waker is the host.
+func (c *Clock) parkWake(p *Proc) {
 	c.deferredQ = append(c.deferredQ, p)
 }
 
-// kick nudges delivery after parking wakes: a no-op while any process or
-// callback is running (the next block point delivers), it matters when
-// the parker is the host goroutine or a timer callback on an otherwise
-// idle clock. Caller must NOT hold c.mu.
-func (c *Clock) kick() {
-	c.mu.Lock()
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
-}
-
-// deliverLocked delivers the head of the run queue: it claims the
-// processor for that proc and names it in c.next for the driver to
-// resume. Caller holds c.mu and has checked that the clock is idle and
-// the queue non-empty.
-func (c *Clock) deliverLocked() {
+// deliver delivers the head of the run queue: it claims the processor
+// for that proc and names it in c.next for Wait to resume. The caller has
+// checked that the clock is idle and the queue non-empty.
+func (c *Clock) deliver() {
 	c.next = c.deferredQ[c.deferHead]
 	c.deferredQ[c.deferHead] = nil
 	c.deferHead++
@@ -251,56 +214,29 @@ func (c *Clock) deliverLocked() {
 		c.deferHead = 0
 	}
 	c.running++
-	c.work.Signal() // wakes the driver if this is the host delivering onto a parked clock; else nobody waits
 }
 
-// drive is the clock's driver goroutine: it resumes whichever proc the
-// advance loop claimed the processor for, and gets control back when that
-// proc blocks or exits. It sleeps on c.work while every proc is parked
-// behind a Hold, and exits when the last proc has (or the clock
-// deadlocked, whose parked coroutines are leaked as documented).
-func (c *Clock) drive() {
-	c.mu.Lock()
-	for c.alive > 0 && !c.dead {
-		p := c.next
-		if p == nil {
-			c.work.Wait()
-			continue
-		}
-		c.next = nil
-		c.mu.Unlock()
-		p.resume() // a panic in p other than Killed re-panics here, with its value
-		c.mu.Lock()
-	}
-	c.driving = false
-	c.mu.Unlock()
-}
-
-// parkLocked blocks p: it gives up p's runnable claim, which may advance
-// time and deliver the next wakeup, and yields the processor to the
-// driver until p's own wakeup is delivered. When that wakeup is the very
-// next one (a lone sleeper, the last proc through a barrier) there is
-// nobody to switch to and p just keeps running. Caller holds c.mu; it is
-// released on return.
-func (p *Proc) parkLocked() {
+// park blocks p: it gives up p's runnable claim, which may advance time
+// and deliver the next wakeup, and yields the processor to Wait until
+// p's own wakeup is delivered. When that wakeup is the very next one (a
+// lone sleeper, the last proc through a barrier) there is nobody to
+// switch to and p just keeps running.
+func (p *Proc) park() {
 	c := p.c
-	c.blockLocked()
-	self := c.next == p
-	if self {
+	c.running--
+	c.maybeAdvance()
+	if c.next == p {
 		c.next = nil
-	}
-	c.mu.Unlock()
-	if !self {
+	} else {
 		p.yield(struct{}{})
 	}
 	p.state = stateRunning
 	p.checkKilled()
 }
 
-// checkKilled panics with Killed if the proc has been killed. Safe to
-// call lock-free: killErr is published before the killed flag.
+// checkKilled panics with Killed if the proc has been killed.
 func (p *Proc) checkKilled() {
-	if p.killed.Load() {
+	if p.killed {
 		panic(Killed{p.killErr})
 	}
 }
@@ -311,108 +247,106 @@ func (p *Proc) Name() string { return p.name }
 // Clock returns the clock the process belongs to.
 func (p *Proc) Clock() *Clock { return p.c }
 
-// Now returns the current virtual time. It is lock-free: time cannot
-// advance while any process is runnable, so a running caller always sees
-// a stable value.
-func (c *Clock) Now() time.Duration {
-	return time.Duration(c.nowView.Load())
-}
+// Now returns the current virtual time. Time cannot advance while any
+// process is runnable, so a running caller always sees a stable value.
+func (c *Clock) Now() time.Duration { return c.now }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.c.Now() }
+func (p *Proc) Now() time.Duration { return p.c.now }
 
 // totalEvents accumulates fired entries across every Clock in the
 // process, so throughput can be measured over code (figure generators)
-// that builds clocks internally.
+// that builds clocks internally — on several goroutines at once under
+// experiments/parallel.go, which is why it alone here is atomic.
 var totalEvents atomic.Int64
 
 // TotalEvents returns the process-wide count of fired timer-queue
 // entries across all clocks. Monotonic; meant for before/after deltas.
 func TotalEvents() int64 { return totalEvents.Load() }
 
-// Go spawns fn as a new process. It may be called from the host goroutine
-// or from within another process. The process's first run is queued like
-// any other wakeup, preserving the serialized execution order; a spawner
-// that needs several processes registered before any runs should Hold.
-// fn must return or panic: runtime.Goexit inside a process (t.FailNow,
-// say) ends the clock's driver with it.
+// Go spawns fn as a new process. It may be called from the host before
+// Wait or from within another process. The process's first run is queued
+// like any other wakeup, preserving the serialized execution order.
+// A panic in fn other than Killed surfaces from Wait, on the goroutine
+// that called it, and so does runtime.Goexit (t.FailNow, say).
 func (c *Clock) Go(name string, fn func(p *Proc)) {
-	p := &Proc{c: c, name: name}
-	c.mu.Lock()
 	if c.dead {
-		c.mu.Unlock()
 		panic("vclock: Go on deadlocked clock: " + c.deadMsg)
 	}
+	p := &Proc{c: c, name: name, id: c.spawned}
+	c.spawned++
 	// The coroutine's body starts at its first resume, i.e. when the
 	// spawn's queued wakeup is delivered.
 	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			c.mu.Lock()
 			c.alive--
 			delete(c.procs, p)
-			c.blockLocked() // running--; may advance time or end the run
-			c.mu.Unlock()
-		}()
-		defer func() {
+			c.running--
 			// A Killed panic that nobody recovered means the spawner does
 			// not care how the process ends; absorb it so the kill just
-			// terminates the process instead of crashing the host.
+			// terminates the process. Anything else leaves the clock where
+			// it stands and re-panics out of Wait.
 			if r := recover(); r != nil {
 				if _, ok := r.(Killed); !ok {
 					panic(r)
 				}
 			}
+			c.maybeAdvance() // may advance time or end the run
 		}()
 		p.checkKilled() // killed before first run: die without running fn
 		fn(p)
 	})
 	c.alive++
 	c.procs[p] = struct{}{}
-	c.parkWakeLocked(p)
-	if !c.driving {
-		c.driving = true
-		go c.drive()
-	}
-	c.mu.Unlock()
-	c.kick()
+	c.parkWake(p)
 }
 
 // Hold pins virtual time: while held, the clock treats the holder as
 // runnable work, so time cannot advance and deadlock detection is
-// suppressed. Use it from host code that spawns processes in a loop —
-// without it, the first spawned process blocking would look like a
-// deadlock before the second is created. The returned release function
-// is idempotent.
+// suppressed. Host code has no need of it — nothing runs before Wait —
+// and a Wait that finds the clock still held returns ErrHeld. The
+// returned release function is idempotent.
 func (c *Clock) Hold() (release func()) {
-	c.mu.Lock()
 	c.running++
-	c.mu.Unlock()
-	var once sync.Once
+	released := false
 	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			c.blockLocked()
-			c.mu.Unlock()
-		})
+		if !released {
+			released = true
+			c.running--
+		}
 	}
 }
 
-// Wait blocks the host goroutine (in real time) until every process has
-// finished and no timer callback is in flight, so post-Wait reads of the
-// clock see a quiescent simulation. It returns an error if the clock
-// deadlocked.
+// ErrHeld is what Wait returns when a Hold was never released: the
+// simulation is parked where it stood and resumes on the next Wait.
+var ErrHeld = errors.New("vclock: Wait on a clock that is still held")
+
+// Wait runs the simulation on the calling goroutine: it resumes one
+// process at a time, each to its next blocking point, until every process
+// has finished, so post-Wait reads of the clock see a quiescent
+// simulation. It returns an error if the clock deadlocked, or ErrHeld.
+// A panic in a process other than Killed surfaces here with its value;
+// the other processes stay parked and their coroutines are leaked, as
+// after a deadlock. A process or callback must not call Wait; that
+// panics.
 func (c *Clock) Wait() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// A run whose processes are all still parked (spawned but never
-	// delivered) has no block point to advance from; evaluate once.
-	c.maybeAdvanceLocked()
-	for (c.alive > 0 || c.running > 0) && !c.dead {
-		c.idle.Wait()
+	if c.waiting {
+		panic("vclock: Wait called from inside a process or callback")
+	}
+	c.waiting = true
+	defer func() { c.waiting = false }()
+	c.maybeAdvance()
+	for c.next != nil {
+		p := c.next
+		c.next = nil
+		p.resume() // a panic in p other than Killed re-panics here, with its value
 	}
 	if c.dead {
 		return fmt.Errorf("vclock: deadlock: %s", c.deadMsg)
+	}
+	if c.running > 0 {
+		return ErrHeld
 	}
 	return nil
 }
@@ -425,15 +359,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	var sleepStart time.Duration
-	if c.waitObs != nil {
-		sleepStart = c.Now()
-	}
-	c.mu.Lock()
-	if p.killed.Load() {
-		c.mu.Unlock()
-		panic(Killed{p.killErr})
-	}
+	p.checkKilled()
+	sleepStart := c.now
 	e := c.alloc()
 	e.at = c.now + d
 	e.proc = p
@@ -441,9 +368,9 @@ func (p *Proc) Sleep(d time.Duration) {
 	c.push(e)
 	p.state = stateSleeping
 	p.stateAt = e.at
-	p.parkLocked()
+	p.park()
 	if o := c.waitObs; o != nil {
-		o.ObserveWait(p.name, "sleep", "", sleepStart, c.Now())
+		o.ObserveWait(p.id, p.name, "sleep", "", sleepStart, c.now)
 	}
 }
 
@@ -466,7 +393,7 @@ type Event struct {
 
 // Init (re)initializes e as an unfired event on c. label is what wait
 // observers see; it has no effect on scheduling. The event must have no
-// waiters and no concurrent users.
+// waiters.
 func (e *Event) Init(c *Clock, label string) { *e = Event{c: c, label: label} }
 
 // NewEventNamed returns an unfired Event carrying a label that wait
@@ -480,52 +407,37 @@ func NewEventNamed(c *Clock, label string) *Event {
 // Reset re-arms a fired event so it can be waited on and fired again.
 // Only its sole waiter may call it, after that wait returned: nothing
 // else may be waiting on or about to fire the event.
-func (e *Event) Reset() {
-	e.c.mu.Lock()
-	e.fired = false
-	e.c.mu.Unlock()
-}
+func (e *Event) Reset() { e.fired = false }
 
-// addWaiterLocked registers p at the tail of the wait list. Caller
-// holds e.c.mu.
-func (e *Event) addWaiterLocked(p *Proc) {
-	if e.waiters == nil {
-		e.waiters = e.inline[:0]
+// removeWaiter withdraws p from e's waiter list.
+func (e *Event) removeWaiter(p *Proc) {
+	for i, w := range e.waiters {
+		if w == p {
+			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
+			return
+		}
 	}
-	e.waiters = append(e.waiters, p)
 }
 
 // Fired reports whether the event has been fired.
-func (e *Event) Fired() bool {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	return e.fired
-}
+func (e *Event) Fired() bool { return e.fired }
 
 // Fire signals the event, queueing a wakeup for every current waiter at
 // the present instant. Firing an already-fired event is a no-op. Fire
-// may be called from a process, a timer callback, or the host goroutine.
-// Waiters are parked in registration order.
+// may be called from a process, a timer callback, or the host before
+// Wait. Waiters are parked in registration order.
 func (e *Event) Fire() {
-	c := e.c
-	c.mu.Lock()
 	if e.fired {
-		c.mu.Unlock()
 		return
 	}
 	e.fired = true
-	waiters := e.waiters
-	e.waiters = nil
 	// Park in registration order. Kill withdraws its victim from the
-	// list under this same lock, so every listed waiter is still waiting.
-	for _, p := range waiters {
+	// list, so every listed waiter is still waiting.
+	for _, p := range e.waiters {
 		p.waitingOn = nil
-		c.parkWakeLocked(p)
+		e.c.parkWake(p)
 	}
-	c.mu.Unlock()
-	if len(waiters) > 0 {
-		c.kick()
-	}
+	e.waiters = nil
 }
 
 // Wait blocks p until the event fires. Returns immediately if already
@@ -535,29 +447,23 @@ func (e *Event) Wait(p *Proc) {
 	if p.c != c {
 		panic("vclock: Event.Wait by a process of another clock")
 	}
-	c.mu.Lock()
-	if p.killed.Load() {
-		c.mu.Unlock()
-		panic(Killed{p.killErr})
-	}
+	p.checkKilled()
 	if e.fired {
-		c.mu.Unlock()
 		return
 	}
-	// Capture the wait's start before blockLocked: blocking the last
-	// runnable proc advances the clock inline, so a read afterwards
-	// would see the wake instant, not the block instant.
-	var start time.Duration
-	obs := c.waitObs
-	if obs != nil {
-		start = time.Duration(c.nowView.Load())
+	// Capture the wait's start before parking: blocking the last runnable
+	// proc advances the clock inline, so a read afterwards would see the
+	// wake instant, not the block instant.
+	start := c.now
+	if e.waiters == nil {
+		e.waiters = e.inline[:0]
 	}
-	e.addWaiterLocked(p)
+	e.waiters = append(e.waiters, p)
 	p.waitingOn = e
 	p.state = stateEventWait
-	p.parkLocked()
-	if obs != nil {
-		obs.ObserveWait(p.name, "event", e.label, start, c.Now())
+	p.park()
+	if o := c.waitObs; o != nil {
+		o.ObserveWait(p.id, p.name, "event", e.label, start, c.now)
 	}
 }
 
@@ -571,16 +477,14 @@ type Timer struct {
 	gen   uint64
 }
 
-// AfterFunc schedules fn to run at virtual time Now()+d. The callback runs
-// without the clock lock held and counts as runnable work, so time cannot
-// advance while it executes; it may call any Clock, Event, or Timer
-// method, but must not block on Proc operations (it has no Proc).
+// AfterFunc schedules fn to run at virtual time Now()+d. The callback
+// counts as runnable work, so time cannot advance while it executes; it
+// may call any Clock, Event, or Timer method but Wait, and must not block
+// on Proc operations (it has no Proc).
 func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := c.alloc()
 	e.at = c.now + d
 	e.fn = fn
@@ -592,22 +496,19 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 // (true) or had already fired or been stopped (false). Cancellation
 // removes the entry from the queue in O(log n) via its heap index.
 func (t *Timer) Stop() bool {
-	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := t.entry
 	if e.gen != t.gen {
 		return false // fired or stopped; the entry may already serve another timer
 	}
-	heap.Remove(&c.queue, e.index)
-	c.recycle(e)
+	t.c.queue.remove(e.index)
+	t.c.recycle(e)
 	return true
 }
 
 // timerEntry is a pooled heap element: either a proc wakeup (proc != nil)
 // or a scheduled callback (fn != nil). index is its heap position,
-// maintained by timerHeap.Swap so removal needs no scan; gen increments
-// on every recycle so stale Timer handles cannot touch a reused entry.
+// maintained by timerHeap so removal needs no scan; gen increments on
+// every recycle so stale Timer handles cannot touch a reused entry.
 type timerEntry struct {
 	at    time.Duration
 	seq   int64
@@ -617,7 +518,7 @@ type timerEntry struct {
 	fn    func(now time.Duration)
 }
 
-// alloc takes an entry from the pool (or makes one). Caller holds c.mu.
+// alloc takes an entry from the pool (or makes one).
 func (c *Clock) alloc() *timerEntry {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -629,7 +530,7 @@ func (c *Clock) alloc() *timerEntry {
 }
 
 // recycle bumps the entry's generation (invalidating outstanding Timer
-// handles), clears it, and returns it to the pool. Caller holds c.mu.
+// handles), clears it, and returns it to the pool.
 func (c *Clock) recycle(e *timerEntry) {
 	e.gen++
 	e.proc = nil
@@ -642,39 +543,31 @@ func (c *Clock) recycle(e *timerEntry) {
 func (c *Clock) push(e *timerEntry) {
 	c.seq++
 	e.seq = c.seq
-	heap.Push(&c.queue, e)
+	c.queue.push(e)
 }
 
-// blockLocked gives up one runnable claim — a process blocking or
-// exiting, a Hold released — and advances virtual time if it was the
-// last. Caller holds c.mu.
-func (c *Clock) blockLocked() {
-	c.running--
-	c.maybeAdvanceLocked()
-}
-
-// maybeAdvanceLocked delivers the next serialized wakeup, advancing
-// virtual time when the run queue is empty. Each iteration first
-// delivers one parked wake, if any — the woken proc then runs alone
-// until its next blocking point, which re-enters this loop. With the
-// queue drained it jumps to the earliest pending instant and pops every
-// entry scheduled there as one batch: callbacks run to completion FIRST,
-// inline on this goroutine with the lock released — so a callback
-// killing a proc that wakes at this same instant publishes the kill flag
-// before the victim resumes — and the batch's proc wakeups are parked in
-// (time, seq) order for one-at-a-time delivery. Callbacks count as
-// runnable work, so no other goroutine can advance concurrently and the
-// shared batch buffer is safe. The loop (instead of recursion) keeps
-// long callback chains — e.g. a flow server rescheduling its completion
-// timer for the whole run — at constant stack depth. Caller holds c.mu;
-// the lock is held again on return.
-func (c *Clock) maybeAdvanceLocked() {
+// maybeAdvance delivers the next serialized wakeup, advancing virtual
+// time when the run queue is empty. It is entered wherever a runnable
+// claim is given up — a process blocking or exiting — and once at the top
+// of Wait. Each iteration first delivers one parked wake, if any — the
+// woken proc then runs alone until its next blocking point, which
+// re-enters this loop. With the queue drained it jumps to the earliest
+// pending instant and pops every entry scheduled there as one batch:
+// callbacks run to completion FIRST, inline — so a callback killing a
+// proc that wakes at this same instant sets the kill flag before the
+// victim resumes — and the batch's proc wakeups are parked in (time, seq)
+// order for one-at-a-time delivery. Callbacks count as runnable work, so
+// a nested call from one returns at once and the shared batch buffer is
+// safe. The loop (instead of recursion) keeps long callback chains — e.g.
+// a flow server rescheduling its completion timer for the whole run — at
+// constant stack depth.
+func (c *Clock) maybeAdvance() {
 	for {
 		if c.running > 0 || c.dead {
 			return
 		}
 		if c.deferHead < len(c.deferredQ) {
-			c.deliverLocked()
+			c.deliver()
 			return
 		}
 		if c.alive == 0 {
@@ -682,29 +575,23 @@ func (c *Clock) maybeAdvanceLocked() {
 			// advances past the final process, so timers still pending
 			// (e.g. fault windows scheduled beyond the end of the run)
 			// stay unfired and post-run reads of Now() are deterministic.
-			// This is also the only place Wait is woken, which guarantees
-			// it cannot return while a timer callback is in flight.
-			c.idle.Broadcast()
 			return
 		}
-		if c.queue.Len() == 0 {
+		if len(c.queue) == 0 {
 			// Every process is blocked and nothing is scheduled: the
 			// simulation has deadlocked. Poison the clock so Wait
-			// reports it; the parked process goroutines are leaked,
-			// which is acceptable for a diagnosable programming error.
+			// reports it; the parked coroutines are leaked, which is
+			// acceptable for a diagnosable programming error.
 			c.dead = true
-			c.deadMsg = c.describeStuckLocked()
-			c.idle.Broadcast()
-			c.work.Signal()
+			c.deadMsg = c.describeStuck()
 			return
 		}
 		t := c.queue[0].at
 		c.now = t
-		c.nowView.Store(int64(t))
 		cbs := c.cbScratch[:0]
 		var fired int64
-		for c.queue.Len() > 0 && c.queue[0].at == t {
-			e := heap.Pop(&c.queue).(*timerEntry)
+		for len(c.queue) > 0 && c.queue[0].at == t {
+			e := c.queue.pop()
 			fired++
 			if e.proc != nil {
 				e.proc.pending = nil
@@ -715,20 +602,16 @@ func (c *Clock) maybeAdvanceLocked() {
 			c.recycle(e)
 		}
 		c.cbScratch = cbs
-		c.events.Add(fired)
 		totalEvents.Add(fired)
 		if len(cbs) > 0 {
 			// Callbacks count as runnable work so time holds still while
-			// they execute; run them here with the lock dropped. Wakes
-			// they trigger are parked behind the window's own, so every
-			// proc of the instant resumes before any kill victim or
-			// event waiter a callback released.
+			// they execute. Wakes they trigger are parked behind the
+			// window's own, so every proc of the instant resumes before
+			// any kill victim or event waiter a callback released.
 			c.running += len(cbs)
-			c.mu.Unlock()
 			for _, fn := range cbs {
 				fn(t)
 			}
-			c.mu.Lock()
 			c.running -= len(cbs)
 		}
 		// Loop: the next iteration delivers the window's first parked
@@ -737,7 +620,7 @@ func (c *Clock) maybeAdvanceLocked() {
 	}
 }
 
-func (c *Clock) describeStuckLocked() string {
+func (c *Clock) describeStuck() string {
 	names := make([]string, 0, len(c.procs))
 	for p := range c.procs {
 		var st string
@@ -756,33 +639,78 @@ func (c *Clock) describeStuckLocked() string {
 		len(names), c.now, strings.Join(names, ", "))
 }
 
-// timerHeap orders entries by time, then insertion sequence, and keeps
-// each entry's index current so cancellation can heap.Remove in O(log n).
+// timerHeap is a binary min-heap ordered by time, then insertion
+// sequence. It keeps each entry's index current so cancellation can
+// remove in O(log n).
 type timerHeap []*timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *timerEntry) before(o *timerEntry) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	e := x.(*timerEntry)
-	e.index = len(*h)
+
+func (h *timerHeap) push(e *timerEntry) {
 	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
-func (h *timerHeap) Pop() any {
+
+// pop removes and returns the earliest entry.
+func (h *timerHeap) pop() *timerEntry { return h.remove(0) }
+
+// remove takes out the entry at index i: the last entry takes its place
+// and sifts whichever way restores the order.
+func (h *timerHeap) remove(i int) *timerEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
 	e.index = -1
-	*h = old[:n-1]
+	if i < n {
+		if !h.down(i, last) {
+			h.up(i, last)
+		}
+	}
 	return e
+}
+
+// up places e at or above the hole at index i.
+func (h timerHeap) up(i int, e *timerEntry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e at or below the hole at index i and reports whether it
+// moved.
+func (h timerHeap) down(i int, e *timerEntry) bool {
+	start, n := i, len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+		i = child
+	}
+	h[i] = e
+	e.index = i
+	return i > start
 }

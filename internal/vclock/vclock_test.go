@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -403,8 +404,9 @@ func TestHoldSuppressesDeadlockDuringSpawn(t *testing.T) {
 	c := New()
 	release := c.Hold()
 	ev := NewEventNamed(c, "")
-	// The first proc blocks immediately; without the hold this would be
-	// declared a deadlock before the second proc exists.
+	// Nothing runs before Wait, so the first proc cannot block into a
+	// deadlock before the second exists; a hold taken around the spawns
+	// anyway, and released twice, changes nothing.
 	c.Go("waiter", func(p *Proc) { ev.Wait(p) })
 	c.Go("firer", func(p *Proc) {
 		p.Sleep(time.Second)
@@ -421,13 +423,12 @@ func TestHoldPinsTime(t *testing.T) {
 	c := New()
 	release := c.Hold()
 	c.Go("sleeper", func(p *Proc) { p.Sleep(time.Second) })
-	// Give the sleeper a chance to block; time must not advance while
-	// held.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if c.Now() != 0 {
-			t.Fatal("time advanced under Hold")
-		}
+	// The sleeper runs and blocks; time must not advance while held.
+	if err := c.Wait(); !errors.Is(err, ErrHeld) {
+		t.Fatalf("Wait under Hold returned %v, want ErrHeld", err)
+	}
+	if c.Now() != 0 {
+		t.Fatal("time advanced under Hold")
 	}
 	release()
 	if err := c.Wait(); err != nil {

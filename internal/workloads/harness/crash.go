@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"sync"
-
 	"asyncio/internal/core"
 	"asyncio/internal/critpath"
 	"asyncio/internal/hdf5"
@@ -67,9 +65,7 @@ type Checkpointer struct {
 	// Every is the checkpoint interval in epochs; <= 0 disables.
 	Every int
 
-	journal *recovery.Journal // truncated after each durable commit; may be nil
-
-	mu          sync.Mutex
+	journal     *recovery.Journal // truncated after each durable commit; may be nil
 	lastDurable int
 
 	mCommits *metrics.Counter
@@ -97,8 +93,6 @@ func (ck *Checkpointer) LastDurable() int {
 	if ck == nil {
 		return -1
 	}
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
 	return ck.lastDurable
 }
 
@@ -123,9 +117,8 @@ func (ck *Checkpointer) Checkpoint(ctx *core.RankCtx, env *Env, iter int) error 
 		}
 		// Bookkeeping runs on rank 0 alone, strictly between the flush
 		// and the release barrier: no other rank can journal a new write
-		// until the barrier opens, so the journal truncation cannot race
-		// a concurrent append.
-		ck.mu.Lock()
+		// until the barrier opens, so the journal truncation cannot drop
+		// an append made after the flush.
 		if iter > ck.lastDurable {
 			ck.lastDurable = iter
 			if ck.journal != nil {
@@ -133,7 +126,6 @@ func (ck *Checkpointer) Checkpoint(ctx *core.RankCtx, env *Env, iter int) error 
 			}
 			ck.mCommits.Add(1)
 		}
-		ck.mu.Unlock()
 		// The checkpoint's fsync barrier is the commit consistency
 		// model's publish point and every model's durability promise.
 		// Recorded after the flush so a crash between the two merely

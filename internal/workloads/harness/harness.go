@@ -9,7 +9,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncio/internal/asyncvol"
@@ -61,7 +60,6 @@ func Run(sys *systems.System, raw *hdf5.File, app App) (*core.Report, error) {
 	ranks := Ranks(sys, app.Ranks)
 	eng := taskengine.New(sys.Clk)
 	envs := make([]*Env, ranks)
-	var mu sync.Mutex
 	return core.Run(sys, core.Config{
 		Workload:   app.Name,
 		Iterations: app.Iterations,
@@ -70,10 +68,7 @@ func Run(sys *systems.System, raw *hdf5.File, app App) (*core.Report, error) {
 		Estimator:  app.Estimator,
 	}, core.Hooks{
 		Init: func(ctx *core.RankCtx) error {
-			env := NewEnv(ctx, eng, raw, app.Env)
-			mu.Lock()
-			envs[ctx.Rank] = env
-			mu.Unlock()
+			envs[ctx.Rank] = NewEnv(ctx, eng, raw, app.Env)
 			return nil
 		},
 		Compute: func(ctx *core.RankCtx, iter int) error {
